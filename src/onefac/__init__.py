@@ -13,8 +13,8 @@ from .gf import agl_orbit_factorization, base_factor, field_ctx
 from .starters import (StarterSet, assemble, certificate_indecomposable,
                        certificate_order, find_profiles, find_starter,
                        orbit_multiplicity_check)
-from .verify import (SearchBudget, Witness, decomposability_witness_check,
-                     find_subfactorization, orbit_granular_search)
+from .verify import (SearchBudget, Witness, certificate_witness,
+                     decomposability_witness_check, find_subfactorization)
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "StarterSet", "assemble", "certificate_indecomposable",
     "certificate_order", "find_profiles", "find_starter",
     "orbit_multiplicity_check",
-    "SearchBudget", "Witness", "decomposability_witness_check",
-    "find_subfactorization", "orbit_granular_search",
+    "SearchBudget", "Witness", "certificate_witness",
+    "decomposability_witness_check", "find_subfactorization",
     "__version__",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import product
 
@@ -26,20 +27,15 @@ A3_CASES = ((5, 3), (5, 2), (6, 4))
 A4_PRIME_POWERS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3))
 SEED = 20260808
 
-_a1_cache: dict[tuple[int, int], MultiFactorization] = {}
-
-
 def _domain_lambdas(n: int) -> list[int]:
     return [lam for lam in range(2, 2 * n + 1)
             if any(family_domain(f, n, lam) for f in FAMILY_IDS)]
 
 
-def _a1_outputs():
-    if not _a1_cache:
-        for n in A1_NS:
-            for lam in _domain_lambdas(n):
-                _a1_cache[(n, lam)] = construct(n, lam)
-    return _a1_cache
+@cache
+def _a1_outputs() -> dict[tuple[int, int], MultiFactorization]:
+    return {(n, lam): construct(n, lam)
+            for n in A1_NS for lam in _domain_lambdas(n)}
 
 
 def a1() -> str:

@@ -17,8 +17,8 @@ import sys
 
 from . import acceptance, docio, gf, verify
 from .core import is_simple, validate_factorization
-from .families import (NoFamily, OutOfDomain, STooSmall, StarterSearchFailed,
-                       construct, coverage_table, family_domain,
+from .families import (FAMILY_IDS, NoFamily, OutOfDomain, STooSmall,
+                       StarterSearchFailed, coverage_table, family_domain,
                        family_profiles, plan)
 from .starters import StarterSet, assemble
 
@@ -91,7 +91,7 @@ def cmd_construct(args) -> int:
             print("error: construct needs --n and --lambda", file=sys.stderr)
             return EXIT_USAGE
         if args.family:
-            if args.family not in ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8"):
+            if args.family not in FAMILY_IDS:
                 print(f"error: unknown family {args.family!r}", file=sys.stderr)
                 return EXIT_USAGE
             if not family_domain(args.family, args.n, args.lam):
@@ -103,7 +103,7 @@ def cmd_construct(args) -> int:
             cert_note = _cert_status(s)
         else:
             p = plan(args.n, args.lam)
-            mf = construct(args.n, args.lam)
+            mf = assemble(p.starter_set)
             cert_note = _cert_status(p.starter_set)
     text = docio.serialize(docio.document_from_mf(mf))
     if args.out:
@@ -129,19 +129,29 @@ def _cert_status(s: StarterSet) -> str:
 
 
 def cmd_verify(args) -> int:
-    with open(args.path) as fh:
-        mf = docio.mf_from_document(docio.parse(fh.read()))
+    try:
+        with open(args.path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    mf = docio.mf_from_document(docio.parse(text))
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"validity", "simple", "indecomposable"}
     unknown = set(checks) - known
     if unknown:
         print(f"error: unknown checks {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
-    budget = verify.SearchBudget(
-        max_nodes=args.max_nodes
-        or int(os.environ.get("ONEFAC_MAX_NODES", 10 ** 8)),
-        max_seconds=args.max_seconds
-        or float(os.environ.get("ONEFAC_MAX_SECONDS", 300.0)))
+    try:
+        budget = verify.SearchBudget(
+            max_nodes=(int(os.environ.get("ONEFAC_MAX_NODES", 10 ** 8))
+                       if args.max_nodes is None else args.max_nodes),
+            max_seconds=(float(os.environ.get("ONEFAC_MAX_SECONDS", 300.0))
+                         if args.max_seconds is None else args.max_seconds))
+    except ValueError as exc:
+        print(f"error: search budget from the environment: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     report: dict = {}
     exhausted = False
     for check in checks:

@@ -162,8 +162,3 @@ def is_simple(mf: MultiFactorization) -> tuple[bool, list[tuple[OneFactor, int]]
     counts = Counter(mf.factors)
     repeated = [(f, c) for f, c in sorted(counts.items()) if c >= 2]
     return (not repeated, repeated)
-
-
-def factor_multiplicities(mf: MultiFactorization) -> Counter:
-    """Multiplicity of each distinct factor in the multiset."""
-    return Counter(mf.factors)

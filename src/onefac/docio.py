@@ -38,7 +38,8 @@ def mf_from_document(doc: dict) -> MultiFactorization:
         lam = doc["lambda"]
         model = doc["model"]
         factors = doc["factors"]
-        if not (isinstance(n, int) and isinstance(lam, int) and n >= 2 and lam >= 1):
+        # JSON true and false load as bool, a subclass of int: test the type.
+        if not (type(n) is int and type(lam) is int and n >= 2 and lam >= 1):
             raise ParseError("n and lambda must be integers with n >= 2, lambda >= 1")
         if not isinstance(model, dict) or "tag" not in model:
             raise ParseError("model block must carry a tag")

@@ -17,7 +17,11 @@ factor, which pins the coverage of every M_a to an integer system
     lambda_0  =  sum_i x_i * t_i(a)  +  c_a,      0 <= c_a <= lambda - T(a)
 
 over orbit in/out bits x in {0,1}^m.  If the system is infeasible for every
-x and every 0 < lambda_0 < lambda, no subfactorization exists.
+x and every 0 < lambda_0 < lambda, no subfactorization exists.  One kernel,
+`_selections`, yields the lambda_0 interval of every x; the certificate
+traces it, the profile search rejects a leaf at its first nonempty
+interval, and `verify.certificate_witness` builds a subfactorization from
+the first one.
 """
 
 from __future__ import annotations
@@ -234,32 +238,39 @@ def certificate_order(s: StarterSet) -> tuple[tuple[int, int], ...] | None:
     return None if order is None else tuple(order)
 
 
-def feasible_interval(s: StarterSet, x) -> tuple[int, int]:
-    """Feasible lambda_0 range for an orbit in/out selection x (empty if lo > hi).
+def _selections(n: int, lam: int, profiles):
+    """The lambda_0 interval of every orbit selection x, in ascending bit order.
 
-    For each orbit a (except the joined orbit b when n is odd) the coverage
-    equation forces cov_x(a) <= lambda_0 <= cov_x(a) + lambda - T(a).
+    Yields (x, lo, hi, lo_orbit, hi_orbit): the coverage equation of each
+    orbit a forces cov_x(a) <= lambda_0 <= cov_x(a) + lambda - T(a), inside
+    1 <= lambda_0 <= lambda - 1, and the binding orbits are the first to
+    attain each bound (None when only the outer range binds).  An orbit
+    with T(a) = 0, such as the joined orbit b of odd n, never binds.
+    Each coverage vector extends an earlier one by a single profile.
     """
-    lo, hi, _, _ = _interval_with_orbits(s, x)
-    return lo, hi
-
-
-def _interval_with_orbits(s: StarterSet, x):
-    profiles = s.profiles()
-    totals = s.totals()
-    b = s.orbit_b() if s.n % 2 else None
-    lo, hi = 1, s.lam - 1
-    lo_orbit = hi_orbit = None
-    for a in range(s.n):
-        if a == b:
-            continue
-        cov = sum(profiles[i].get(a, 0) for i in range(s.m) if x[i])
-        if cov > lo:
-            lo, lo_orbit = cov, a
-        slack = cov + s.lam - totals.get(a, 0)
-        if slack < hi:
-            hi, hi_orbit = slack, a
-    return lo, hi, lo_orbit, hi_orbit
+    vecs = []
+    for t in profiles:
+        v = [0] * n
+        for a, c in t.items():
+            v[a] = c
+        vecs.append(v)
+    stock = [lam - sum(col) for col in zip(*vecs)] if vecs else [lam] * n
+    m = len(vecs)
+    covs = [[0] * n]
+    for bits in range(2 ** m):
+        if bits:
+            low = bits & -bits
+            covs.append([c + d for c, d in
+                         zip(covs[bits ^ low], vecs[low.bit_length() - 1])])
+        cov = covs[bits]
+        top = max(cov)
+        slack = [c + k for c, k in zip(cov, stock)]
+        bottom = min(slack)
+        lo, lo_orbit = (top, cov.index(top)) if top > 1 else (1, None)
+        hi, hi_orbit = ((bottom, slack.index(bottom)) if bottom < lam - 1
+                        else (lam - 1, None))
+        yield (tuple((bits >> i) & 1 for i in range(m)),
+               lo, hi, lo_orbit, hi_orbit)
 
 
 def certificate_indecomposable(s: StarterSet) -> Certificate:
@@ -277,16 +288,13 @@ def certificate_indecomposable(s: StarterSet) -> Certificate:
     ordering = certificate_order(s)
     if ordering is None:
         raise OrderingFailed("greedy private-orbit ordering did not close")
-    trace = []
-    status = PROVEN
-    for bits in range(2 ** s.m):
-        x = tuple((bits >> i) & 1 for i in range(s.m))
-        lo, hi, lo_orbit, hi_orbit = _interval_with_orbits(s, x)
-        entry_status = "infeasible" if lo > hi else "feasible"
-        if entry_status == "feasible":
-            status = UNKNOWN
-        trace.append(TraceEntry(x, entry_status, lo, hi, lo_orbit, hi_orbit))
-    return Certificate(status=status, ordering=ordering, trace=tuple(trace))
+    trace = tuple(
+        TraceEntry(x, "infeasible" if lo > hi else "feasible", lo, hi,
+                   lo_orbit, hi_orbit)
+        for x, lo, hi, lo_orbit, hi_orbit in _selections(s.n, s.lam,
+                                                          s.profiles()))
+    status = UNKNOWN if any(e.status == "feasible" for e in trace) else PROVEN
+    return Certificate(status=status, ordering=ordering, trace=trace)
 
 
 def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
@@ -496,29 +504,10 @@ def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...]) -> bool:
             return False
         if 1 not in t.values():
             return False
-    m = len(profiles)
-    order = _greedy_order_profiles(profiles)
-    if order is None:
+    if _greedy_order_profiles(profiles) is None:
         return False
-    b = None
-    if n % 2:
-        b = next(a for a in range(n) if tot.get(a, 0) == 0)
-    for bits in range(2 ** m):
-        x = [(bits >> i) & 1 for i in range(m)]
-        lo, hi = 1, lam - 1
-        for a in range(n):
-            if a == b:
-                continue
-            cov = sum(profiles[i].get(a, 0) for i in range(m) if x[i])
-            if cov > lo:
-                lo = cov
-            slack = cov + lam - tot.get(a, 0)
-            if slack < hi:
-                hi = slack
-            if lo > hi:
-                break
-        if lo <= hi:
-            return False
+    if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles)):
+        return False
     for t in profiles:
         if not _realizable(n, tuple(sorted(t.items()))):
             return False

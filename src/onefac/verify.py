@@ -7,18 +7,22 @@ non-decreasing multiset of factors per column, pruning on overfilled pairs
 and on remaining supply, and killing the untaken candidates of a finished
 column.  Outcomes are kept strictly apart: a witness, a proof of absence
 (full exhaustion), or a budget stop.
+
+For a starter-set assembly, `certificate_witness` reads a witness straight
+off the counting certificate's first feasible orbit selection, or returns
+None when the certificate is proven.  Every witness, from either path, is
+re-checked by `decomposability_witness_check`.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import MultiFactorization, validate_factorization
 from . import cyclic
-from .starters import (StarterSet, assemble, certificate_order,
-                       feasible_interval)
+from .starters import StarterSet, assemble, certificate_indecomposable
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
@@ -27,10 +31,6 @@ EXHAUSTED = "exhausted"
 
 class InvalidInput(ValueError):
     """Input factorization fails validation (or lambda < 2)."""
-
-
-class HypothesesUnmet(ValueError):
-    """Orbit-granular search requires a successful certificate ordering."""
 
 
 @dataclass(frozen=True)
@@ -245,61 +245,38 @@ class _MulticoverSearch:
         return Witness(self.lambda0, tuple(sorted(indices)))
 
 
-def orbit_granular_search(mf: MultiFactorization, s: StarterSet,
-                          budget: SearchBudget | None = None) -> SearchResult:
-    """Decomposability search restricted to orbit-coherent selections.
+def certificate_witness(s: StarterSet) -> Witness | None:
+    """A subfactorization of assemble(s) read off the counting certificate.
 
-    Sound and complete for factorizations assembled from a starter set
-    whose certificate ordering succeeds: any subfactorization takes whole
-    starter orbits, exactly lambda_0 copies of every joined class, and some
-    number of loose M_a copies.  Enumerates (lambda_0, orbit bits),
-    materializes the first feasible selection as an index witness and
-    re-checks it independently.
+    None when the certificate is proven.  Otherwise the first feasible
+    selection x at lambda_0 = lo gives the witness: the starter orbits in
+    x, lambda_0 copies of each joined factor and lambda_0 - cov_x(a) copies
+    of each loose M_a.  It is re-checked by direct counting.  Raises
+    OrderingFailed, like the certificate, when the ordering does not close.
     """
-    if certificate_order(s) is None:
-        raise HypothesesUnmet("certificate ordering failed for the starter set")
-    if assemble(s).factors != mf.factors:
-        raise HypothesesUnmet("factorization is not the assembly of the starter set")
-    start = time.monotonic()
-    n, lam = s.n, s.lam
-    profiles = s.profiles()
-    totals = s.totals()
+    cert = certificate_indecomposable(s)
+    if cert.proven:
+        return None
+    entry = next(e for e in cert.trace if e.status == "feasible")
+    n, lam0 = s.n, entry.lo
     b = s.orbit_b() if n % 2 else None
-    factor_list = mf.factors
-
-    def indices_of(f, k):
-        i0 = bisect_left(factor_list, f)
-        assert factor_list[i0:i0 + k] == tuple([f] * k)
-        return range(i0, i0 + k)
-
-    for lam0 in range(1, lam):
-        for bits in range(2 ** s.m):
-            x = tuple((bits >> i) & 1 for i in range(s.m))
-            lo, hi = feasible_interval(s, x)
-            if not lo <= lam0 <= hi:
-                continue
-            indices: list[int] = []
-            used: dict = {}
-            for i in range(s.m):
-                if x[i]:
-                    for f in cyclic.h_orbit(cyclic.cross_factor(s.perms[i], n), n):
-                        used[f] = used.get(f, 0) + 1
-            join = (cyclic.join_even(n, 1) if n % 2 == 0
-                    else cyclic.join_odd(n, 1, b))
-            for f in sorted(set(join)):
-                used[f] = used.get(f, 0) + lam0
-            for a in range(n):
-                if a == b:
-                    continue
-                cov = sum(profiles[i].get(a, 0) for i in range(s.m) if x[i])
-                c_a = lam0 - cov
-                assert 0 <= c_a <= lam - totals.get(a, 0)
-                if c_a:
-                    f = cyclic.m_factor(n, a)
-                    used[f] = used.get(f, 0) + c_a
-            for f, k in used.items():
-                indices.extend(indices_of(f, k))
-            witness = Witness(lam0, tuple(sorted(indices)))
-            assert decomposability_witness_check(mf, witness)
-            return SearchResult(FOUND, witness, 0, time.monotonic() - start)
-    return SearchResult(PROVEN_NONE, None, 0, time.monotonic() - start)
+    used: Counter = Counter()
+    cov: Counter = Counter()
+    for chosen, f, t in zip(entry.x, s.factors(), s.profiles()):
+        if chosen:
+            used.update(cyclic.h_orbit(f, n))
+            cov.update(t)
+    join = cyclic.join_even(n, 1) if b is None else cyclic.join_odd(n, 1, b)
+    for f in set(join):
+        used[f] += lam0
+    for a in range(n):
+        if a != b:
+            used[cyclic.m_factor(n, a)] += lam0 - cov[a]
+    mf = assemble(s)
+    where: dict = {}
+    for i, f in enumerate(mf.factors):
+        where.setdefault(f, []).append(i)
+    witness = Witness(lam0, tuple(sorted(
+        i for f, k in used.items() for i in where.get(f, [])[:k])))
+    assert decomposability_witness_check(mf, witness)
+    return witness

@@ -1,6 +1,8 @@
 import json
 
-from onefac import cli, cyclic, docio
+import pytest
+
+from onefac import cli, cyclic, docio, families
 from onefac.core import MultiFactorization
 
 
@@ -94,6 +96,62 @@ def test_verify_budget_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
     docio.write_mf(families.construct(6, 4), path)
     code, stdout, _ = run_cli(capsys, "verify", str(path),
                               "--checks", "indecomposable", "--max-nodes", "5")
+    assert code == 4
+    assert json.loads(stdout)["indecomposable"] == "exhausted"
+
+
+def test_construct_plans_once(monkeypatch, capsys):
+    calls = []
+    real_plan = families.plan
+
+    def counting_plan(n, lam):
+        calls.append((n, lam))
+        return real_plan(n, lam)
+
+    monkeypatch.setattr(families, "plan", counting_plan)
+    monkeypatch.setattr(cli, "plan", counting_plan)
+    code, _, stderr = run_cli(capsys, "construct", "--n", "9", "--lambda", "3")
+    assert code == 0 and "certificate=proven" in stderr
+    assert calls == [(9, 3)]
+
+
+@pytest.mark.parametrize("content", [None, b"\x80\x81"],
+                         ids=["missing", "not-utf8"])
+def test_verify_unreadable_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_bytes(content)  # not UTF-8
+    code, stdout, stderr = run_cli(capsys, "verify", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("var", ["ONEFAC_MAX_NODES", "ONEFAC_MAX_SECONDS"])
+def test_verify_bad_budget_environment_exits_2(var, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "doc.json"
+    docio.write_mf(families.construct(5, 3), path)
+    monkeypatch.setenv(var, "abc")
+    code, stdout, stderr = run_cli(capsys, "verify", str(path),
+                                   "--checks", "indecomposable")
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+
+def test_verify_zero_max_nodes_is_honoured(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    docio.write_mf(families.construct(5, 3), path)  # proven_none in 7 nodes
+    code, stdout, _ = run_cli(capsys, "verify", str(path),
+                              "--checks", "indecomposable", "--max-nodes", "0")
+    assert code == 4
+    assert json.loads(stdout)["indecomposable"] == "exhausted"
+
+
+def test_verify_zero_max_seconds_is_honoured(tmp_path, capsys):
+    # The clock is read every 4096 nodes; (9, 8) needs 9,431 to finish.
+    path = tmp_path / "doc.json"
+    docio.write_mf(families.construct(9, 8), path)
+    code, stdout, _ = run_cli(capsys, "verify", str(path),
+                              "--checks", "indecomposable", "--max-seconds", "0")
     assert code == 4
     assert json.loads(stdout)["indecomposable"] == "exhausted"
 

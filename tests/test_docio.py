@@ -64,6 +64,13 @@ def test_parse_errors():
                                 "lambda": 1, "factors": []})
 
 
+def test_bool_lambda_rejected():
+    doc = docio.document_from_mf(families.construct(5, 3))
+    doc["lambda"] = True  # would read as lambda = 1
+    with pytest.raises(docio.ParseError):
+        docio.mf_from_document(docio.parse(docio.serialize(doc)))
+
+
 def test_profile_pairs_are_sorted():
     assert docio.profile_to_pairs({7: 1, 0: 3, 2: 1}) == [[0, 3], [2, 1], [7, 1]]
 

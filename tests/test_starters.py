@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from onefac import cyclic, starters
+from onefac import cyclic, families, starters
 from onefac.core import validate_factorization
 from onefac.starters import StarterSet
 
@@ -213,3 +213,31 @@ def test_assemble_factor_count_identity():
         mf = starters.assemble(s)
         assert len(mf.factors) == lam * (2 * n - 1)
         assert validate_factorization(mf).valid
+
+
+def test_certificate_trace_matches_interval_system():
+    # Each trace entry's [lo, hi] must be exactly the set of lambda_0 in
+    # 1..lambda-1 with cov_x(a) <= lambda_0 <= cov_x(a) + lambda - T(a)
+    # for every orbit a, written out here without the kernel.
+    for n in range(5, 10):
+        for lam in range(2, 2 * n + 1):
+            try:
+                s = families.plan(n, lam).starter_set
+            except families.NoFamily:
+                continue
+            profiles, totals = s.profiles(), s.totals()
+            trace = starters.certificate_indecomposable(s).trace
+            assert len(trace) == 2 ** s.m
+            for entry in trace:
+                cov = [sum(t.get(a, 0) for t, bit in zip(profiles, entry.x) if bit)
+                       for a in range(n)]
+                for lam0 in range(1, lam):
+                    fits = all(cov[a] <= lam0 <= cov[a] + lam - totals.get(a, 0)
+                               for a in range(n))
+                    assert (entry.lo <= lam0 <= entry.hi) == fits, (n, lam, entry)
+                assert (entry.status == "feasible") == (entry.lo <= entry.hi)
+                if entry.lo_orbit is not None:
+                    assert cov[entry.lo_orbit] == entry.lo
+                if entry.hi_orbit is not None:
+                    assert (cov[entry.hi_orbit] + lam
+                            - totals.get(entry.hi_orbit, 0)) == entry.hi

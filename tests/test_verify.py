@@ -69,8 +69,7 @@ def test_catalog_small_instances_agree_with_certificate():
         assert p.certificate().proven
         res = verify.find_subfactorization(mf)
         assert res.outcome == verify.PROVEN_NONE, (n, lam, res.outcome)
-        og = verify.orbit_granular_search(mf, p.starter_set)
-        assert og.outcome == verify.PROVEN_NONE
+        assert verify.certificate_witness(p.starter_set) is None
 
 
 def test_p4_shape_at_n5_certificate_confirmed_by_search():
@@ -82,7 +81,7 @@ def test_p4_shape_at_n5_certificate_confirmed_by_search():
     mf = starters.assemble(s)
     res = verify.find_subfactorization(mf)
     assert res.outcome == verify.PROVEN_NONE
-    assert verify.orbit_granular_search(mf, s).outcome == verify.PROVEN_NONE
+    assert verify.certificate_witness(s) is None
 
 
 def test_doubled_simple_factorization_witnesses_only_at_two():
@@ -163,33 +162,33 @@ def test_every_valid_lambda_k4_factorization_decomposes():
         assert res.outcome == verify.FOUND and res.witness.lambda0 == 1
 
 
-def test_orbit_granular_on_larger_instance():
-    p = families.plan(9, 3)
-    mf = families.construct(9, 3)
-    res = verify.orbit_granular_search(mf, p.starter_set)
-    assert res.outcome == verify.PROVEN_NONE
+def test_certificate_witness_none_on_larger_instance():
+    assert verify.certificate_witness(families.plan(9, 3).starter_set) is None
 
 
-def test_orbit_granular_finds_witness_on_decomposable_assembly():
+def test_certificate_witness_on_decomposable_assembly():
     # Empty starter set assembles the trivial decomposable factorization.
     s = StarterSet(4, 2, ())
     mf = starters.assemble(s)
-    res = verify.orbit_granular_search(mf, s)
-    assert res.outcome == verify.FOUND
-    assert verify.decomposability_witness_check(mf, res.witness)
+    witness = verify.certificate_witness(s)
+    assert witness is not None
+    assert verify.decomposability_witness_check(mf, witness)
     exhaustive = verify.find_subfactorization(mf)
     assert exhaustive.outcome == verify.FOUND
 
 
-def test_orbit_granular_rejects_mismatched_input():
-    s = StarterSet.from_profiles(5, 3, [{0: 3, 2: 1, 3: 1}])
-    other = families.construct(5, 2)
-    with pytest.raises(verify.HypothesesUnmet):
-        verify.orbit_granular_search(other, s)
-
-
-def test_orbit_granular_rejects_failed_ordering():
+def test_certificate_witness_rejects_failed_ordering():
     s = StarterSet.from_profiles(6, 4, [{0: 2, 1: 2, 5: 2}, {1: 2, 3: 2, 5: 2}])
-    mf = starters.assemble(s)
-    with pytest.raises(verify.HypothesesUnmet):
-        verify.orbit_granular_search(mf, s)
+    with pytest.raises(starters.OrderingFailed):
+        verify.certificate_witness(s)
+
+
+@pytest.mark.parametrize("n,lam,profile", [
+    (6, 4, {0: 2, 1: 1, 2: 1, 4: 1, 5: 1}),
+    (5, 3, {2: 2, 3: 1, 4: 2}),  # odd n: M_b rides in the joined block
+])
+def test_certificate_witness_when_certificate_is_unknown(n, lam, profile):
+    s = StarterSet.from_profiles(n, lam, [profile])
+    assert not starters.certificate_indecomposable(s).proven
+    witness = verify.certificate_witness(s)
+    assert verify.decomposability_witness_check(starters.assemble(s), witness)
