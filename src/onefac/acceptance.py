@@ -24,7 +24,8 @@ from .starters import orbit_multiplicity_check
 
 A1_NS = (5, 6, 9, 10, 11, 12)
 A3_CASES = ((5, 3), (5, 2), (6, 4))
-A4_PRIME_POWERS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3))
+A4_PRIME_POWERS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3),
+                   (7, 2), (3, 4))
 SEED = 20260808
 
 def _domain_lambdas(n: int) -> list[int]:

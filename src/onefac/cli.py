@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (NoFamily, OutOfDomain, STooSmall, docio.ParseError,
-            verify.InvalidInput, gf.NotPrime, gf.EvenP) as exc:
+            verify.InvalidInput, gf.NotPrime, gf.EvenP, gf.BadDegree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StarterSearchFailed as exc:
@@ -107,8 +107,12 @@ def cmd_construct(args) -> int:
             cert_note = _cert_status(p.starter_set)
     text = docio.serialize(docio.document_from_mf(mf))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         stream = sys.stdout
     else:
         sys.stdout.write(text)

@@ -236,21 +236,14 @@ def coverage_table(s: int) -> list[CoverageEntry]:
     For every 2 <= lambda <= 2*floor(s/2) - 1, the smallest base n with
     9 <= n <= floor(s/2) and lambda_floor(n) <= lambda <= 2n - 1 (the
     embedding hypothesis caps lambda at 2n - 1), except lambda = 2 which
-    embeds from the (n, lambda) = (5, 2) instance.
+    embeds from the (n, lambda) = (5, 2) instance.  lambda_floor(9) = 3,
+    so for lambda >= 3 that n is max(9, ceil((lambda + 1) / 2)).
     """
     if s < 18:
         raise STooSmall(f"s = {s} < 18")
-    out = []
-    for lam in range(2, 2 * (s // 2)):
-        if lam == 2:
-            out.append(CoverageEntry(lam, 5, "P2"))
-            continue
-        base = None
-        for n in range(9, s // 2 + 1):
-            if lambda_floor(n) <= lam <= 2 * n - 1:
-                base = n
-                break
-        assert base is not None, f"no base n for lambda={lam}, s={s}"
+    out = [CoverageEntry(2, 5, "P2")]
+    for lam in range(3, 2 * (s // 2)):
+        base = max(9, ceil((lam + 1) / 2))
         out.append(CoverageEntry(lam, base, family_for(base, lam)))
     return out
 

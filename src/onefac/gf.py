@@ -1,17 +1,17 @@
-"""GF(p^m) arithmetic and the affine-orbit factorization of (n-1)K_2n.
+"""GF(p^m) on vertex ids, and the affine-orbit factorization of (n-1)K_2n.
 
-Field elements are coefficient tuples (a_0, ..., a_{m-1}) over Z_p
-representing sum(a_i * v^i), where v is the residue class of x modulo a
-monic primitive polynomial.  The vertex set of the factorization is
-GF(p^m) plus one extra vertex "infinity"; element ids are sum(a_i * p^i)
-and infinity gets id p^m.  The affine maps x -> x*b + a (b != 0) fix
-infinity and act on edges and factors coordinatewise.
+A field element is its vertex id 0..q-1 with q = p^m: the id
+sum(a_i * p^i) stands for sum(a_i * v^i), where v is the residue class of
+x modulo a monic primitive polynomial.  Addition is digitwise mod p;
+multiplication goes through the table exp[k] = v^k (k = 0..q-2) and its
+inverse log.  The vertex set of the factorization is GF(p^m) plus one
+extra vertex "infinity" with id q.  The affine maps x -> x*b + a (b != 0)
+fix infinity and act on edges and factors vertexwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import product
 
 from .core import MultiFactorization, OneFactor, canonicalize_factor
@@ -25,36 +25,29 @@ class EvenP(ValueError):
     """p must be odd (the base-factor pairing needs (p-1)/2 integral)."""
 
 
-Element = tuple[int, ...]
+class BadDegree(ValueError):
+    """m must be >= 1."""
 
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """Arithmetic context: odd prime p, degree m, monic primitive modulus.
+    """Odd prime p, degree m, monic primitive modulus and its power tables.
 
     `modulus` stores the m+1 coefficients constant-term first; the residue
-    class of x is a generator of the multiplicative group.
+    class v of x generates the multiplicative group.  `exp[k]` is the id
+    of v^k for k = 0..q-2 and `log` is its inverse on the ids 1..q-1
+    (`log[0]` is None).
     """
 
     p: int
     m: int
     modulus: tuple[int, ...]
+    exp: tuple[int, ...] = field(repr=False, compare=False)
+    log: tuple[int | None, ...] = field(repr=False, compare=False)
 
     @property
     def q(self) -> int:
         return self.p ** self.m
-
-    def zero(self) -> Element:
-        return (0,) * self.m
-
-    def one(self) -> Element:
-        return (1,) + (0,) * (self.m - 1)
-
-    def generator(self) -> Element:
-        """The residue class v of x (equals -modulus[0] when m = 1)."""
-        if self.m == 1:
-            return ((-self.modulus[0]) % self.p,)
-        return tuple(1 if i == 1 else 0 for i in range(self.m))
 
 
 def is_prime(n: int) -> bool:
@@ -68,143 +61,51 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def field_ctx(p: int, m: int) -> FieldCtx:
     """Deterministic context: the smallest monic primitive modulus.
 
-    For m = 1 the modulus is x - g with g the smallest primitive root mod
-    p.  For m >= 2, monic candidates are compared by their coefficient
-    vectors (c_{m-1}, ..., c_0) in ascending order and the first one whose
-    root has multiplicative order p^m - 1 wins.
+    For m = 1 the candidates are x - g for g = 2, 3, ...; for m >= 2 they
+    are the monic polynomials ordered by their coefficient vectors
+    (c_{m-1}, ..., c_0) ascending.  The first candidate whose powers of x
+    first return to 1 at exactly q - 1 wins, and that walk is `exp`.
     """
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if p == 2:
         raise EvenP("p must be an odd prime")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadDegree(f"m = {m}: the extension degree must be >= 1")
     if m == 1:
-        g = next(g for g in range(2, p) if _order_mod(g, p) == p - 1)
-        return FieldCtx(p, 1, ((-g) % p, 1))
-    for vec in product(range(p), repeat=m):
-        modulus = tuple(reversed(vec)) + (1,)
-        if _x_is_primitive(p, m, modulus):
-            return FieldCtx(p, m, modulus)
+        candidates = (((-g) % p, 1) for g in range(2, p))
+    else:
+        candidates = (tuple(reversed(vec)) + (1,) for vec in product(range(p), repeat=m))
+    for modulus in candidates:
+        exp = _powers_of_x(p, m, modulus)
+        if exp is not None:
+            log: list[int | None] = [None] * p ** m
+            for k, x in enumerate(exp):
+                log[x] = k
+            return FieldCtx(p, m, modulus, exp, tuple(log))
     raise AssertionError("no primitive polynomial found")  # unreachable
 
 
-def _order_mod(g: int, p: int) -> int:
-    order = 1
-    acc = g % p
-    while acc != 1:
-        acc = acc * g % p
-        order += 1
-    return order
+def _powers_of_x(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Ids of x^0, x^1, ... modulo `modulus` if x has order p^m - 1, else None.
 
-
-def _x_is_primitive(p: int, m: int, modulus: tuple[int, ...]) -> bool:
-    q1 = p ** m - 1
-    x = tuple(1 if i == 1 else 0 for i in range(m))
-    if _pow_raw(x, q1, p, m, modulus) != (1,) + (0,) * (m - 1):
-        return False
-    return all(_pow_raw(x, q1 // f, p, m, modulus) != (1,) + (0,) * (m - 1)
-               for f in prime_factors(q1))
-
-
-@lru_cache(maxsize=None)
-def _xpow_table(p: int, m: int, modulus: tuple[int, ...]) -> tuple[Element, ...]:
-    """x^k mod modulus for k = m .. 2m-2, used to fold products back."""
-    table = []
-    cur = tuple((-modulus[i]) % p for i in range(m))  # x^m
-    table.append(cur)
-    for _ in range(m - 2):
-        shifted = (0,) + cur[:-1]
-        overflow = cur[-1]
-        cur = tuple((shifted[i] + overflow * table[0][i]) % p for i in range(m))
-        table.append(cur)
-    return tuple(table)
-
-
-def _mul_raw(a: Element, b: Element, p: int, m: int, modulus) -> Element:
-    conv = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-    res = [c % p for c in conv[:m]]
-    if m > 1:
-        table = _xpow_table(p, m, modulus)
-        for k in range(m, 2 * m - 1):
-            c = conv[k] % p
-            if c:
-                red = table[k - m]
-                for i in range(m):
-                    res[i] = (res[i] + c * red[i]) % p
-    return tuple(res)
-
-
-def _pow_raw(a: Element, e: int, p: int, m: int, modulus) -> Element:
-    result = (1,) + (0,) * (m - 1)
-    base = a
-    while e:
-        if e & 1:
-            result = _mul_raw(result, base, p, m, modulus)
-        base = _mul_raw(base, base, p, m, modulus)
-        e >>= 1
-    return result
-
-
-def add(ctx: FieldCtx, a: Element, b: Element) -> Element:
-    return tuple((x + y) % ctx.p for x, y in zip(a, b))
-
-
-def sub(ctx: FieldCtx, a: Element, b: Element) -> Element:
-    return tuple((x - y) % ctx.p for x, y in zip(a, b))
-
-
-def neg(ctx: FieldCtx, a: Element) -> Element:
-    return tuple((-x) % ctx.p for x in a)
-
-
-def mul(ctx: FieldCtx, a: Element, b: Element) -> Element:
-    return _mul_raw(a, b, ctx.p, ctx.m, ctx.modulus)
-
-
-def power(ctx: FieldCtx, a: Element, e: int) -> Element:
-    return _pow_raw(a, e, ctx.p, ctx.m, ctx.modulus)
-
-
-def inv(ctx: FieldCtx, a: Element) -> Element:
-    if a == ctx.zero():
-        raise ZeroDivisionError("inverse of zero in GF(p^m)")
-    return power(ctx, a, ctx.q - 2)
-
-
-def elem_to_int(ctx: FieldCtx, a: Element) -> int:
-    return sum(c * ctx.p ** i for i, c in enumerate(a))
-
-
-def elem_from_int(ctx: FieldCtx, value: int) -> Element:
-    assert 0 <= value < ctx.q
-    coeffs = []
-    for _ in range(ctx.m):
-        coeffs.append(value % ctx.p)
-        value //= ctx.p
-    return tuple(coeffs)
+    Multiplying by x moves every digit one place up; the top digit folds
+    back through x^m = sum(fold[i] * x^i).
+    """
+    q = p ** m
+    places = [p ** i for i in range(m)]
+    fold = [(-c) % p for c in modulus[:m]]
+    powers = [1]
+    while len(powers) < q:
+        top, rest = divmod(powers[-1], places[-1])
+        x = sum((rest * p // w + top * c) % p * w for c, w in zip(fold, places))
+        if x == 1:
+            return tuple(powers) if len(powers) == q - 1 else None
+        powers.append(x)
+    return None
 
 
 def infinity_id(ctx: FieldCtx) -> int:
@@ -215,53 +116,41 @@ def base_factor(ctx: FieldCtx) -> OneFactor:
     """The base 1-factor: [0, infinity] plus layered consecutive pairs.
 
     Layer j pairs (2i-1)v^j + tail with (2i)v^j + tail for 1 <= i <=
-    (p-1)/2 and every tail supported on coordinates above j, so layer j
-    contributes p^(m-j-1)*(p-1)/2 edges with difference set {+-v^j}.
+    (p-1)/2 and every tail t*p^(j+1) above digit j, so layer j contributes
+    p^(m-j-1)*(p-1)/2 edges with difference set {+-v^j}.
     """
-    p, m = ctx.p, ctx.m
-    edges = [(ctx.zero(), None)]  # None marks infinity
+    p, m, q = ctx.p, ctx.m, ctx.q
+    edges = [(0, infinity_id(ctx))]
     for j in range(m):
         for i in range(1, (p - 1) // 2 + 1):
-            for tail in product(range(p), repeat=m - 1 - j):
-                u = [0] * m
-                v = [0] * m
-                u[j] = 2 * i - 1
-                v[j] = 2 * i
-                for k, c in enumerate(tail):
-                    u[j + 1 + k] = c
-                    v[j + 1 + k] = c
-                edges.append((tuple(u), tuple(v)))
-    ids = []
-    for u, v in edges:
-        iu = elem_to_int(ctx, u)
-        iv = infinity_id(ctx) if v is None else elem_to_int(ctx, v)
-        ids.append((iu, iv))
-    return canonicalize_factor(ids, ctx.q + 1)
+            for t in range(p ** (m - 1 - j)):
+                tail = t * p ** (j + 1)
+                edges.append(((2 * i - 1) * p ** j + tail, 2 * i * p ** j + tail))
+    return canonicalize_factor(edges, q + 1)
 
 
-def apply_affine(ctx: FieldCtx, factor: OneFactor, b: Element, a: Element) -> OneFactor:
-    """Image of a factor under x -> x*b + a (infinity fixed)."""
-    inf = infinity_id(ctx)
-
-    def mv(vid: int) -> int:
-        if vid == inf:
-            return inf
-        x = elem_from_int(ctx, vid)
-        return elem_to_int(ctx, add(ctx, mul(ctx, x, b), a))
-
-    return canonicalize_factor([(mv(u), mv(v)) for u, v in factor], ctx.q + 1)
+def _affine_images(ctx: FieldCtx):
+    """The base factor's image under each of the q(q-1) maps x -> x*b + a."""
+    p, m, q = ctx.p, ctx.m, ctx.q
+    exp, log = ctx.exp, ctx.log
+    places = [p ** i for i in range(m)]
+    digits = [[x // w % p for w in places] for x in range(q)]
+    # shifted[a] maps each vertex x to x + a, and scaled maps x to x * v^log_b;
+    # both fix infinity (id q).
+    shifted = [[sum((da + dx) % p * w for da, dx, w in zip(ds, xs, places))
+                for xs in digits] + [q] for ds in digits]
+    f = base_factor(ctx)
+    for log_b in range(q - 1):
+        scaled = [0] + [exp[(log[x] + log_b) % (q - 1)] for x in range(1, q)] + [q]
+        pairs = [(scaled[u], scaled[v]) for u, v in f]
+        for shift in shifted:
+            yield canonicalize_factor([(shift[u], shift[v]) for u, v in pairs], q + 1)
 
 
 def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
     """Number of affine maps fixing the base factor."""
     f = base_factor(ctx)
-    count = 0
-    for bi in range(1, ctx.q):
-        b = elem_from_int(ctx, bi)
-        for ai in range(ctx.q):
-            if apply_affine(ctx, f, b, elem_from_int(ctx, ai)) == f:
-                count += 1
-    return count
+    return sum(1 for image in _affine_images(ctx) if image == f)
 
 
 def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
@@ -270,12 +159,7 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     Returns the deduplicated orbit as a factorization of lambda*K_2n with
     2n = q + 1 and lambda = (q-1)/2; simple by construction (it is a set).
     """
-    f = base_factor(ctx)
-    orbit = set()
-    for bi in range(1, ctx.q):
-        b = elem_from_int(ctx, bi)
-        for ai in range(ctx.q):
-            orbit.add(apply_affine(ctx, f, b, elem_from_int(ctx, ai)))
+    orbit = set(_affine_images(ctx))
     n = (ctx.q + 1) // 2
     lam = (ctx.q - 1) // 2
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}

@@ -74,7 +74,9 @@ class StarterSet:
 
     @classmethod
     def from_profiles(cls, n: int, lam: int, profiles) -> "StarterSet":
-        return cls(n, lam, tuple(find_starter(n, t) for t in profiles))
+        """Realize every profile; an unrealizable one raises find_starter's error."""
+        return cls(n, lam, tuple(_realization(n, tuple(sorted(t.items())))
+                                 or find_starter(n, t) for t in profiles))
 
     @property
     def m(self) -> int:
@@ -348,12 +350,12 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _realizable(n: int, items: tuple[tuple[int, int], ...]) -> bool:
+def _realization(n: int, items: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
+    """find_starter on a sorted profile key, or None when it has no realization."""
     try:
-        find_starter(n, dict(items))
-        return True
+        return find_starter(n, dict(items))
     except (ProfileSumInvalid, InfeasibleProfile):
-        return False
+        return None
 
 
 def _slot_candidates(n: int, lam: int, p: int) -> list[dict[int, int]]:
@@ -509,7 +511,7 @@ def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...]) -> bool:
     if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles)):
         return False
     for t in profiles:
-        if not _realizable(n, tuple(sorted(t.items()))):
+        if _realization(n, tuple(sorted(t.items()))) is None:
             return False
     return True
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from onefac import cli, cyclic, docio, families
+from onefac import cli, cyclic, docio, families, starters
 from onefac.core import MultiFactorization
 
 
@@ -37,6 +37,22 @@ def test_construct_t3(tmp_path, capsys):
     assert code == 0
     assert "factors=10" in stdout and "simple=true" in stdout
     assert docio.read_mf(out).model["tag"] == "field"
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_construct_t3_bad_degree_exits_2(m, capsys):
+    code, stdout, stderr = run_cli(capsys, "construct", "--family", "t3",
+                                   "--p", "3", "--m", m)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+
+def test_construct_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.json"
+    code, stdout, stderr = run_cli(capsys, "construct", "--n", "9",
+                                   "--lambda", "3", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
 
 def test_construct_out_of_range_exits_2(capsys):
@@ -113,6 +129,25 @@ def test_construct_plans_once(monkeypatch, capsys):
     code, _, stderr = run_cli(capsys, "construct", "--n", "9", "--lambda", "3")
     assert code == 0 and "certificate=proven" in stderr
     assert calls == [(9, 3)]
+
+
+def test_construct_realizes_each_profile_once(monkeypatch, capsys):
+    for mod in (families, starters):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    calls = []
+    real_find_starter = starters.find_starter
+
+    def counting_find_starter(n, target):
+        calls.append((n, tuple(sorted(target.items()))))
+        return real_find_starter(n, target)
+
+    monkeypatch.setattr(starters, "find_starter", counting_find_starter)
+    # (22, 44) is past the fixture grid: its profiles come from a live search.
+    code, _, stderr = run_cli(capsys, "construct", "--n", "22", "--lambda", "44")
+    assert code == 0 and "certificate=proven" in stderr
+    assert len(calls) == len(set(calls)) == 5
 
 
 @pytest.mark.parametrize("content", [None, b"\x80\x81"],

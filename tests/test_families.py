@@ -166,6 +166,18 @@ def test_coverage_table_s36():
         assert n == 9 or not (families.lambda_floor(n - 1) <= e.lam <= 2 * (n - 1) - 1)
 
 
+def test_coverage_table_matches_scan():
+    # The table's definition, scanned directly: the smallest base n in
+    # 9..floor(s/2) whose strip holds lambda, and (5, P2) for lambda = 2.
+    for s in range(18, 201):
+        expected = [(2, 5, "P2")]
+        for lam in range(3, 2 * (s // 2)):
+            base = next(n for n in range(9, s // 2 + 1)
+                        if families.lambda_floor(n) <= lam <= 2 * n - 1)
+            expected.append((lam, base, families.family_for(base, lam)))
+        assert [(e.lam, e.n, e.family) for e in families.coverage_table(s)] == expected
+
+
 def test_coverage_table_rejects_small_s():
     with pytest.raises(families.STooSmall):
         families.coverage_table(17)

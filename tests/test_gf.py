@@ -1,15 +1,49 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
-from onefac import cyclic, gf
+from onefac import cyclic, docio, gf
 from onefac.core import is_simple, validate_factorization
+
+
+def _add(ctx, a, b):
+    """Digitwise sum of two ids mod p."""
+    out, place = 0, 1
+    for _ in range(ctx.m):
+        out += (a // place % ctx.p + b // place % ctx.p) % ctx.p * place
+        place *= ctx.p
+    return out
+
+
+def _neg(ctx, a):
+    out, place = 0, 1
+    for _ in range(ctx.m):
+        out += (-(a // place)) % ctx.p * place
+        place *= ctx.p
+    return out
+
+
+def _times_v(ctx, a):
+    """a * x folded by the monic modulus, on the digits of the id a."""
+    digits = [a // ctx.p ** i % ctx.p for i in range(ctx.m)]
+    top = digits[-1]
+    shifted = [0] + digits[:-1]
+    return sum((d - top * c) % ctx.p * ctx.p ** i
+               for i, (d, c) in enumerate(zip(shifted, ctx.modulus)))
+
+
+def _mul(ctx, a, b):
+    """Product of two ids through the exp/log tables."""
+    if a == 0 or b == 0:
+        return 0
+    return ctx.exp[(ctx.log[a] + ctx.log[b]) % (ctx.q - 1)]
 
 
 def test_field_ctx_gf3():
     ctx = gf.field_ctx(3, 1)
     assert ctx.modulus == (1, 1)  # x + 1 = x - 2
-    assert ctx.generator() == (2,)
+    assert ctx.exp == (1, 2)
 
 
 def test_field_ctx_gf9_skips_non_primitive_irreducible():
@@ -20,7 +54,7 @@ def test_field_ctx_gf9_skips_non_primitive_irreducible():
 
 def test_field_ctx_gf5_smallest_primitive_root():
     ctx = gf.field_ctx(5, 1)
-    assert ctx.generator() == (2,)
+    assert ctx.exp[1] == 2
     assert ctx.modulus == (3, 1)  # x - 2
 
 
@@ -31,41 +65,70 @@ def test_field_ctx_rejects_bad_p():
         gf.field_ctx(2, 3)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_field_ctx_rejects_bad_degree(m):
+    with pytest.raises(gf.BadDegree):
+        gf.field_ctx(3, m)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_exp_is_bijection_onto_nonzero(p, m):
+    ctx = gf.field_ctx(p, m)
+    assert sorted(ctx.exp) == list(range(1, ctx.q))
+    assert ctx.log[0] is None
+    assert all(ctx.log[x] == k for k, x in enumerate(ctx.exp))
+
+
 def test_generator_order_is_group_order():
+    # v is the class of x, so v^(k+1) is v^k times x reduced by the modulus,
+    # computed here on digits without the exp/log tables.
     for p, m in [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]:
         ctx = gf.field_ctx(p, m)
-        v = ctx.generator()
-        seen = set()
-        acc = ctx.one()
+        seen = []
+        acc = 1
         for _ in range(ctx.q - 1):
-            acc = gf.mul(ctx, acc, v)
-            seen.add(acc)
-        assert len(seen) == ctx.q - 1 and ctx.one() in seen
+            seen.append(acc)
+            acc = _times_v(ctx, acc)
+        assert acc == 1
+        assert len(set(seen)) == ctx.q - 1
+        assert tuple(seen) == ctx.exp
 
 
 def test_arith_gf9_v_squared():
     ctx = gf.field_ctx(3, 2)
-    v = ctx.generator()
-    assert gf.mul(ctx, v, v) == (1, 2)  # v^2 = 2v + 1
+    assert ctx.exp[1] == 3  # v has digits (0, 1)
+    assert ctx.exp[2] == 7  # v^2 = 2v + 1
 
 
 def test_arith_negation_and_inverse():
-    ctx = gf.field_ctx(5, 1)
-    assert gf.inv(ctx, (2,)) == (3,)
-    with pytest.raises(ZeroDivisionError):
-        gf.inv(ctx, ctx.zero())
-    ctx9 = gf.field_ctx(3, 2)
-    for value in range(9):
-        x = gf.elem_from_int(ctx9, value)
-        assert gf.add(ctx9, x, gf.neg(ctx9, x)) == ctx9.zero()
-        if value:
-            assert gf.mul(ctx9, x, gf.inv(ctx9, x)) == ctx9.one()
+    ctx5 = gf.field_ctx(5, 1)
+    assert ctx5.exp[-ctx5.log[2] % 4] == 3  # 2^-1 = 3 in GF(5)
+    for p, m in [(5, 1), (3, 2), (3, 3)]:
+        ctx = gf.field_ctx(p, m)
+        for x in range(ctx.q):
+            assert _add(ctx, x, _neg(ctx, x)) == 0
+            if x:
+                inverse = ctx.exp[-ctx.log[x] % (ctx.q - 1)]
+                assert _mul(ctx, x, inverse) == 1
 
 
 def test_elem_int_roundtrip():
     ctx = gf.field_ctx(3, 3)
     for value in range(27):
-        assert gf.elem_to_int(ctx, gf.elem_from_int(ctx, value)) == value
+        assert _neg(ctx, _neg(ctx, value)) == value
+        if value:
+            assert ctx.exp[ctx.log[value]] == value
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)])
+def test_table_multiplication_distributes_over_addition(p, m):
+    ctx = gf.field_ctx(p, m)
+    q = ctx.q
+    for a in range(q):
+        for b in range(q):
+            ab = _mul(ctx, a, b)
+            for c in range(q):
+                assert _mul(ctx, a, _add(ctx, b, c)) == _add(ctx, ab, _mul(ctx, a, c))
 
 
 def test_base_factor_gf3():
@@ -87,18 +150,15 @@ def test_base_factor_layer_sizes_and_differences():
         ctx = gf.field_ctx(p, m)
         f = gf.base_factor(ctx)
         assert len(f) == (ctx.q + 1) // 2
-        v = ctx.generator()
         powers = {}
-        acc = ctx.one()
         for j in range(m):
-            powers[acc] = j
-            powers[gf.neg(ctx, acc)] = j
-            acc = gf.mul(ctx, acc, v)
+            powers[ctx.exp[j]] = j
+            powers[_neg(ctx, ctx.exp[j])] = j
         layer_counts = Counter()
         for a, b in f:
             if b == gf.infinity_id(ctx):
                 continue
-            diff = gf.sub(ctx, gf.elem_from_int(ctx, b), gf.elem_from_int(ctx, a))
+            diff = _add(ctx, b, _neg(ctx, a))
             assert diff in powers
             layer_counts[powers[diff]] += 1
         for j in range(m):
@@ -126,8 +186,26 @@ def test_orbit_factorization_gf7():
 
 
 def test_orbit_size_matches_stabilizer():
-    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2)]:
+    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (5, 2), (7, 2)]:
         ctx = gf.field_ctx(p, m)
         mf = gf.agl_orbit_factorization(ctx)
         q = ctx.q
         assert len(mf.factors) * gf.base_factor_stabilizer_order(ctx) == q * (q - 1)
+
+
+# sha256 of the serialized field documents with m > 1; the affine orbit,
+# the modulus and the vertex labelling all enter these bytes.
+FIELD_DOCUMENT_SHA256 = {
+    (3, 2): "ad92bf6add16739e3fb72f6e8269af0b457da776c6aae8165c834a774ce99258",
+    (5, 2): "ffd75587fa19d3182f89b28a7411ec3930579b2bcdef4ae1e8042005e4587729",
+    (3, 3): "ad84ec1656690a1426f9bb81b7136b60ad6576f6f70f91ce0dd51777de16db85",
+    (7, 2): "208eb0506fbe7fd1ab76267d04ec901d13243b1212b277a0f5f927975cb52e3c",
+    (3, 4): "248de5aba4abbb19d4dce956fa61e77afd20f14bb4e692e3b12db7dc37f829c1",
+}
+
+
+@pytest.mark.parametrize("p, m", sorted(FIELD_DOCUMENT_SHA256))
+def test_field_document_bytes_pinned(p, m):
+    mf = gf.agl_orbit_factorization(gf.field_ctx(p, m))
+    text = docio.serialize(docio.document_from_mf(mf))
+    assert hashlib.sha256(text.encode()).hexdigest() == FIELD_DOCUMENT_SHA256[(p, m)]
