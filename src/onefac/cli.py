@@ -17,9 +17,9 @@ import sys
 
 from . import acceptance, docio, gf, verify
 from .core import is_simple, validate_factorization
-from .families import (FAMILY_IDS, NoFamily, OutOfDomain, STooSmall,
-                       StarterSearchFailed, coverage_table, family_domain,
-                       family_profiles, plan)
+from .families import (FAMILY_IDS, NoFamily, OutOfDomain, SearchBudgetExhausted,
+                       STooSmall, StarterSearchFailed, coverage_table,
+                       family_domain, family_profiles, plan)
 from .starters import StarterSet, assemble
 
 EXIT_OK = 0
@@ -38,6 +38,9 @@ def main(argv=None) -> int:
             verify.InvalidInput, gf.NotPrime, gf.EvenP, gf.BadDegree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SearchBudgetExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except StarterSearchFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION

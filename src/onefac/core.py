@@ -94,9 +94,18 @@ class MultiFactorization:
 
     @classmethod
     def make(cls, n: int, lam: int, factors, model=None) -> "MultiFactorization":
-        """Canonicalize every factor, sort the multiset and wrap it up."""
-        canon = sorted(canonicalize_factor(f, 2 * n) for f in factors)
-        return cls(n=n, lam=lam, factors=tuple(canon),
+        """Canonicalize every factor, sort the multiset and wrap it up.
+
+        A factor equal to the one before it reuses that one's canonical
+        form, so adjacent copies are canonicalized once.
+        """
+        canon = []
+        for f in factors:
+            if not canon or f != prev:
+                c = canonicalize_factor(f, 2 * n)
+            canon.append(c)
+            prev = f
+        return cls(n=n, lam=lam, factors=tuple(sorted(canon)),
                    model=dict(model) if model else {"tag": "plain"})
 
     @property
@@ -137,10 +146,15 @@ def validate_factorization(mf: MultiFactorization) -> ValidityReport:
     nv = mf.num_vertices
     factor_errors: list[tuple[int, str]] = []
     for i, f in enumerate(mf.factors):
-        try:
-            canonicalize_factor(f, nv)
-        except FactorError as exc:
-            factor_errors.append((i, str(exc)))
+        # A factor equal to the one before it gets that one's verdict.
+        if i == 0 or f != mf.factors[i - 1]:
+            try:
+                canonicalize_factor(f, nv)
+                error = None
+            except FactorError as exc:
+                error = str(exc)
+        if error is not None:
+            factor_errors.append((i, error))
     table = edge_multiplicity_table(mf)
     mult_errors: list[tuple[Edge, int, int]] = []
     for u in range(nv):

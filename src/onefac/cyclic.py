@@ -79,21 +79,26 @@ def profile(factor_or_pi, n: int) -> dict[int, int]:
     return t
 
 
-def shift_factor(factor: OneFactor, n: int, h: int) -> OneFactor:
-    """The factor F + h (add h to the Z_n coordinate of every vertex)."""
-    def mv(u: int) -> int:
-        return (u + h) % n if u < n else n + (u - n + h) % n
-    return canonicalize_factor([(mv(u), mv(v)) for u, v in factor], 2 * n)
+def _shifted(pi, n: int, h: int) -> tuple[int, ...]:
+    """The permutation of F + h, where F is the factor of pi: x -> pi(x - h) + h."""
+    return tuple((pi[(x - h) % n] + h) % n for x in range(n))
 
 
-def h_orbit(factor: OneFactor, n: int) -> list[OneFactor]:
-    """The orbit {F + h : h in H}, deduplicated and sorted."""
-    return sorted({shift_factor(factor, n, h) for h in range(n)})
+def h_orbit(pi, n: int) -> list[tuple[int, ...]]:
+    """The orbit {pi + h : h in H} of a permutation, deduplicated and sorted.
+
+    Cross factors list their edges by x, so the sorted permutations give
+    the sorted factors.  Raises NotAPermutation.
+    """
+    pi = tuple(pi)
+    _check_permutation(pi, n)
+    return sorted({_shifted(pi, n, h) for h in range(n)})
 
 
-def h_stabilizer_order(factor: OneFactor, n: int) -> int:
-    """Order of {h : F + h = F}; always divides n."""
-    order = sum(1 for h in range(n) if shift_factor(factor, n, h) == factor)
+def h_stabilizer_order(pi, n: int) -> int:
+    """Order of {h : pi + h = pi}; always divides n."""
+    pi = tuple(pi)
+    order = sum(1 for h in range(n) if _shifted(pi, n, h) == pi)
     assert n % order == 0
     return order
 

@@ -1,10 +1,11 @@
-"""Canonical on-disk formats: factorization documents and profile fixtures.
+"""Canonical on-disk formats: factorization documents and profile tables.
 
-Both formats are JSON with a `format` version field, serialized
-canonically (sorted keys, compact separators, trailing newline) so golden
-tests can compare bytes.  A factorization document stores the model block,
-n, lambda and the factor list as arrays of [u, v] pairs; factors and edges
-are written in canonical sorted order.
+Both are JSON with a `format` version field, serialized canonically
+(sorted keys, compact separators, trailing newline) so golden tests can
+compare bytes; a profile is written as sorted [orbit, count] pairs.  A
+factorization document stores the model block, n, lambda and the factor
+list as arrays of [u, v] pairs; factors and edges are written in
+canonical sorted order.
 """
 
 from __future__ import annotations
@@ -78,7 +79,3 @@ def read_mf(path) -> MultiFactorization:
 def profile_to_pairs(profile: dict[int, int]) -> list[list[int]]:
     return [[a, t] for a, t in sorted(profile.items())]
 
-
-def fixture_document(entries: list[dict]) -> dict:
-    """Profile fixture file: one entry per (family, n, lambda)."""
-    return {"format": FORMAT_VERSION, "fixtures": entries}

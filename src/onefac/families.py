@@ -4,9 +4,10 @@ Eight cyclic-model families partition the parameter strip
 ceil((n-2)/3) <= lambda <= 2n for n >= 9 (smaller n keep the low-lambda
 families only); a ninth entry is the finite-field construction living in
 the `gf` module.  Families with closed-form starter profiles are coded
-here; the rest load search-discovered profiles from a fixture file checked
-into the package (and fall back to a live deterministic search for
-parameters outside the shipped fixture grid).
+here; the rest pin closed-form starters and complete them with the
+deterministic profile search `starters.find_profiles`, memoized per
+(family, n, lambda).  Acceptance criterion A7 pins every profile table
+with n <= 14, searched ones included, against a golden file.
 
 Both parity families P1 and P2 start at the same floor ceil((n-2)/3), so
 the two parity classes tile the low-lambda strip completely; the
@@ -16,15 +17,14 @@ certificate covers the whole range (e.g. (n, lambda) = (10, 3) and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from math import ceil, comb
 
 from .core import MultiFactorization
-from .starters import (Certificate, NoProfilesFound, StarterSet, assemble,
-                       certificate_indecomposable, find_profiles)
+from .starters import (Certificate, NoProfilesFound, ProfileBudgetExhausted,
+                       StarterSet, assemble, certificate_indecomposable,
+                       find_profiles)
 
 FAMILY_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8")
 
@@ -39,6 +39,10 @@ class NoFamily(ValueError):
 
 class StarterSearchFailed(ValueError):
     """Starter realization or profile discovery failed."""
+
+
+class SearchBudgetExhausted(StarterSearchFailed):
+    """Profile discovery stopped at its node budget without an answer."""
 
 
 class STooSmall(ValueError):
@@ -97,7 +101,7 @@ def family_profiles(family: str, n: int, lam: int) -> list[dict[int, int]]:
     """Starter profiles for one family at (n, lambda).
 
     Text-fixed families return their closed forms; the others return
-    closed-form pins followed by search-discovered profiles (fixtures).
+    closed-form pins followed by the profiles the memoized search finds.
     """
     if not family_domain(family, n, lam):
         raise OutOfDomain(f"{family} does not cover n={n}, lambda={lam}")
@@ -114,12 +118,11 @@ def family_profiles(family: str, n: int, lam: int) -> list[dict[int, int]]:
         return _p3_n11(lam)
     if family == "P6" and n in (9, 10):
         return _p6_small(n)
-    pins, m = fixture_pins(family, n, lam)
-    return _pins_plus_fixture(family, n, lam, pins, m)
+    return [dict(t) for t in _discover(family, n, lam)]
 
 
-def fixture_pins(family: str, n: int, lam: int) -> tuple[list[dict[int, int]], int]:
-    """Closed-form pinned starters and slot count of a fixture-backed family."""
+def _pins(family: str, n: int, lam: int) -> tuple[list[dict[int, int]], int]:
+    """Closed-form pinned starters and slot count of a searched family."""
     if family == "P2":
         return [], 1
     if family in ("P3", "P7"):
@@ -137,7 +140,7 @@ def fixture_pins(family: str, n: int, lam: int) -> tuple[list[dict[int, int]], i
             return [_profile_a(9, 4), _profile_a(9, 3), _profile_b(9, 0),
                     {1: 6, 2: 2, 8: 1}], 5
         return [_profile_a(n, 2), _profile_a(n, 3), _profile_b(n, 1)], 5
-    raise ValueError(f"{family} has no fixture-backed cases")
+    raise ValueError(f"{family} has no searched cases")
 
 
 def _p3_n11(lam: int) -> list[dict[int, int]]:
@@ -158,38 +161,22 @@ def _p6_small(n: int) -> list[dict[int, int]]:
     return [_profile_a(n, 2), _profile_a(n, second_alpha), c, d, r]
 
 
-@lru_cache(maxsize=1)
-def _fixture_table() -> dict[tuple[str, int, int], list[dict[int, int]]]:
-    try:
-        text = resources.files("onefac").joinpath("data/profiles.json").read_text()
-    except FileNotFoundError:
-        return {}
-    doc = json.loads(text)
-    table = {}
-    for entry in doc["fixtures"]:
-        key = (entry["family"], entry["n"], entry["lambda"])
-        table[key] = [{int(a): t for a, t in prof} for prof in entry["profiles"]]
-    return table
-
-
-def _pins_plus_fixture(family: str, n: int, lam: int,
-                       pins: list[dict[int, int]], m: int) -> list[dict[int, int]]:
-    found = _fixture_table().get((family, n, lam))
-    if found is None:
-        found = _discover(family, n, lam, tuple(tuple(sorted(p.items()))
-                                                for p in pins), m)
-    return pins + [dict(t) for t in found]
-
-
 @lru_cache(maxsize=None)
-def _discover(family: str, n: int, lam: int, pins_key, m: int):
-    pins = [dict(t) for t in pins_key]
+def _discover(family: str, n: int, lam: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The pins of (family, n, lambda) and the profiles that complete them.
+
+    Returned as sorted item tuples, pins first.
+    """
+    pins, m = _pins(family, n, lam)
     try:
         solution = find_profiles(n, lam, m, fixed=pins, limit=1)[0]
+    except ProfileBudgetExhausted as exc:
+        raise SearchBudgetExhausted(
+            f"{family} at n={n}, lambda={lam}: {exc}") from exc
     except NoProfilesFound as exc:
         raise StarterSearchFailed(
             f"{family} at n={n}, lambda={lam}: {exc}") from exc
-    return tuple(tuple(sorted(t.items())) for t in solution[len(pins):])
+    return tuple(tuple(sorted(t.items())) for t in solution)
 
 
 @dataclass(frozen=True)

@@ -163,4 +163,5 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     n = (ctx.q + 1) // 2
     lam = (ctx.q - 1) // 2
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
-    return MultiFactorization.make(n, lam, sorted(orbit), model)
+    # Every image came out of canonicalize_factor.
+    return MultiFactorization(n, lam, tuple(sorted(orbit)), model)

@@ -64,6 +64,10 @@ class NoProfilesFound(ValueError):
     """Profile search exhausted its enumeration without a solution."""
 
 
+class ProfileBudgetExhausted(NoProfilesFound):
+    """Profile search stopped at its node budget before finding a solution."""
+
+
 @dataclass(frozen=True)
 class StarterSet:
     """Starters for the assembly, stored as permutations of Z_n."""
@@ -81,9 +85,6 @@ class StarterSet:
     @property
     def m(self) -> int:
         return len(self.perms)
-
-    def factors(self) -> list[OneFactor]:
-        return [cyclic.cross_factor(pi, self.n) for pi in self.perms]
 
     def profiles(self) -> list[dict[int, int]]:
         return [cyclic.profile(pi, self.n) for pi in self.perms]
@@ -143,24 +144,22 @@ class Certificate:
 def check_starter_conditions(s: StarterSet) -> list[str]:
     """All starter-set conditions; returns a list of violations (empty = ok)."""
     violations = []
-    factors = []
+    orbits = []
     for i, pi in enumerate(s.perms):
         try:
-            factors.append(cyclic.cross_factor(pi, s.n))
+            orbits.append(cyclic.h_orbit(pi, s.n))
         except cyclic.NotAPermutation as exc:
             violations.append(f"starter {i}: {exc}")
-            factors.append(None)
-    for i, f in enumerate(factors):
-        if f is None:
-            continue
-        order = cyclic.h_stabilizer_order(f, s.n)
-        if order != 1:
-            violations.append(f"starter {i}: stabilizer order {order} (must be 1)")
+            orbits.append(None)
+    for i, orbit in enumerate(orbits):
+        if orbit is not None and len(orbit) != s.n:
+            violations.append(f"starter {i}: stabilizer order "
+                              f"{s.n // len(orbit)} (must be 1)")
     reps = {}
-    for i, f in enumerate(factors):
-        if f is None:
+    for i, orbit in enumerate(orbits):
+        if orbit is None:
             continue
-        rep = min(cyclic.h_orbit(f, s.n))
+        rep = orbit[0]
         if rep in reps:
             violations.append(f"starters {reps[rep]} and {i} share an H-orbit")
         else:
@@ -186,8 +185,8 @@ def assemble(s: StarterSet, sigma=None) -> MultiFactorization:
     n, lam = s.n, s.lam
     totals = s.totals()
     factors: list[OneFactor] = []
-    for f in s.factors():
-        factors.extend(cyclic.h_orbit(f, n))
+    for pi in s.perms:
+        factors.extend(cyclic.cross_factor(p, n) for p in cyclic.h_orbit(pi, n))
     if n % 2 == 0:
         factors.extend(cyclic.join_even(n, lam, sigma))
         skip = set()
@@ -199,7 +198,8 @@ def assemble(s: StarterSet, sigma=None) -> MultiFactorization:
         if a in skip:
             continue
         factors.extend([cyclic.m_factor(n, a)] * (lam - totals.get(a, 0)))
-    mf = MultiFactorization.make(n, lam, factors, {"tag": "cyclic", "n": n})
+    # Every factor above is canonical already.
+    mf = MultiFactorization(n, lam, tuple(sorted(factors)), {"tag": "cyclic", "n": n})
     assert len(mf.factors) == mf.expected_factor_count()
     return mf
 
@@ -212,13 +212,13 @@ def orbit_multiplicity_check(pi, n: int) -> dict[int, int]:
     starter's profile entry t[a] for every a and every edge.  Returns the
     map a -> multiplicity.
     """
-    f = cyclic.cross_factor(pi, n)
-    if cyclic.h_stabilizer_order(f, n) != 1:
+    orbit = cyclic.h_orbit(pi, n)
+    if len(orbit) != n:
         raise StabilizerNotTrivial("orbit multiplicity law needs a trivial stabilizer")
     t = cyclic.profile(pi, n)
     counts: dict[tuple[int, int], int] = {}
-    for h in range(n):
-        for e in cyclic.shift_factor(f, n, h):
+    for shifted in orbit:
+        for e in cyclic.cross_factor(shifted, n):
             counts[e] = counts.get(e, 0) + 1
     for a in range(n):
         expected = t.get(a, 0)
@@ -322,8 +322,7 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
     def extend(x: int) -> tuple[int, ...] | None:
         if x == n:
             cand = tuple(pi)
-            f = cyclic.cross_factor(cand, n)
-            if cyclic.h_stabilizer_order(f, n) == 1:
+            if cyclic.h_stabilizer_order(cand, n) == 1:
                 return cand
             return None
         for a in diffs:
@@ -413,7 +412,9 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
     (find_starter succeeds per profile), keeps T(a) <= lambda, leaves a
     zero orbit when n is odd, and passes certificate_order and
     certificate_indecomposable.  Deterministic; returns at most `limit`
-    solutions and raises NoProfilesFound when there are none in range.
+    solutions.  Raises NoProfilesFound when the enumeration ends without
+    one, and its subclass ProfileBudgetExhausted when the search stops
+    after `max_nodes` candidates without one.
     """
     fixed = tuple(dict(t) for t in fixed)
     free = m - len(fixed)
@@ -475,15 +476,22 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
         return False
 
     dfs(0, delta0, dict(base_tot))
-    if not solutions:
-        raise NoProfilesFound(
-            f"no certified {m}-tuple found for n={n}, lambda={lam} "
-            f"within {max_nodes} nodes")
-    return solutions
+    if solutions:
+        return solutions
+    if nodes > max_nodes:
+        raise ProfileBudgetExhausted(
+            f"profile search for n={n}, lambda={lam} stopped at its budget "
+            f"of {max_nodes} nodes")
+    raise NoProfilesFound(f"no certified {m}-tuple exists for n={n}, lambda={lam} "
+                          f"in the searched family")
 
 
 def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...]) -> bool:
-    """Full feasibility check of a complete profile tuple (cheap parts first)."""
+    """Full feasibility check of a complete profile tuple (cheap parts first).
+
+    Most leaves fail at a selection of one or two orbits, so the interval
+    test runs before the greedy ordering.
+    """
     if lam < 2:
         return False
     tot: dict[int, int] = {}
@@ -506,9 +514,9 @@ def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...]) -> bool:
             return False
         if 1 not in t.values():
             return False
-    if _greedy_order_profiles(profiles) is None:
-        return False
     if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles)):
+        return False
+    if _greedy_order_profiles(profiles) is None:
         return False
     for t in profiles:
         if _realization(n, tuple(sorted(t.items()))) is None:

@@ -262,9 +262,9 @@ def certificate_witness(s: StarterSet) -> Witness | None:
     b = s.orbit_b() if n % 2 else None
     used: Counter = Counter()
     cov: Counter = Counter()
-    for chosen, f, t in zip(entry.x, s.factors(), s.profiles()):
+    for chosen, pi, t in zip(entry.x, s.perms, s.profiles()):
         if chosen:
-            used.update(cyclic.h_orbit(f, n))
+            used.update(cyclic.cross_factor(p, n) for p in cyclic.h_orbit(pi, n))
             cov.update(t)
     join = cyclic.join_even(n, 1) if b is None else cyclic.join_odd(n, 1, b)
     for f in set(join):

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -144,10 +145,32 @@ def test_construct_realizes_each_profile_once(monkeypatch, capsys):
         return real_find_starter(n, target)
 
     monkeypatch.setattr(starters, "find_starter", counting_find_starter)
-    # (22, 44) is past the fixture grid: its profiles come from a live search.
+    # (22, 44) is a P8 case: its profiles come from a live search.
     code, _, stderr = run_cli(capsys, "construct", "--n", "22", "--lambda", "44")
     assert code == 0 and "certificate=proven" in stderr
     assert len(calls) == len(set(calls)) == 5
+
+
+def test_construct_profile_search_budget_stop_exits_4(monkeypatch, capsys):
+    families._discover.cache_clear()
+    monkeypatch.setattr(families, "find_profiles",
+                        functools.partial(starters.find_profiles, max_nodes=10))
+    code, stdout, stderr = run_cli(capsys, "construct", "--n", "22", "--lambda", "44")
+    assert code == 4 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+    assert "budget of 10 nodes" in stderr
+
+
+def test_construct_starter_search_failure_exits_3(monkeypatch, capsys):
+    families._discover.cache_clear()
+
+    def no_profiles(*args, **kw):
+        raise starters.NoProfilesFound("no certified 5-tuple")
+
+    monkeypatch.setattr(families, "find_profiles", no_profiles)
+    code, stdout, stderr = run_cli(capsys, "construct", "--n", "22", "--lambda", "44")
+    assert code == 3 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("content", [None, b"\x80\x81"],
@@ -212,10 +235,15 @@ def test_selftest_quick(capsys):
     assert all("PASS" in line for line in lines)
 
 
-def test_selftest_fails_on_corrupted_fixture(capsys, monkeypatch):
-    from onefac import acceptance, families
-    table = dict(families._fixture_table())
-    table[("P3", 9, 10)] = [{0: 9}, {1: 9}]  # unrealizable starters
-    monkeypatch.setattr(families, "_fixture_table", lambda: table)
+def test_selftest_fails_on_unrealizable_searched_profiles(monkeypatch):
+    from onefac import acceptance
+    real_discover = families._discover
+
+    def corrupted(family, n, lam):
+        if (family, n, lam) == ("P3", 9, 10):
+            return (((0, 9),), ((1, 9),))  # unrealizable starters
+        return real_discover(family, n, lam)
+
+    monkeypatch.setattr(families, "_discover", corrupted)
     results = acceptance.run(["A8"])
-    assert not results[0].passed
+    assert not results[0].passed and "P3 at n=9, lambda=10" in results[0].detail

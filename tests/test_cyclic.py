@@ -1,10 +1,11 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from onefac import cyclic
-from onefac.core import validate_factorization, MultiFactorization
+from onefac.core import canonicalize_factor, validate_factorization, MultiFactorization
 from onefac.starters import find_starter
 
 
@@ -135,30 +136,55 @@ def test_join_odd_cross_edges_are_exactly_m_b():
 
 
 def test_h_orbit_of_m_factor_is_itself():
-    m2 = cyclic.m_factor(5, 2)
-    assert cyclic.h_orbit(m2, 5) == [m2]
+    plus2 = tuple((x + 2) % 5 for x in range(5))
+    assert cyclic.cross_factor(plus2, 5) == cyclic.m_factor(5, 2)
+    assert cyclic.h_orbit(plus2, 5) == [plus2]
 
 
 def test_h_orbit_of_starter_has_n_elements():
     pi = find_starter(5, {0: 3, 2: 1, 3: 1})
-    orbit = cyclic.h_orbit(cyclic.cross_factor(pi, 5), 5)
+    orbit = cyclic.h_orbit(pi, 5)
     assert len(orbit) == 5 and len(set(orbit)) == 5
+
+
+def test_h_orbit_matches_vertex_shift():
+    # F + h adds h to the Z_n coordinate of every vertex of F.
+    def shift(factor, n, h):
+        def mv(u):
+            return (u + h) % n if u < n else n + (u - n + h) % n
+        return canonicalize_factor([(mv(u), mv(v)) for u, v in factor], 2 * n)
+
+    rng = random.Random(5)
+    for n in range(2, 10):
+        for _ in range(20):
+            pi = list(range(n))
+            rng.shuffle(pi)
+            f = cyclic.cross_factor(pi, n)
+            want = sorted({shift(f, n, h) for h in range(n)})
+            orbit = cyclic.h_orbit(pi, n)
+            assert [cyclic.cross_factor(p, n) for p in orbit] == want
+            assert cyclic.h_stabilizer_order(pi, n) == \
+                sum(shift(f, n, h) == f for h in range(n))
+
+
+def test_h_orbit_rejects_non_permutation():
+    with pytest.raises(cyclic.NotAPermutation):
+        cyclic.h_orbit((0, 0, 1), 3)
 
 
 def test_orbit_size_times_stabilizer_is_n():
     for pi in [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)]:
-        f = cyclic.cross_factor(pi, 4)
-        orbit = cyclic.h_orbit(f, 4)
-        assert len(orbit) * cyclic.h_stabilizer_order(f, 4) == 4
+        orbit = cyclic.h_orbit(pi, 4)
+        assert len(orbit) * cyclic.h_stabilizer_order(pi, 4) == 4
 
 
 def test_stabilizer_orders():
-    assert cyclic.h_stabilizer_order(cyclic.m_factor(6, 0), 6) == 6
+    assert cyclic.h_stabilizer_order(tuple(range(6)), 6) == 6  # M_0
     pi = find_starter(5, {0: 3, 2: 1, 3: 1})
-    assert cyclic.h_stabilizer_order(cyclic.cross_factor(pi, 5), 5) == 1
+    assert cyclic.h_stabilizer_order(pi, 5) == 1
     # displacement sequence of period 2 on Z_4: +1 on evens, -1 on odds
     pi = (1, 0, 3, 2)
-    assert cyclic.h_stabilizer_order(cyclic.cross_factor(pi, 4), 4) == 2
+    assert cyclic.h_stabilizer_order(pi, 4) == 2
 
 
 def test_profile_of_m_factor():

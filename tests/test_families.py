@@ -1,9 +1,12 @@
+import json
+from importlib import resources
 from math import comb
 
 import pytest
 
-from onefac import families
+from onefac import docio, families
 from onefac.core import is_simple, validate_factorization
+from onefac.starters import assemble
 
 
 def test_family_partition_examples():
@@ -119,6 +122,16 @@ def test_construct_n5_lam3():
     assert families.plan(5, 3).certificate().proven
 
 
+def test_claim_check_past_n14():
+    # Every lambda of the strip at n = 15..18 is served, and its
+    # construction is valid with a proven certificate.
+    for n in range(15, 19):
+        for lam in range(families.lambda_floor(n), 2 * n + 1):
+            p = families.plan(n, lam)
+            assert validate_factorization(assemble(p.starter_set)).valid, (n, lam)
+            assert p.certificate().proven, (n, lam)
+
+
 def test_construct_rejects_out_of_range():
     with pytest.raises(families.NoFamily):
         families.construct(9, 25)
@@ -183,11 +196,36 @@ def test_coverage_table_rejects_small_s():
         families.coverage_table(17)
 
 
-def test_fixture_file_matches_regeneration():
-    from importlib import resources
+# The (family, n) grid whose profiles the live search supplies for n <= 14;
+# P3 at n = 11 and P6 at n = 9, 10 have closed forms.
+SEARCHED_NS = {
+    "P2": range(5, 15),
+    "P3": [9, 10, 12, 13, 14],
+    "P5": range(9, 15),
+    "P6": range(11, 15),
+    "P7": range(9, 15),
+    "P8": range(9, 15),
+}
 
-    from onefac import docio, fixtures
-    entries = fixtures.regenerate()
-    text = docio.serialize(docio.fixture_document(entries))
-    shipped = resources.files("onefac").joinpath("data/profiles.json").read_text()
-    assert text == shipped
+
+def test_searched_profiles_match_golden(monkeypatch):
+    golden = json.loads(resources.files("onefac").joinpath(
+        "data/family_profiles_golden.json").read_text())["entries"]
+    families._discover.cache_clear()
+    searched = set()
+    real_discover = families._discover
+
+    def recording(family, n, lam):
+        searched.add((family, n, lam))
+        return real_discover(family, n, lam)
+
+    monkeypatch.setattr(families, "_discover", recording)
+    mismatched = []
+    for e in golden:
+        got = families.family_profiles(e["family"], e["n"], e["lambda"])
+        if [docio.profile_to_pairs(t) for t in got] != e["profiles"]:
+            mismatched.append((e["family"], e["n"], e["lambda"]))
+    assert searched == {(f, n, lam) for f, ns in SEARCHED_NS.items() for n in ns
+                        for lam in range(2, 2 * n + 1)
+                        if families.family_domain(f, n, lam)}
+    assert mismatched == []

@@ -91,7 +91,7 @@ def test_orbit_multiplicity_random_sweep():
         while done < 40:
             pi = list(range(n))
             rng.shuffle(pi)
-            if cyclic.h_stabilizer_order(cyclic.cross_factor(pi, n), n) != 1:
+            if cyclic.h_stabilizer_order(pi, n) != 1:
                 continue
             starters.orbit_multiplicity_check(tuple(pi), n)
             done += 1
@@ -163,7 +163,7 @@ def test_find_starter_realizes_profile():
     target = {0: 3, 2: 1, 3: 1}
     pi = starters.find_starter(5, target)
     assert cyclic.profile(pi, 5) == target
-    assert cyclic.h_stabilizer_order(cyclic.cross_factor(pi, 5), 5) == 1
+    assert cyclic.h_stabilizer_order(pi, 5) == 1
 
 
 def test_find_starter_is_deterministic():
@@ -190,8 +190,16 @@ def test_find_profiles_p2_case():
 
 
 def test_find_profiles_rejects_lambda_one():
-    with pytest.raises(starters.NoProfilesFound):
+    with pytest.raises(starters.NoProfilesFound) as info:
         starters.find_profiles(4, 1, 1)
+    assert not isinstance(info.value, starters.ProfileBudgetExhausted)
+
+
+def test_find_profiles_budget_stop_is_its_own_outcome():
+    pins = [{0: 7, 2: 1, 7: 1}, {0: 7, 3: 1, 6: 1},
+            {0: 2, 1: 6, 3: 1}, {0: 1, 1: 7, 2: 1}]
+    with pytest.raises(starters.ProfileBudgetExhausted, match="budget of 1 nodes"):
+        starters.find_profiles(9, 17, 5, fixed=pins, max_nodes=1)
 
 
 def test_find_profiles_with_pins_certifies():
