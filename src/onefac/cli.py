@@ -185,6 +185,7 @@ def cmd_verify(args) -> int:
                                      "indices": list(res.witness.indices)}
             else:
                 report["indecomposable"] = "exhausted"
+                report["lambda0_exhausted"] = res.lambda0_exhausted
                 exhausted = True
             report["search_nodes"] = res.nodes
     print(json.dumps(report, sort_keys=True))

@@ -1,12 +1,16 @@
 """Exhaustive decomposability search: exact multicover over the factor multiset.
 
 A subfactorization taking every vertex pair exactly lambda_0 times is an
-exact multicover by 1-factors.  The search walks the pairs (0, v) in
-ascending v (every factor covers exactly one such pair), choosing a
-non-decreasing multiset of factors per column, pruning on overfilled pairs
-and on remaining supply, and killing the untaken candidates of a finished
-column.  Outcomes are kept strictly apart: a witness, a proof of absence
-(full exhaustion), or a budget stop.
+exact multicover by 1-factors.  As in Knuth's Algorithm M (TAOCP 4B,
+7.2.2.1) the search branches on the uncovered pair with the least slack,
+supply - need (ties to the lowest pair id), and picks a non-decreasing
+multiset of factors through it until its need is 0.  A pair whose need
+reaches 0 is covered at once: every remaining candidate through it dies,
+which keeps supply exact, and a pair left short of supply prunes the
+branch.  The branching order follows the factors, not the vertex labels.
+Outcomes are kept strictly apart: a witness, a proof of absence (full
+exhaustion), or a budget stop; the clock is read before each lambda_0
+target and every 4096 nodes.
 
 For a starter-set assembly, `certificate_witness` reads a witness straight
 off the counting certificate's first feasible orbit selection, or returns
@@ -133,7 +137,6 @@ class _MulticoverSearch:
         self.start = start
         self.nodes = nodes0
         nv = 2 * mf.n
-        self.nv = nv
         uniq: list = []
         counts: list[int] = []
         self.copy_indices: list[list[int]] = []
@@ -145,90 +148,89 @@ class _MulticoverSearch:
                 uniq.append(f)
                 counts.append(1)
                 self.copy_indices.append([i])
-        self.uniq = uniq
         self.counts = counts
-
-        def pid(u, v):
-            return u * nv + v
-
-        self.edge_ids = [tuple(pid(u, v) for u, v in f) for f in uniq]
-        self.zero_partner = [f[0][1] for f in uniq]  # edge (0, v) is first
-        self.by_col: dict[int, list[int]] = {}
-        for i, v in enumerate(self.zero_partner):
-            self.by_col.setdefault(v, []).append(i)
+        self.edge_ids = [tuple(u * nv + v for u, v in f) for f in uniq]
+        self.pairs = [u * nv + v for u in range(nv) for v in range(u + 1, nv)]
+        self.by_pair: list[list[int]] = [[] for _ in range(nv * nv)]
         self.need = [0] * (nv * nv)
-        for u in range(nv):
-            for v in range(u + 1, nv):
-                self.need[pid(u, v)] = lambda0
         self.supply = [0] * (nv * nv)
+        for e in self.pairs:
+            self.need[e] = lambda0
         for i, ids in enumerate(self.edge_ids):
             for e in ids:
+                self.by_pair[e].append(i)
                 self.supply[e] += counts[i]
-        self.columns = sorted(self.by_col)
         self.picks: list[int] = []
+
+    def _out_of_time(self) -> bool:
+        return time.monotonic() - self.start >= self.budget.max_seconds
 
     def _tick(self):
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise _BudgetStop()
-        if self.nodes % 4096 == 0:
-            if time.monotonic() - self.start > self.budget.max_seconds:
-                raise _BudgetStop()
+        if self.nodes % 4096 == 0 and self._out_of_time():
+            raise _BudgetStop()
 
     def run(self) -> Witness | None:
-        # Sanity: a factor multiset can only be short of supply globally.
-        for col in self.columns:
-            if sum(self.counts[i] for i in self.by_col[col]) < self.lambda0:
-                return None
-        return self._column(0, 0)
+        if self._out_of_time():
+            raise _BudgetStop()
+        return self._next_pair()
 
-    def _column(self, ci: int, min_u: int) -> Witness | None:
-        if ci == len(self.columns):
+    def _next_pair(self) -> Witness | None:
+        """Branch on the uncovered pair with the least slack supply - need."""
+        need, supply = self.need, self.supply
+        best, best_slack = -1, 0
+        for e in self.pairs:
+            if need[e]:
+                slack = supply[e] - need[e]
+                if best < 0 or slack < best_slack:
+                    best, best_slack = e, slack
+                    if slack == 0:
+                        break
+        if best < 0:
             return self._make_witness()
-        col = self.columns[ci]
-        colpair = col  # pid(0, col) == col since u = 0
-        need = self.need
-        if need[colpair] == 0:
-            killed = []
-            ok = True
-            for u in self.by_col[col]:
-                c = self.counts[u]
-                if c > 0:
-                    killed.append((u, c))
-                    self.counts[u] = 0
-                    for e in self.edge_ids[u]:
-                        self.supply[e] -= c
-                        if self.supply[e] < need[e]:
-                            ok = False
-            result = None
-            if ok:
-                result = self._column(ci + 1, 0)
-            for u, c in reversed(killed):
-                self.counts[u] = c
-                for e in self.edge_ids[u]:
-                    self.supply[e] += c
-            return result
-        for u in self.by_col[col]:
-            if u < min_u or self.counts[u] == 0:
-                continue
-            ids = self.edge_ids[u]
-            if any(need[e] == 0 for e in ids):
+        return self._pair(best, 0)
+
+    def _pair(self, e: int, min_u: int) -> Witness | None:
+        """Pick factors through pair e, non-decreasing in u, until e is covered."""
+        need, supply, counts = self.need, self.supply, self.counts
+        for u in self.by_pair[e]:
+            if u < min_u or counts[u] == 0:
                 continue
             self._tick()
-            self.counts[u] -= 1
+            ids = self.edge_ids[u]
+            counts[u] -= 1
+            for f in ids:
+                need[f] -= 1
+                supply[f] -= 1
+            # Cover every pair the pick finished: its other candidates die.
+            killed = []
             ok = True
-            for e in ids:
-                need[e] -= 1
-                self.supply[e] -= 1
-                if self.supply[e] < need[e]:
-                    ok = False
+            for f in ids:
+                if need[f] == 0:
+                    for w in self.by_pair[f]:
+                        c = counts[w]
+                        if c:
+                            killed.append((w, c))
+                            counts[w] = 0
+                            for g in self.edge_ids[w]:
+                                supply[g] -= c
+                                if supply[g] < need[g]:
+                                    ok = False
             self.picks.append(u)
-            result = self._column(ci, u) if ok else None
+            result = None
+            if ok:
+                result = self._pair(e, u) if need[e] else self._next_pair()
             self.picks.pop()
-            for e in ids:
-                need[e] += 1
-                self.supply[e] += 1
-            self.counts[u] += 1
+            for w, c in reversed(killed):
+                counts[w] = c
+                for g in self.edge_ids[w]:
+                    supply[g] += c
+            for f in ids:
+                need[f] += 1
+                supply[f] += 1
+            counts[u] += 1
             if result is not None:
                 return result
         return None

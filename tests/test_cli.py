@@ -114,7 +114,9 @@ def test_verify_budget_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run_cli(capsys, "verify", str(path),
                               "--checks", "indecomposable", "--max-nodes", "5")
     assert code == 4
-    assert json.loads(stdout)["indecomposable"] == "exhausted"
+    report = json.loads(stdout)
+    assert report["indecomposable"] == "exhausted"
+    assert report["lambda0_exhausted"] == [1, 2]  # both targets of lambda = 4
 
 
 def test_construct_plans_once(monkeypatch, capsys):
@@ -205,13 +207,15 @@ def test_verify_zero_max_nodes_is_honoured(tmp_path, capsys):
 
 
 def test_verify_zero_max_seconds_is_honoured(tmp_path, capsys):
-    # The clock is read every 4096 nodes; (9, 8) needs 9,431 to finish.
-    path = tmp_path / "doc.json"
-    docio.write_mf(families.construct(9, 8), path)
-    code, stdout, _ = run_cli(capsys, "verify", str(path),
-                              "--checks", "indecomposable", "--max-seconds", "0")
-    assert code == 4
-    assert json.loads(stdout)["indecomposable"] == "exhausted"
+    # The clock is read before the first node of every lambda_0 target and
+    # then every 4096 nodes; (9, 8) finishes in 714 nodes, (5, 3) in 7.
+    for n, lam in [(9, 8), (5, 3)]:
+        path = tmp_path / f"doc{n}_{lam}.json"
+        docio.write_mf(families.construct(n, lam), path)
+        code, stdout, _ = run_cli(capsys, "verify", str(path), "--checks",
+                                  "indecomposable", "--max-seconds", "0")
+        assert code == 4
+        assert json.loads(stdout)["indecomposable"] == "exhausted"
 
 
 def test_coverage_output(capsys):

@@ -192,3 +192,82 @@ def test_certificate_witness_when_certificate_is_unknown(n, lam, profile):
     assert not starters.certificate_indecomposable(s).proven
     witness = verify.certificate_witness(s)
     assert verify.decomposability_witness_check(starters.assemble(s), witness)
+
+
+def relabeled(factors, perm):
+    return [tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in f))
+            for f in factors]
+
+
+def brute_outcome(mf):
+    for lam0 in range(1, mf.lam // 2 + 1):
+        if brute_witness(mf, lam0) is not None:
+            return verify.FOUND
+    return verify.PROVEN_NONE
+
+
+def agreed_outcome(mf):
+    res = verify.find_subfactorization(mf)
+    assert res.outcome == brute_outcome(mf)
+    if res.outcome == verify.FOUND:
+        assert verify.decomposability_witness_check(mf, res.witness)
+    return res.outcome
+
+
+def test_search_matches_brute_oracle_on_random_unions():
+    rng = random.Random(11)
+    for two_n in (4, 6):
+        for lam in (2, 3):
+            for _ in range(6):
+                factors = []
+                for _ in range(lam):
+                    perm = list(range(two_n))
+                    rng.shuffle(perm)
+                    factors += relabeled(cyclic.lucas_factorization(two_n), perm)
+                mf = MultiFactorization.make(two_n // 2, lam, factors)
+                assert validate_factorization(mf).valid
+                assert agreed_outcome(mf) == verify.FOUND
+
+
+def test_search_matches_brute_oracle_on_every_2k6_factorization():
+    # Unions of 1-factorizations always decompose; the six indecomposable
+    # 1-factorizations of 2K6 exercise the proven_none side as well.
+    pairs = list(itertools.combinations(range(6), 2))
+    matchings = sorted({tuple(sorted(m)) for m in itertools.combinations(pairs, 3)
+                        if len({v for e in m for v in e}) == 6})
+    found = []
+
+    def extend(i, need, chosen):
+        if not any(need.values()):
+            found.append(list(chosen))
+        elif i < len(matchings):
+            m = matchings[i]
+            for k in range(min(need[e] for e in m), -1, -1):
+                need.subtract({e: k for e in m})
+                extend(i + 1, need, chosen + [m] * k)
+                need.update({e: k for e in m})
+
+    extend(0, Counter({p: 2 for p in pairs}), [])
+    outcomes = Counter()
+    for factors in found:
+        mf = MultiFactorization.make(3, 2, factors)
+        assert validate_factorization(mf).valid
+        outcomes[agreed_outcome(mf)] += 1
+    assert outcomes == {verify.FOUND: 21, verify.PROVEN_NONE: 6}
+
+
+def test_cost_does_not_depend_on_labels():
+    mf = gf.agl_orbit_factorization(gf.field_ctx(11, 1))
+    budget = verify.SearchBudget(max_nodes=5_000)
+    for seed in range(16):
+        perm = list(range(12))
+        random.Random(seed).shuffle(perm)
+        image = MultiFactorization.make(6, 5, relabeled(mf.factors, perm))
+        res = verify.find_subfactorization(image, budget=budget)
+        assert res.outcome == verify.PROVEN_NONE, (seed, res.nodes)
+
+
+def test_catalog_9_10_settles_within_budget():
+    res = verify.find_subfactorization(
+        families.construct(9, 10), budget=verify.SearchBudget(max_nodes=100_000))
+    assert res.outcome == verify.PROVEN_NONE
