@@ -155,9 +155,8 @@ def cmd_verify(args) -> int:
                        if args.max_nodes is None else args.max_nodes),
             max_seconds=(float(os.environ.get("ONEFAC_MAX_SECONDS", 300.0))
                          if args.max_seconds is None else args.max_seconds))
-    except ValueError as exc:
-        print(f"error: search budget from the environment: {exc}",
-              file=sys.stderr)
+    except ValueError as exc:  # a malformed variable, or verify.InvalidInput
+        print(f"error: search budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report: dict = {}
     exhausted = False

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from operator import add
 
 from .core import MultiFactorization, OneFactor
 from . import cyclic
@@ -240,7 +242,18 @@ def certificate_order(s: StarterSet) -> tuple[tuple[int, int], ...] | None:
     return None if order is None else tuple(order)
 
 
-def _selections(n: int, lam: int, profiles):
+def _coverages(n: int, profiles) -> list[list[int]]:
+    """Coverage vector of every orbit selection over `profiles`, ascending bit order."""
+    covs = [[0] * n]
+    for t in profiles:
+        v = [0] * n
+        for a, c in t.items():
+            v[a] = c
+        covs += [list(map(add, cov, v)) for cov in covs]
+    return covs
+
+
+def _selections(n: int, lam: int, profiles, prefix=None):
     """The lambda_0 interval of every orbit selection x, in ascending bit order.
 
     Yields (x, lo, hi, lo_orbit, hi_orbit): the coverage equation of each
@@ -248,31 +261,25 @@ def _selections(n: int, lam: int, profiles):
     1 <= lambda_0 <= lambda - 1, and the binding orbits are the first to
     attain each bound (None when only the outer range binds).  An orbit
     with T(a) = 0, such as the joined orbit b of odd n, never binds.
-    Each coverage vector extends an earlier one by a single profile.
+    `prefix`, when given, is `_coverages` of all profiles but the last: the
+    profile search shares it across every candidate for its last slot.
     """
-    vecs = []
-    for t in profiles:
-        v = [0] * n
-        for a, c in t.items():
-            v[a] = c
-        vecs.append(v)
-    stock = [lam - sum(col) for col in zip(*vecs)] if vecs else [lam] * n
-    m = len(vecs)
-    covs = [[0] * n]
-    for bits in range(2 ** m):
-        if bits:
-            low = bits & -bits
-            covs.append([c + d for c, d in
-                         zip(covs[bits ^ low], vecs[low.bit_length() - 1])])
-        cov = covs[bits]
+    if prefix is None:
+        prefix = _coverages(n, profiles[:-1])
+    last = _coverages(n, profiles[-1:])[-1]
+    stock = [lam - c for c in map(add, prefix[-1], last)]
+    half = len(prefix)
+    # product varies its last entry fastest; reversed, x[i] is bit i.
+    for bits, x in enumerate(product((0, 1), repeat=len(profiles))):
+        cov = (prefix[bits] if bits < half
+               else list(map(add, prefix[bits - half], last)))
         top = max(cov)
-        slack = [c + k for c, k in zip(cov, stock)]
+        slack = list(map(add, cov, stock))
         bottom = min(slack)
         lo, lo_orbit = (top, cov.index(top)) if top > 1 else (1, None)
         hi, hi_orbit = ((bottom, slack.index(bottom)) if bottom < lam - 1
                         else (lam - 1, None))
-        yield (tuple((bits >> i) & 1 for i in range(m)),
-               lo, hi, lo_orbit, hi_orbit)
+        yield x[::-1], lo, hi, lo_orbit, hi_orbit
 
 
 def certificate_indecomposable(s: StarterSet) -> Certificate:
@@ -304,9 +311,12 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
 
     Finds pi with displacement multiset {pi(x) - x mod n} equal to `target`
     and trivial shift stabilizer, assigning positions smallest-index-first
-    and differences in ascending order.  Raises ProfileSumInvalid when the
-    displacement sum is nonzero mod n (no permutation can exist), and
-    InfeasibleProfile when the exhaustive search finds no realization.
+    and differences in ascending order.  After placing x, each target x + b
+    must be taken or keep a later source z - c with c in stock; this cuts
+    only dead subtrees, so the result is plain backtracking's.  Raises
+    ProfileSumInvalid when the displacement sum is nonzero mod n (no
+    permutation can exist), and InfeasibleProfile when the exhaustive
+    search finds no realization.
     """
     if any(v < 0 for v in target.values()) or any(not 0 <= a < n for a in target):
         raise ProfileSumInvalid(f"profile entries outside Z_{n} or negative")
@@ -334,9 +344,11 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
             pi[x] = y
             used[y] = True
             remaining[a] -= 1
-            found = extend(x + 1)
-            if found is not None:
-                return found
+            if all(used[z] or any(remaining[c] and (z - c) % n > x for c in diffs)
+                   for z in ((x + b) % n for b in diffs)):
+                found = extend(x + 1)
+                if found is not None:
+                    return found
             remaining[a] += 1
             used[y] = False
             pi[x] = -1
@@ -437,15 +449,19 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
         raise NoProfilesFound("orbit-0 mass of fixed profiles exceeds lambda")
 
     chosen: list[dict[int, int]] = []
+    candidates: dict[int, list[dict[int, int]]] = {}
 
     def dfs(slot: int, rem0: int, tot: dict[int, int]) -> bool:
         nonlocal nodes
         last = slot == free - 1
+        prefix = _coverages(n, fixed + tuple(chosen)) if last else None
         pmax = min(rem0, n - 1)
         for p in range(pmax, -1, -1):
             if last and p != rem0:
                 continue
-            for prof in _slot_candidates(n, lam, p):
+            if p not in candidates:
+                candidates[p] = _slot_candidates(n, lam, p)
+            for prof in candidates[p]:
                 nodes += 1
                 if nodes > max_nodes:
                     return True
@@ -463,7 +479,7 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
                 chosen.append(prof)
                 if last:
                     cand = fixed + tuple(chosen)
-                    if _leaf_ok(n, lam, cand):
+                    if _leaf_ok(n, lam, cand, prefix):
                         solutions.append(cand)
                         if len(solutions) >= limit:
                             chosen.pop()
@@ -486,13 +502,17 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
                           f"in the searched family")
 
 
-def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...]) -> bool:
-    """Full feasibility check of a complete profile tuple (cheap parts first).
+def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...],
+             prefix=None) -> bool:
+    """Full feasibility check of a complete profile tuple.
 
-    Most leaves fail at a selection of one or two orbits, so the interval
-    test runs before the greedy ordering.
+    Every test is a pure conjunct.  Most leaves fail at a selection of one
+    or two orbits, so the interval test, over `prefix` as in `_selections`,
+    runs first.
     """
     if lam < 2:
+        return False
+    if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles, prefix)):
         return False
     tot: dict[int, int] = {}
     for t in profiles:
@@ -514,8 +534,6 @@ def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...]) -> bool:
             return False
         if 1 not in t.values():
             return False
-    if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles)):
-        return False
     if _greedy_order_profiles(profiles) is None:
         return False
     for t in profiles:

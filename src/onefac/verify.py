@@ -34,7 +34,7 @@ EXHAUSTED = "exhausted"
 
 
 class InvalidInput(ValueError):
-    """Input factorization fails validation (or lambda < 2)."""
+    """Input factorization fails validation (or lambda < 2, or a bad budget)."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,10 @@ class Witness:
 class SearchBudget:
     max_nodes: int = 100_000_000
     max_seconds: float = 300.0
+
+    def __post_init__(self):
+        if not (self.max_nodes >= 0 and self.max_seconds >= 0):  # NaN fails too
+            raise InvalidInput(f"{self} has a negative or NaN bound")
 
 
 @dataclass

@@ -123,9 +123,9 @@ def test_construct_n5_lam3():
 
 
 def test_claim_check_past_n14():
-    # Every lambda of the strip at n = 15..18 is served, and its
+    # Every lambda of the strip at n = 15..20 is served, and its
     # construction is valid with a proven certificate.
-    for n in range(15, 19):
+    for n in range(15, 21):
         for lam in range(families.lambda_floor(n), 2 * n + 1):
             p = families.plan(n, lam)
             assert validate_factorization(assemble(p.starter_set)).valid, (n, lam)

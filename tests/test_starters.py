@@ -183,6 +183,107 @@ def test_find_starter_infeasible_when_only_invariant_factor_fits():
         starters.find_starter(5, {1: 5})
 
 
+def _plain_backtracking(n, target):
+    # find_starter without its forward check: positions in order,
+    # displacements ascending, the first trivial-stabilizer completion.
+    remaining = dict(target)
+    diffs = sorted(a for a, v in target.items() if v > 0)
+    pi, used = [-1] * n, [False] * n
+
+    def extend(x):
+        if x == n:
+            return tuple(pi) if cyclic.h_stabilizer_order(pi, n) == 1 else None
+        for a in diffs:
+            y = (x + a) % n
+            if remaining[a] == 0 or used[y]:
+                continue
+            pi[x], used[y] = y, True
+            remaining[a] -= 1
+            found = extend(x + 1)
+            if found is not None:
+                return found
+            remaining[a] += 1
+            used[y] = False
+        return None
+
+    return extend(0)
+
+
+def test_find_starter_matches_plain_backtracking():
+    # The forward check only cuts dead subtrees, so every realization, and
+    # with it every document byte, is the one plain backtracking gives.
+    profiles = set()
+    for n in range(5, 19):
+        for lam in range(2, 2 * n + 1):
+            try:
+                profiles.update((n, t) for t in families.plan(n, lam).profiles)
+            except families.NoFamily:
+                continue
+    rng = random.Random(11)
+    while len(profiles) < 700:
+        n = rng.randint(5, 12)
+        t = {}
+        for a in rng.sample(range(n), rng.randint(1, 3)):
+            t[a] = 0
+        for _ in range(n - 1):
+            a = rng.choice(sorted(t))
+            t[a] += 1
+        s = -sum(a * v for a, v in t.items()) % n
+        t[s] = t.get(s, 0) + 1
+        t = {a: v for a, v in t.items() if v}
+        if 1 in t.values():
+            profiles.add((n, tuple(sorted(t.items()))))
+    for n, items in sorted(profiles):
+        want = _plain_backtracking(n, dict(items))
+        assert starters.find_starter(n, dict(items)) == want, (n, items)
+
+
+def test_find_starter_mixed_profile_at_n35():
+    # Plain backtracking takes about 43.6 M nodes here.
+    target = {0: 12, 1: 12, 2: 10, 3: 1}
+    pi = starters.find_starter(35, target)
+    assert cyclic.profile(pi, 35) == target
+    assert cyclic.h_stabilizer_order(pi, 35) == 1
+
+
+def test_selections_over_a_shared_prefix_match_a_cold_call():
+    # The profile search builds the prefix's coverage vectors once and
+    # reuses them for every last profile; nothing may leak between leaves.
+    # Random tuples mostly fail the interval test, catalog tuples pass.
+    rng = random.Random(3)
+
+    def random_profile(n):
+        return {a: rng.randint(1, 3) for a in rng.sample(range(n), rng.randint(1, 4))}
+
+    cases = []
+    for _ in range(300):
+        n, m = rng.randint(5, 15), rng.randint(1, 5)
+        head = tuple(random_profile(n) for _ in range(m - 1))
+        cases.append((n, rng.randint(2, 2 * n), head,
+                      [random_profile(n) for _ in range(4)]))
+    for n in range(5, 11):
+        for lam in range(2, 2 * n + 1):
+            try:
+                profiles = [dict(t) for t in families.plan(n, lam).profiles]
+            except families.NoFamily:
+                continue
+            cases.append((n, lam, tuple(profiles[:-1]), profiles[-1:]))
+    verdicts = set()
+    for n, lam, head, lasts in cases:
+        prefix = starters._coverages(n, head)
+        for bits, cov in enumerate(prefix):
+            assert cov == [sum(t.get(a, 0) for i, t in enumerate(head) if bits >> i & 1)
+                           for a in range(n)]
+        for last in lasts:
+            cand = head + (last,)
+            assert (list(starters._selections(n, lam, cand, prefix))
+                    == list(starters._selections(n, lam, cand)))
+            ok = starters._leaf_ok(n, lam, cand, prefix)
+            assert ok == starters._leaf_ok(n, lam, cand)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_find_profiles_p2_case():
     sols = starters.find_profiles(5, 2, 1)
     assert sols[0][0][0] == 2  # t(M_0) = lambda = 2
