@@ -206,7 +206,3 @@ def cmd_selftest(args) -> int:
     for r in results:
         print(r.line())
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
+from operator import ne
 
 Edge = tuple[int, int]
 OneFactor = tuple[Edge, ...]
@@ -134,10 +136,22 @@ class ValidityReport:
 
 
 def edge_multiplicity_table(mf: MultiFactorization) -> Counter:
-    """Exact multiplicity of every edge over the factor multiset."""
-    table: Counter = Counter()
-    for f in mf.factors:
-        table.update(f)
+    """Exact multiplicity of every edge over the factor multiset.
+
+    Each run of equal adjacent factors adds its edges once, weighted by
+    the run length.  The runs are found and one factor of each is counted
+    in C, so only the extra copies of longer runs cost a Python loop.
+    """
+    fs = mf.factors
+    # The last index of every run.
+    ends = list(compress(count(), map(ne, fs, fs[1:]))) + [len(fs) - 1] if fs else []
+    table = Counter(chain.from_iterable(map(fs.__getitem__, ends)))
+    prev = -1
+    for end in ends:
+        if end - prev > 1:
+            for e in fs[end]:
+                table[e] += end - prev - 1
+        prev = end
     return table
 
 

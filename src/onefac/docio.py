@@ -6,6 +6,11 @@ compare bytes; a profile is written as sorted [orbit, count] pairs.  A
 factorization document stores the model block, n, lambda and the factor
 list as arrays of [u, v] pairs; factors and edges are written in
 canonical sorted order.
+
+Catalog factorizations repeat factors many times over, so equal
+neighbours in a document's factor list share one list object and the
+serializer encodes each shared object once.  Treat a document as
+read-only: mutating one factor's list changes all its copies.
 """
 
 from __future__ import annotations
@@ -22,12 +27,18 @@ class ParseError(ValueError):
 
 
 def document_from_mf(mf: MultiFactorization) -> dict:
+    factors = []
+    for i, f in enumerate(mf.factors):
+        # A factor equal to the one before it shares that one's list.
+        if i == 0 or f != mf.factors[i - 1]:
+            pairs = [[u, v] for u, v in f]
+        factors.append(pairs)
     return {
         "format": FORMAT_VERSION,
         "model": dict(mf.model),
         "n": mf.n,
         "lambda": mf.lam,
-        "factors": [[[u, v] for u, v in f] for f in mf.factors],
+        "factors": factors,
     }
 
 
@@ -51,9 +62,30 @@ def mf_from_document(doc: dict) -> MultiFactorization:
         raise ParseError(f"malformed document: {exc}") from exc
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def serialize(doc: dict) -> str:
-    """Bit-exact canonical serialization."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Bit-exact canonical serialization.
+
+    The text is json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    plus a newline, for any object with string keys.  The top-level
+    object is written here so that each element of a top-level array is
+    encoded once per run of the same object.
+    """
+    parts = []
+    for key, value in sorted(doc.items()):
+        if isinstance(value, (list, tuple)):
+            items = []
+            for i, item in enumerate(value):
+                if i == 0 or item is not value[i - 1]:
+                    text = _encode(item)
+                items.append(text)
+            text = "[" + ",".join(items) + "]"
+        else:
+            text = _encode(value)
+        parts.append(_encode(key) + ":" + text)
+    return "{" + ",".join(parts) + "}\n"
 
 
 def parse(text: str) -> dict:
@@ -61,6 +93,8 @@ def parse(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     return doc

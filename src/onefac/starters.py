@@ -369,8 +369,10 @@ def _realization(n: int, items: tuple[tuple[int, int], ...]) -> tuple[int, ...] 
         return None
 
 
-def _slot_candidates(n: int, lam: int, p: int) -> list[dict[int, int]]:
+def _slot_candidates(n: int, lam: int, p: int) -> list[tuple[tuple, dict[int, int]]]:
     """Searched profile shapes {0: p, 1: q, g: w, s: 1} in deterministic order.
+
+    Each comes with its key, the sorted tuple of its items.
 
     s is the closure singleton forced by the displacement sum; candidates
     whose largest entry exceeds p come first (those defeat their own
@@ -407,9 +409,9 @@ def _slot_candidates(n: int, lam: int, p: int) -> list[dict[int, int]]:
                 continue
             seen.add(key)
             bucket = 0 if max(prof.values()) > p else 1
-            out.append((bucket, prof))
+            out.append((bucket, key, prof))
     out.sort(key=lambda c: c[0])
-    return [prof for _, prof in out]
+    return [(key, prof) for _, key, prof in out]
 
 
 def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
@@ -434,13 +436,13 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
         raise ValueError("more fixed profiles than slots")
     solutions: list[tuple[dict[int, int], ...]] = []
     nodes = 0
-    base_tot: dict[int, int] = {}
+    tot: dict[int, int] = {}
     for t in fixed:
         for a, v in t.items():
-            base_tot[a] = base_tot.get(a, 0) + v
-    if any(v > lam for v in base_tot.values()):
+            tot[a] = tot.get(a, 0) + v
+    if any(v > lam for v in tot.values()):
         raise NoProfilesFound("fixed profiles already exceed lambda")
-    delta0 = lam - base_tot.get(0, 0)
+    delta0 = lam - tot.get(0, 0)
     if free == 0:
         if _leaf_ok(n, lam, fixed):
             return [fixed]
@@ -449,9 +451,12 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
         raise NoProfilesFound("orbit-0 mass of fixed profiles exceeds lambda")
 
     chosen: list[dict[int, int]] = []
-    candidates: dict[int, list[dict[int, int]]] = {}
+    # Keys of the fixed and chosen profiles, and `tot` their totals T(a):
+    # both are updated in place and restored on backtrack.
+    used = {tuple(sorted(t.items())) for t in fixed}
+    candidates: dict[int, list[tuple[tuple, dict[int, int]]]] = {}
 
-    def dfs(slot: int, rem0: int, tot: dict[int, int]) -> bool:
+    def dfs(slot: int, rem0: int) -> bool:
         nonlocal nodes
         last = slot == free - 1
         prefix = _coverages(n, fixed + tuple(chosen)) if last else None
@@ -461,20 +466,18 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
                 continue
             if p not in candidates:
                 candidates[p] = _slot_candidates(n, lam, p)
-            for prof in candidates[p]:
+            for key, prof in candidates[p]:
                 nodes += 1
                 if nodes > max_nodes:
                     return True
-                new_tot = dict(tot)
-                ok = True
-                for a, v in prof.items():
-                    new_tot[a] = new_tot.get(a, 0) + v
-                    if new_tot[a] > lam:
-                        ok = False
-                        break
-                if not ok:
+                if key in used:
                     continue
-                if prof in chosen or prof in fixed:
+                fits = True
+                for a, v in key:
+                    if tot.get(a, 0) + v > lam:
+                        fits = False
+                        break
+                if not fits:
                     continue
                 chosen.append(prof)
                 if last:
@@ -485,13 +488,20 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
                             chosen.pop()
                             return True
                 else:
-                    if dfs(slot + 1, rem0 - p, new_tot):
+                    used.add(key)
+                    for a, v in key:
+                        tot[a] = tot.get(a, 0) + v
+                    done = dfs(slot + 1, rem0 - p)
+                    for a, v in key:
+                        tot[a] -= v
+                    used.discard(key)
+                    if done:
                         chosen.pop()
                         return True
                 chosen.pop()
         return False
 
-    dfs(0, delta0, dict(base_tot))
+    dfs(0, delta0)
     if solutions:
         return solutions
     if nodes > max_nodes:

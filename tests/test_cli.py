@@ -1,8 +1,13 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import onefac
 from onefac import cli, cyclic, docio, families, starters
 from onefac.core import MultiFactorization
 
@@ -97,6 +102,14 @@ def test_verify_truncated_file_exits_2(tmp_path, capsys):
     path.write_text('{"format": 1, "model"')
     code, _, stderr = run_cli(capsys, "verify", str(path))
     assert code == 2 and "error" in stderr
+
+
+def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, stdout, stderr = run_cli(capsys, "verify", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
 
 def test_verify_unknown_check_exits_2(tmp_path, capsys):
@@ -271,3 +284,11 @@ def test_selftest_fails_on_unrealizable_searched_profiles(monkeypatch):
     monkeypatch.setattr(families, "_discover", corrupted)
     results = acceptance.run(["A8"])
     assert not results[0].passed and "P3 at n=9, lambda=10" in results[0].detail
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(onefac.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "onefac", "coverage", "--s", "18"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_cli(capsys, "coverage", "--s", "18")[1]

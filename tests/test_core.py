@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,3 +115,25 @@ def test_edge_multiplicity_table_catalog():
     table = core.edge_multiplicity_table(mf)
     assert set(table.values()) == {3}
     assert sum(table.values()) == 3 * 5 * 9  # lam * n * (2n-1) edge slots
+
+
+def _plain_edge_count(factors) -> Counter:
+    table: Counter = Counter()
+    for f in factors:
+        table.update(f)
+    return table
+
+
+def test_edge_multiplicity_table_matches_plain_count():
+    mfs = [families.construct(n, lam) for n, lam in [(5, 2), (9, 13), (14, 28)]]
+    mfs.append(gf.agl_orbit_factorization(gf.field_ctx(3, 2)))
+    for mf in mfs:
+        assert core.edge_multiplicity_table(mf) == _plain_edge_count(mf.factors)
+
+
+def test_edge_multiplicity_table_on_unsorted_factors():
+    f0, f1, f2 = sorted(k4_matchings())
+    factors = (f1, f0, f0, f2, f1, f0, f1, f1)  # unsorted, repeats apart
+    mf = core.MultiFactorization(2, 3, factors)
+    assert core.edge_multiplicity_table(mf) == _plain_edge_count(factors)
+    assert core.edge_multiplicity_table(core.MultiFactorization(2, 1, ())) == Counter()

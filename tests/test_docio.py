@@ -1,8 +1,9 @@
+import json
 from pathlib import Path
 
 import pytest
 
-from onefac import cyclic, docio, families, gf
+from onefac import acceptance, cyclic, docio, families, gf
 from onefac.core import MultiFactorization
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,3 +79,59 @@ def test_profile_pairs_are_sorted():
 def test_make_rejects_malformed_factor():
     with pytest.raises(Exception):
         MultiFactorization.make(2, 1, [((0, 1), (1, 2))])
+
+
+def _plain(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _catalog_documents():
+    for n in range(5, 15):
+        for lam in range(families.lambda_floor(n), 2 * n + 1):
+            try:
+                families.family_for(n, lam)
+            except families.NoFamily:
+                continue
+            yield docio.document_from_mf(families.construct(n, lam))
+    for lam in (7, 23, 44):
+        yield docio.document_from_mf(families.construct(23, lam))
+
+
+def test_serialize_matches_plain_json_on_catalog_documents():
+    for doc in _catalog_documents():
+        assert docio.serialize(doc) == _plain(doc), (doc["n"], doc["lambda"])
+        # Equal neighbours share one list: one list object per distinct factor.
+        shared = {id(f) for f in doc["factors"]}
+        assert len(shared) == len({tuple(map(tuple, f)) for f in doc["factors"]})
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (7, 2)])
+def test_serialize_matches_plain_json_on_field_documents(p, m):
+    doc = docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m)))
+    assert docio.serialize(doc) == _plain(doc)
+
+
+def test_serialize_matches_plain_json_on_profile_tables():
+    doc = acceptance.profile_golden_document()
+    assert "factors" not in doc
+    assert docio.serialize(doc) == _plain(doc)
+
+
+def test_serialize_matches_plain_json_on_hand_made_documents():
+    a, b = [[0, 1], [2, 3]], [[0, 2], [1, 3]]
+    mf = families.construct(5, 3)
+    docs = [
+        # the same list object at non-adjacent positions, and an equal copy
+        {"format": 1, "model": {"tag": "plain"}, "n": 2, "lambda": 3,
+         "factors": [a, b, a, [[0, 1], [2, 3]], a]},
+        # factors and edges out of canonical order
+        {"format": 1, "model": {"tag": "plain"}, "n": 2, "lambda": 1,
+         "factors": [[[3, 0], [2, 1]], [[1, 3], [0, 2]], [[0, 1], [2, 3]]]},
+        # tuple-valued factors, as stored in a MultiFactorization
+        {"format": 1, "model": mf.model, "n": mf.n, "lambda": mf.lam,
+         "factors": mf.factors},
+        {"factors": list(mf.factors), "extra": [None, None, (), ()], "z": "x"},
+        {"factors": [], "empty": {}},
+    ]
+    for doc in docs:
+        assert docio.serialize(doc) == _plain(doc)

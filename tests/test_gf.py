@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from onefac import cyclic, docio, gf
+from onefac import cyclic, docio, families, gf
 from onefac.core import is_simple, validate_factorization
 
 
@@ -209,3 +209,79 @@ def test_field_document_bytes_pinned(p, m):
     mf = gf.agl_orbit_factorization(gf.field_ctx(p, m))
     text = docio.serialize(docio.document_from_mf(mf))
     assert hashlib.sha256(text.encode()).hexdigest() == FIELD_DOCUMENT_SHA256[(p, m)]
+
+
+# sha256 of the serialized catalog documents for every lambda served at
+# n = 9 and n = 23; the profiles, the realized starters and the orbit
+# assembly all enter these bytes.  A realizer that returns other
+# permutations changes them.
+CATALOG_DOCUMENT_SHA256 = {
+    (9, 3): "c824f5322cfa0bc521f597b89af08aad0d991ef9de7ddcd7ef5f4798182f5aef",
+    (9, 4): "6424b88e94876a7efe05e2a57d63301cc44615cac1fcb5207b048cab3da830f2",
+    (9, 5): "8bb1054a50a9654ff37d4ae7c4065384419d7d079d86641ed47425f35fdd5841",
+    (9, 6): "e7737a46588204d86e9c39f850e0df7ccc0f386ed67ef995ff371ee77454dd74",
+    (9, 7): "9781f8a3e1c2c7fd9c072e4f8f61b7a928785b2d710250ca30e9afd7faac94c3",
+    (9, 8): "56bfc51b61515e78a657057a643d4bf551d596d183c6417351cb7f3bab08b6bc",
+    (9, 9): "12226f4569c9ee75251d5e2dc170232d6bc3c7d746fd43d713dcb07613dfd11e",
+    (9, 10): "227dd52c53432fa462bae595335e8af4722335518f46465cb7a3a3501199357d",
+    (9, 11): "6032ac15e8e034449f82e4225e3c3570b4419a45397878de799d0b04b2b8e737",
+    (9, 12): "917475512aa6b459d1b7dfe022ff252706574a69064e51efec394af4c2db55fe",
+    (9, 13): "cd5e807f3c0180cd28544c979ef557ff965d4e1378dbc3bd1445c9000c20b62f",
+    (9, 14): "01a1c5f17eeae381046b12220898d95c649ca4cca546f24628dd42a352c3bd2b",
+    (9, 15): "1a00b4abbf1cddd80cc9efb1f8a856595f51f7ef388c49b5d882c8cf6a290be3",
+    (9, 16): "fe0629c1d19ef32e0f8f77e988769babafb848aa00e30a4660037d9fb7150a8b",
+    (9, 17): "bd1e75fea9ed2459577fcabbb5ab42331c5ebe3bcda6ddc0dfb5457662e7e486",
+    (9, 18): "ab20861a97cc9f135c80e3d44e8bc6582cdda4724eb4629e926e2a01bf7da803",
+    (23, 7): "3f80fd6073d98c7ade63256b809c6bad5fa0c746baba06fdb1f5f11601d25398",
+    (23, 8): "71ade897265b5ddd27549f6c9bda89e8145347298f42410910847a04f0bb0281",
+    (23, 9): "f44cce78fe82bd3da344ad56ddb40b605dc9fbc707b7152a96aa45650726361a",
+    (23, 10): "5bccb6cb2125ebd6855d4a7a090d6c2c014c226efbb81fc509e97d05033b48bd",
+    (23, 11): "d70e1802df28831741ee0ef8c0652b75cdc406a48709aa29b9a5dd68b34948d7",
+    (23, 12): "914e26514ca5f5d4adbc781dd2cef9ded9f9b685ef6343004441ee0929ad411f",
+    (23, 13): "461edcfda96c0f58b4ef4c29f15f1a930eb5ce847f567c0042078b31179dee6f",
+    (23, 14): "1920ae7190d14391d0d262f7a48ebea58c73ba7c9ae14b04bc52f3460653a08c",
+    (23, 15): "f9cded9efba93ba5e056fb1cc4345ae0ecfe53348714487be323463257c3f010",
+    (23, 16): "79903df9670684c52238d2811a2afd32299fe2beada9cd01d63532b1fc563b97",
+    (23, 17): "7710cea9fc0f9162ca40770e06683e173dad54b2437599361b2a662b6fdc103b",
+    (23, 18): "b31c5ba4cd2ffa86a3d9bcba3beea642e68284019ce2fe03ced057479c796671",
+    (23, 19): "e8a4c0baeaa74c7e7decf1a20ab6e2f9134f9b245f381cf8234bd899d88bb0cd",
+    (23, 20): "fd9a4c59969fa467223f192f978b349eb75aa60bf2a50f4af8ae5d338c7d1bd4",
+    (23, 21): "d18a2402ca958b8b85b190408b39267da84119f55fef587cfece5b348b317e98",
+    (23, 22): "189611585125f9737a6c301c8c4e2aa2bcbb271d36474371f0fa9b34b77a7ea5",
+    (23, 23): "2c6905da494f754573901fe6f7e5a141660a18c4d1ee93cb6d45a4b53d2fd482",
+    (23, 24): "61ebfbda9d574d7aef5da6700d0eea6913e78d9513b010eea2d4cd186ba9310b",
+    (23, 25): "c5f2f9da34f4ef4892a6f55c6f930c97d601b5e0aaa64d77938a14b9e020ae36",
+    (23, 26): "42dcc9b52c5dfba265c1b4991a9c5e1fdf45f28072f19c3323f1e2116a89cb59",
+    (23, 27): "1dcf278c3310ea2876889b697db5d1d65531a5bbcad78a0677605b09e3d04855",
+    (23, 28): "3b51d9880f8998b8579a38bc49dc8299b34a9b253cd3a45b61918e3e71a2de45",
+    (23, 29): "af80fc9ca911acd5ab3104e211c34026acc4d2348c8062e46e947463ebf0b1e1",
+    (23, 30): "d34a7389567a313d9e925336ec8d3641a123e1efbae727a18b9f58cd9bce96ea",
+    (23, 31): "1f8c003e2afed6d886b3dc2a6e3b7d6bce2217f430d75ab808b63b8de26733f3",
+    (23, 32): "9c95af105085942ea431efb3fc00a2657a1cad52a0c2ca32aa65d376a6aa95d2",
+    (23, 33): "92eeb75414a9737d0a3c776da750750e8a3fb374bd1850bc775b6de1129d8b5d",
+    (23, 34): "cc008176b5ae5ad2b8af18b52a890ce787945441fb8c78b449cbb32b5529b55b",
+    (23, 35): "9b0784f287fb353a7a31fd1bb6255f16ac35646b07842daa0e3b5ed9a069fde6",
+    (23, 36): "afe1da46de492057a3d1dc1c56b1412018a96f4ab706161b3cb42da3d6fa9af9",
+    (23, 37): "a0cd3876fd43f70c1912482587c5983b62f5498cb3bdb20aa5c949a9acf40c23",
+    (23, 38): "e824da0ee43d370010faa12f66b06e1a658b82426406ce0de7f0ba95ce517e55",
+    (23, 39): "e2fd584d5eaa397d2d691d61f83f09415ba059b38e913a3285b020a2dad0b382",
+    (23, 40): "1eed9ac51f848ea32a938a8f879a785e6e23a93400b1875b53789697f607a6d8",
+    (23, 41): "9d240bd689a7a677928e356379810473aab59cc5a5078c264e28a7103ef22723",
+    (23, 42): "f59ed4bdd7607dad66e480f0c1ae3dc1f882adf88fdb5a359e1c037cf758c20d",
+    (23, 43): "8e29532a74aa0afbd871ff2beada916d16c941b1eaa847bbd4c8d4ce93420dbc",
+    (23, 44): "861c258f66d0e71518b8e2bd9c5027b86e1dec756fbf4dde03fe439b72f6f9ed",
+    (23, 45): "4654d0f951c07a5c398dae0bf6e1c04750b81c6b2be08f6bc95ae3242d481ae2",
+    (23, 46): "c0e537dee477dc70dab81bef629b4d26e87c35a0cc8d7d56253131c37dc24484",
+}
+
+
+def test_catalog_pins_cover_every_served_lambda():
+    for n in (9, 23):
+        pinned = {lam for m, lam in CATALOG_DOCUMENT_SHA256 if m == n}
+        assert pinned == set(range(families.lambda_floor(n), 2 * n + 1))
+
+
+@pytest.mark.parametrize("n, lam", sorted(CATALOG_DOCUMENT_SHA256))
+def test_catalog_document_bytes_pinned(n, lam):
+    text = docio.serialize(docio.document_from_mf(families.construct(n, lam)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DOCUMENT_SHA256[(n, lam)]
