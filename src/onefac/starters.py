@@ -21,14 +21,16 @@ x and every 0 < lambda_0 < lambda, no subfactorization exists.  One kernel,
 `_selections`, yields the lambda_0 interval of every x; the certificate
 traces it, the profile search rejects a leaf at its first nonempty
 interval, and `verify.certificate_witness` builds a subfactorization from
-the first one.
+the first one.  The kernel reads each interval off a table over all
+profiles but the last (`_prefix_table`) and the last profile's orbits, so
+the profile search builds that table once per last slot and pays per leaf
+only for the orbits its last candidate touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from operator import add
 
 from .core import MultiFactorization, OneFactor
@@ -242,44 +244,83 @@ def certificate_order(s: StarterSet) -> tuple[tuple[int, int], ...] | None:
     return None if order is None else tuple(order)
 
 
-def _coverages(n: int, profiles) -> list[list[int]]:
-    """Coverage vector of every orbit selection over `profiles`, ascending bit order."""
-    covs = [[0] * n]
+def _prefix_table(n: int, lam: int, profiles) -> list[tuple]:
+    """One row per orbit selection x over `profiles`, in ascending bit order.
+
+    A row is (x, cov, e, by_cov, by_e, lo, lo_orbit, hi, hi_orbit): the
+    coverage cov_x, e_x = cov_x + lambda - T over these profiles, the orbits
+    ordered by (-cov_x(a), a) and by (e_x(a), a), the clamped lambda_0 lower
+    bound of x alone and the clamped upper bound of x with any last profile
+    added (which cancels out of its coverage plus stock).
+    """
+    rows = [((), [0] * n)]
     for t in profiles:
         v = [0] * n
         for a, c in t.items():
             v[a] = c
-        covs += [list(map(add, cov, v)) for cov in covs]
-    return covs
+        rows = ([(x + (0,), cov) for x, cov in rows]
+                + [(x + (1,), list(map(add, cov, v))) for x, cov in rows])
+    stock = [lam - c for c in rows[-1][1]]
+    table = []
+    for x, cov in rows:
+        e = list(map(add, cov, stock))
+        # Stable sorts: equal values keep ascending orbit order.
+        by_cov = sorted(range(n), key=cov.__getitem__, reverse=True)
+        by_e = sorted(range(n), key=e.__getitem__)
+        top, bottom = cov[by_cov[0]], e[by_e[0]]
+        lo, lo_orbit = (top, by_cov[0]) if top > 1 else (1, None)
+        hi, hi_orbit = (bottom, by_e[0]) if bottom < lam - 1 else (lam - 1, None)
+        table.append((x, cov, e, by_cov, by_e, lo, lo_orbit, hi, hi_orbit))
+    return table
 
 
-def _selections(n: int, lam: int, profiles, prefix=None):
+def _selections(n: int, lam: int, profiles, table=None):
     """The lambda_0 interval of every orbit selection x, in ascending bit order.
 
     Yields (x, lo, hi, lo_orbit, hi_orbit): the coverage equation of each
     orbit a forces cov_x(a) <= lambda_0 <= cov_x(a) + lambda - T(a), inside
-    1 <= lambda_0 <= lambda - 1, and the binding orbits are the first to
+    1 <= lambda_0 <= lambda - 1, and the binding orbits are the smallest to
     attain each bound (None when only the outer range binds).  An orbit
     with T(a) = 0, such as the joined orbit b of odd n, never binds.
-    `prefix`, when given, is `_coverages` of all profiles but the last: the
-    profile search shares it across every candidate for its last slot.
+
+    The selections are read off `table`, the `_prefix_table` of all
+    profiles but the last one l, which the profile search shares across
+    every candidate for its last slot.  Without l, lo is the row's and hi
+    is min_a e_x(a) - l(a); with l, hi is the row's and lo is
+    max_a cov_x(a) + l(a).  Each extremum differs from the row's only on
+    the orbits of l, so it is found among them and the first other orbit
+    in the row's order.
     """
-    if prefix is None:
-        prefix = _coverages(n, profiles[:-1])
-    last = _coverages(n, profiles[-1:])[-1]
-    stock = [lam - c for c in map(add, prefix[-1], last)]
-    half = len(prefix)
-    # product varies its last entry fastest; reversed, x[i] is bit i.
-    for bits, x in enumerate(product((0, 1), repeat=len(profiles))):
-        cov = (prefix[bits] if bits < half
-               else list(map(add, prefix[bits - half], last)))
-        top = max(cov)
-        slack = list(map(add, cov, stock))
-        bottom = min(slack)
-        lo, lo_orbit = (top, cov.index(top)) if top > 1 else (1, None)
-        hi, hi_orbit = ((bottom, slack.index(bottom)) if bottom < lam - 1
-                        else (lam - 1, None))
-        yield x[::-1], lo, hi, lo_orbit, hi_orbit
+    if table is None:
+        table = _prefix_table(n, lam, profiles[:-1])
+    last = profiles[-1] if profiles else {}
+    tail = (0,) if profiles else ()
+    for x, cov, e, by_cov, by_e, lo, lo_orbit, _, _ in table:
+        bottom, hi_orbit = lam - 1, None
+        for a in by_e:
+            if a not in last:
+                if e[a] < bottom:
+                    bottom, hi_orbit = e[a], a
+                break
+        for a, v in last.items():
+            s = e[a] - v
+            if s < bottom or s == bottom and hi_orbit is not None and a < hi_orbit:
+                bottom, hi_orbit = s, a
+        yield x + tail, lo, bottom, lo_orbit, hi_orbit
+    if not profiles:
+        return
+    for x, cov, e, by_cov, by_e, _, _, hi, hi_orbit in table:
+        top, lo_orbit = 1, None
+        for a in by_cov:
+            if a not in last:
+                if cov[a] > top:
+                    top, lo_orbit = cov[a], a
+                break
+        for a, v in last.items():
+            s = cov[a] + v
+            if s > top or s == top and lo_orbit is not None and a < lo_orbit:
+                top, lo_orbit = s, a
+        yield x + (1,), top, hi, lo_orbit, hi_orbit
 
 
 def certificate_indecomposable(s: StarterSet) -> Certificate:
@@ -312,8 +353,9 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
     Finds pi with displacement multiset {pi(x) - x mod n} equal to `target`
     and trivial shift stabilizer, assigning positions smallest-index-first
     and differences in ascending order.  After placing x, each target x + b
-    must be taken or keep a later source z - c with c in stock; this cuts
-    only dead subtrees, so the result is plain backtracking's.  Raises
+    must be taken or keep a later source z - c with c in stock, checked in
+    plain loops that stop at the first dead target; this cuts only dead
+    subtrees, so the result is plain backtracking's.  Raises
     ProfileSumInvalid when the displacement sum is nonzero mod n (no
     permutation can exist), and InfeasibleProfile when the exhaustive
     search finds no realization.
@@ -344,8 +386,16 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
             pi[x] = y
             used[y] = True
             remaining[a] -= 1
-            if all(used[z] or any(remaining[c] and (z - c) % n > x for c in diffs)
-                   for z in ((x + b) % n for b in diffs)):
+            for b in diffs:
+                z = (x + b) % n
+                if used[z]:
+                    continue
+                for c in diffs:
+                    if remaining[c] and (z - c) % n > x:
+                        break
+                else:
+                    break  # target z has no later source left
+            else:
                 found = extend(x + 1)
                 if found is not None:
                     return found
@@ -459,7 +509,7 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
     def dfs(slot: int, rem0: int) -> bool:
         nonlocal nodes
         last = slot == free - 1
-        prefix = _coverages(n, fixed + tuple(chosen)) if last else None
+        table = _prefix_table(n, lam, fixed + tuple(chosen)) if last else None
         pmax = min(rem0, n - 1)
         for p in range(pmax, -1, -1):
             if last and p != rem0:
@@ -482,7 +532,7 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
                 chosen.append(prof)
                 if last:
                     cand = fixed + tuple(chosen)
-                    if _leaf_ok(n, lam, cand, prefix):
+                    if _leaf_ok(n, lam, cand, table):
                         solutions.append(cand)
                         if len(solutions) >= limit:
                             chosen.pop()
@@ -513,16 +563,17 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
 
 
 def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...],
-             prefix=None) -> bool:
+             table=None) -> bool:
     """Full feasibility check of a complete profile tuple.
 
     Every test is a pure conjunct.  Most leaves fail at a selection of one
-    or two orbits, so the interval test, over `prefix` as in `_selections`,
-    runs first.
+    or two orbits without the last profile, so the interval test runs
+    first, reading `table` (the last slot's `_prefix_table`, as in
+    `_selections`) and the last profile's orbits only.
     """
     if lam < 2:
         return False
-    if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles, prefix)):
+    if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles, table)):
         return False
     tot: dict[int, int] = {}
     for t in profiles:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 from math import comb
@@ -122,14 +123,25 @@ def test_construct_n5_lam3():
     assert families.plan(5, 3).certificate().proven
 
 
+# sha256 over (n, lambda, profiles, starter permutations, certificate
+# status and trace) for every lambda of the strips n = 15..22.
+CLAIM_N15_22_SHA256 = "78f520da5f153f87a18af5023d73634a21af50e7e1b268aa1b12815b0dbc16d0"
+
+
 def test_claim_check_past_n14():
-    # Every lambda of the strip at n = 15..20 is served, and its
-    # construction is valid with a proven certificate.
-    for n in range(15, 21):
+    # Every lambda of the strip at n = 15..22 is served, and its
+    # construction is valid with a proven certificate.  No golden file
+    # reaches past n = 14, so the searched certificates are pinned here.
+    digest = hashlib.sha256()
+    for n in range(15, 23):
         for lam in range(families.lambda_floor(n), 2 * n + 1):
             p = families.plan(n, lam)
             assert validate_factorization(assemble(p.starter_set)).valid, (n, lam)
-            assert p.certificate().proven, (n, lam)
+            cert = p.certificate()
+            assert cert.proven, (n, lam)
+            digest.update(repr((n, lam, p.profiles, p.starter_set.perms,
+                                cert.status, cert.trace)).encode())
+    assert digest.hexdigest() == CLAIM_N15_22_SHA256
 
 
 def test_construct_rejects_out_of_range():

@@ -246,10 +246,72 @@ def test_find_starter_mixed_profile_at_n35():
     assert cyclic.h_stabilizer_order(pi, 35) == 1
 
 
+def _dense_selections(n, lam, profiles):
+    # The interval system over two full length-n vectors per selection:
+    # (x, lo, hi, lo_orbit, hi_orbit) with the smallest binding orbits.
+    covs = [[0] * n]
+    for t in profiles:
+        v = [0] * n
+        for a, c in t.items():
+            v[a] = c
+        covs += [[p + q for p, q in zip(cov, v)] for cov in covs]
+    stock = [lam - c for c in covs[-1]]
+    for bits, cov in enumerate(covs):
+        top = max(cov)
+        slack = [c + s for c, s in zip(cov, stock)]
+        bottom = min(slack)
+        lo, lo_orbit = (top, cov.index(top)) if top > 1 else (1, None)
+        hi, hi_orbit = ((bottom, slack.index(bottom)) if bottom < lam - 1
+                        else (lam - 1, None))
+        yield (tuple(bits >> i & 1 for i in range(len(profiles))),
+               lo, hi, lo_orbit, hi_orbit)
+
+
+def _check_prefix_table(n, lam, head, table):
+    # Every row against its coverage, slack, orders and bounds written out.
+    total = [sum(t.get(a, 0) for t in head) for a in range(n)]
+    assert len(table) == 2 ** len(head)
+    for bits, row in enumerate(table):
+        x, cov, e, by_cov, by_e, lo, lo_orbit, hi, hi_orbit = row
+        assert x == tuple(bits >> i & 1 for i in range(len(head)))
+        assert cov == [sum(t.get(a, 0) for t, bit in zip(head, x) if bit)
+                       for a in range(n)]
+        assert e == [cov[a] + lam - total[a] for a in range(n)]
+        assert by_cov == sorted(range(n), key=lambda a: (-cov[a], a))
+        assert by_e == sorted(range(n), key=lambda a: (e[a], a))
+        top, bottom = max(cov), min(e)
+        assert (lo, lo_orbit) == ((top, cov.index(top)) if top > 1 else (1, None))
+        assert (hi, hi_orbit) == ((bottom, e.index(bottom)) if bottom < lam - 1
+                                  else (lam - 1, None))
+
+
+def test_selections_match_the_dense_interval_system():
+    # Random tuples with m = 0..5, zero-valued entries and last profiles
+    # that touch every orbit; the kernel reads each selection off the
+    # prefix table and only the last profile's orbits.
+    rng = random.Random(7)
+    dense_last = empty = 0
+    for _ in range(2000):
+        n, m = rng.randint(5, 15), rng.randint(0, 5)
+        lam = rng.randint(2, 2 * n)
+        profiles = [{a: rng.randint(0, 3) for a in rng.sample(range(n), rng.randint(1, 4))}
+                    for _ in range(m)]
+        if m and rng.random() < 0.25:
+            profiles[-1] = {a: rng.randint(0, 2) for a in range(n)}
+            dense_last += 1
+        empty += m == 0
+        _check_prefix_table(n, lam, profiles[:-1],
+                            starters._prefix_table(n, lam, profiles[:-1]))
+        want = list(_dense_selections(n, lam, profiles))
+        assert list(starters._selections(n, lam, profiles)) == want, (n, lam, profiles)
+        assert list(starters._selections(n, lam, tuple(profiles))) == want
+    assert dense_last > 300 and empty > 200
+
+
 def test_selections_over_a_shared_prefix_match_a_cold_call():
-    # The profile search builds the prefix's coverage vectors once and
-    # reuses them for every last profile; nothing may leak between leaves.
-    # Random tuples mostly fail the interval test, catalog tuples pass.
+    # The profile search builds the prefix table once and reuses it for
+    # every last profile; nothing may leak between leaves.  Random tuples
+    # mostly fail the interval test, catalog tuples pass.
     rng = random.Random(3)
 
     def random_profile(n):
@@ -270,15 +332,14 @@ def test_selections_over_a_shared_prefix_match_a_cold_call():
             cases.append((n, lam, tuple(profiles[:-1]), profiles[-1:]))
     verdicts = set()
     for n, lam, head, lasts in cases:
-        prefix = starters._coverages(n, head)
-        for bits, cov in enumerate(prefix):
-            assert cov == [sum(t.get(a, 0) for i, t in enumerate(head) if bits >> i & 1)
-                           for a in range(n)]
+        table = starters._prefix_table(n, lam, head)
+        _check_prefix_table(n, lam, head, table)
         for last in lasts:
             cand = head + (last,)
-            assert (list(starters._selections(n, lam, cand, prefix))
-                    == list(starters._selections(n, lam, cand)))
-            ok = starters._leaf_ok(n, lam, cand, prefix)
+            assert (list(starters._selections(n, lam, cand, table))
+                    == list(starters._selections(n, lam, cand))
+                    == list(_dense_selections(n, lam, cand)))
+            ok = starters._leaf_ok(n, lam, cand, table)
             assert ok == starters._leaf_ok(n, lam, cand)
             verdicts.add(ok)
     assert verdicts == {True, False}
@@ -345,8 +406,11 @@ def test_certificate_trace_matches_interval_system():
                                for a in range(n))
                     assert (entry.lo <= lam0 <= entry.hi) == fits, (n, lam, entry)
                 assert (entry.status == "feasible") == (entry.lo <= entry.hi)
+                # A binding orbit is the smallest orbit attaining its bound.
+                slack = [cov[a] + lam - totals.get(a, 0) for a in range(n)]
+                assert (entry.lo_orbit is None) == (max(cov) <= 1)
                 if entry.lo_orbit is not None:
-                    assert cov[entry.lo_orbit] == entry.lo
+                    assert entry.lo_orbit == cov.index(entry.lo)
+                assert (entry.hi_orbit is None) == (min(slack) >= lam - 1)
                 if entry.hi_orbit is not None:
-                    assert (cov[entry.hi_orbit] + lam
-                            - totals.get(entry.hi_orbit, 0)) == entry.hi
+                    assert entry.hi_orbit == slack.index(entry.hi)
