@@ -64,7 +64,7 @@ def a2() -> str:
 
 def a3() -> str:
     """Certificate soundness at desk scale: proven agrees with exhaustion."""
-    budget = verify.SearchBudget(max_nodes=10 ** 8, max_seconds=300.0)
+    budget = verify.SearchBudget()
     lines = []
     for n, lam in A3_CASES:
         p = plan(n, lam)
@@ -78,7 +78,7 @@ def a3() -> str:
 
 def a4() -> str:
     """Finite-field pipeline at every listed prime power."""
-    budget = verify.SearchBudget(max_nodes=10 ** 8, max_seconds=300.0)
+    budget = verify.SearchBudget()
     lines = []
     for p, m in A4_PRIME_POWERS:
         q = p ** m

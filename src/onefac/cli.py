@@ -17,10 +17,10 @@ import sys
 
 from . import acceptance, docio, gf, verify
 from .core import is_simple, validate_factorization
-from .families import (FAMILY_IDS, NoFamily, OutOfDomain, SearchBudgetExhausted,
-                       STooSmall, StarterSearchFailed, coverage_table,
-                       family_domain, family_profiles, plan)
-from .starters import StarterSet, assemble
+from .families import (FAMILY_IDS, FamilyPlan, NoFamily, OutOfDomain,
+                       SearchBudgetExhausted, STooSmall, StarterSearchFailed,
+                       coverage_table, family_domain, plan)
+from .starters import OrderingFailed, assemble
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -93,6 +93,8 @@ def cmd_construct(args) -> int:
         if args.n is None or args.lam is None:
             print("error: construct needs --n and --lambda", file=sys.stderr)
             return EXIT_USAGE
+        # The families partition the strip, so a family in its domain is
+        # the one `plan` picks.
         if args.family:
             if args.family not in FAMILY_IDS:
                 print(f"error: unknown family {args.family!r}", file=sys.stderr)
@@ -100,14 +102,9 @@ def cmd_construct(args) -> int:
             if not family_domain(args.family, args.n, args.lam):
                 raise OutOfDomain(
                     f"{args.family} does not cover n={args.n}, lambda={args.lam}")
-            profiles = family_profiles(args.family, args.n, args.lam)
-            s = StarterSet.from_profiles(args.n, args.lam, profiles)
-            mf = assemble(s)
-            cert_note = _cert_status(s)
-        else:
-            p = plan(args.n, args.lam)
-            mf = assemble(p.starter_set)
-            cert_note = _cert_status(p.starter_set)
+        p = plan(args.n, args.lam)
+        mf = assemble(p.starter_set)
+        cert_note = _cert_status(p)
     text = docio.serialize(docio.document_from_mf(mf))
     if args.out:
         try:
@@ -127,10 +124,9 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _cert_status(s: StarterSet) -> str:
-    from .starters import OrderingFailed, certificate_indecomposable
+def _cert_status(p: FamilyPlan) -> str:
     try:
-        return certificate_indecomposable(s).status
+        return p.certificate().status
     except OrderingFailed:
         return "ordering-failed"
 
@@ -149,11 +145,12 @@ def cmd_verify(args) -> int:
     if unknown:
         print(f"error: unknown checks {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
+    default = verify.SearchBudget()
     try:
         budget = verify.SearchBudget(
-            max_nodes=(int(os.environ.get("ONEFAC_MAX_NODES", 10 ** 8))
+            max_nodes=(int(os.environ.get("ONEFAC_MAX_NODES", default.max_nodes))
                        if args.max_nodes is None else args.max_nodes),
-            max_seconds=(float(os.environ.get("ONEFAC_MAX_SECONDS", 300.0))
+            max_seconds=(float(os.environ.get("ONEFAC_MAX_SECONDS", default.max_seconds))
                          if args.max_seconds is None else args.max_seconds))
     except ValueError as exc:  # a malformed variable, or verify.InvalidInput
         print(f"error: search budget: {exc}", file=sys.stderr)
@@ -166,7 +163,7 @@ def cmd_verify(args) -> int:
             report["validity"] = "pass" if rep.valid else "fail"
             if not rep.valid:
                 report["validity_errors"] = (
-                    [[list(e), o, x] for e, o, x in rep.multiplicity_errors[:10]]
+                    [[list(e), o, x] for e, o, x in rep.multiplicity_errors]
                     + [[i, reason] for i, reason in rep.factor_errors[:10]])
         elif check == "simple":
             simple, repeated = is_simple(mf)

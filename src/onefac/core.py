@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, count
+from itertools import chain, combinations, compress, count
 from operator import ne
 
 Edge = tuple[int, int]
@@ -118,14 +118,19 @@ class MultiFactorization:
         return self.lam * (2 * self.n - 1)
 
 
+MULTIPLICITY_ERRORS = 10
+
+
 @dataclass
 class ValidityReport:
     """Outcome of validate_factorization.
 
-    `multiplicity_errors` lists (edge, observed, expected) for every vertex
-    pair whose coverage differs from lambda; `factor_errors` lists
-    (index, reason) for structurally broken factors.  `valid` is True iff
-    both lists are empty and the factor count is lambda*(2n-1).
+    `multiplicity_errors` lists (edge, observed, expected) for the first
+    MULTIPLICITY_ERRORS vertex pairs, in pair order, whose coverage
+    differs from lambda: the scan stops there, so a near-empty document
+    with a huge n costs no more than its factors.  `factor_errors` lists
+    (index, reason) for every structurally broken factor.  `valid` is True
+    iff both lists are empty and the factor count is lambda*(2n-1).
     """
 
     valid: bool
@@ -171,11 +176,12 @@ def validate_factorization(mf: MultiFactorization) -> ValidityReport:
             factor_errors.append((i, error))
     table = edge_multiplicity_table(mf)
     mult_errors: list[tuple[Edge, int, int]] = []
-    for u in range(nv):
-        for v in range(u + 1, nv):
-            observed = table.get((u, v), 0)
-            if observed != mf.lam:
-                mult_errors.append(((u, v), observed, mf.lam))
+    for e in combinations(range(nv), 2):
+        observed = table.get(e, 0)
+        if observed != mf.lam:
+            mult_errors.append((e, observed, mf.lam))
+            if len(mult_errors) == MULTIPLICITY_ERRORS:
+                break
     count_ok = len(mf.factors) == mf.expected_factor_count()
     valid = count_ok and not mult_errors and not factor_errors
     return ValidityReport(valid=valid,

@@ -30,10 +30,6 @@ class NotAPermutation(ValueError):
     """Sequence is not a permutation of 0..k-1."""
 
 
-class NotCrossOnly(ValueError):
-    """Factor contains a side edge where only cross edges are allowed."""
-
-
 def vertex_id(a: int, j: int, n: int) -> int:
     """Id of the vertex a_j in the cyclic model."""
     return a % n + n * (j % 2)
@@ -51,27 +47,12 @@ def cross_factor(pi, n: int) -> OneFactor:
     return canonicalize_factor([(x, n + pi[x]) for x in range(n)], 2 * n)
 
 
-def factor_permutation(factor: OneFactor, n: int) -> tuple[int, ...]:
-    """Recover pi from a cross-only factor; raises NotCrossOnly otherwise."""
-    pi = [-1] * n
-    for u, v in factor:
-        if not (u < n <= v):
-            raise NotCrossOnly(f"edge ({u},{v}) is not a cross edge")
-        pi[u] = v - n
-    return tuple(pi)
+def profile(pi, n: int) -> dict[int, int]:
+    """Difference profile t[a] = |E(F) & E(M_a)| of the cross factor F of pi.
 
-
-def profile(factor_or_pi, n: int) -> dict[int, int]:
-    """Difference profile t[a] = |E(F) & E(M_a)| of a cross-edge factor.
-
-    Accepts either a permutation of Z_n or a canonical cross-only factor.
     Only nonzero entries are present in the returned dict.
     """
-    if factor_or_pi and isinstance(factor_or_pi[0], tuple):
-        pi = factor_permutation(factor_or_pi, n)
-    else:
-        pi = tuple(factor_or_pi)
-        _check_permutation(pi, n)
+    _check_permutation(pi, n)
     t: dict[int, int] = {}
     for x in range(n):
         a = (pi[x] - x) % n
@@ -141,24 +122,17 @@ def near_one_factorization(n: int) -> list[tuple[Edge, ...]]:
     return near
 
 
-def join_even(n: int, lam: int, sigma=None) -> list[OneFactor]:
-    """lam copies of the n-1 side factors L_i(V_0) | L_sigma(i)(V_1).
+def join_even(n: int, lam: int) -> list[OneFactor]:
+    """lam copies of the n-1 side factors L_i(V_0) | L_i(V_1).
 
-    Covers every side edge exactly lam times and no cross edge.  `sigma`
-    pairs the factor indices of the two sides (identity by default); the
-    union is the same edge multiset for every choice.
+    Covers every side edge exactly lam times and no cross edge.
     """
     if n % 2:
         raise OddOrder(f"n={n} must be even")
-    if sigma is None:
-        sigma = tuple(range(n - 1))
-    else:
-        sigma = tuple(sigma)
-        _check_permutation(sigma, n - 1)
     side = lucas_factorization(n)
     out = []
-    for i in range(n - 1):
-        edges = list(side[i]) + [(u + n, v + n) for u, v in side[sigma[i]]]
+    for f in side:
+        edges = list(f) + [(u + n, v + n) for u, v in f]
         f = canonicalize_factor(edges, 2 * n)
         out.extend([f] * lam)
     return out

@@ -169,7 +169,7 @@ def _discover(family: str, n: int, lam: int) -> tuple[tuple[tuple[int, int], ...
     """
     pins, m = _pins(family, n, lam)
     try:
-        solution = find_profiles(n, lam, m, fixed=pins, limit=1)[0]
+        solution = find_profiles(n, lam, m, fixed=pins)
     except ProfileBudgetExhausted as exc:
         raise SearchBudgetExhausted(
             f"{family} at n={n}, lambda={lam}: {exc}") from exc

@@ -72,6 +72,15 @@ class ProfileBudgetExhausted(NoProfilesFound):
     """Profile search stopped at its node budget before finding a solution."""
 
 
+def _totals(profiles) -> dict[int, int]:
+    """Aggregated profile T(a) = sum_i t_i(a) over the orbits the profiles touch."""
+    tot: dict[int, int] = {}
+    for t in profiles:
+        for a, v in t.items():
+            tot[a] = tot.get(a, 0) + v
+    return tot
+
+
 @dataclass(frozen=True)
 class StarterSet:
     """Starters for the assembly, stored as permutations of Z_n."""
@@ -95,11 +104,7 @@ class StarterSet:
 
     def totals(self) -> dict[int, int]:
         """Aggregated profile T(a) = sum_i t_i(a), zero entries omitted."""
-        tot: dict[int, int] = {}
-        for t in self.profiles():
-            for a, v in t.items():
-                tot[a] = tot.get(a, 0) + v
-        return tot
+        return _totals(self.profiles())
 
     def orbit_b(self) -> int | None:
         """Smallest a with T(a) = 0 (the joined cross orbit for odd n)."""
@@ -176,7 +181,7 @@ def check_starter_conditions(s: StarterSet) -> list[str]:
     return violations
 
 
-def assemble(s: StarterSet, sigma=None) -> MultiFactorization:
+def assemble(s: StarterSet) -> MultiFactorization:
     """Build the full 1-factorization of lambda*K_2n from a starter set.
 
     Output: the H-orbit of every starter, the joined side block (lambda
@@ -192,7 +197,7 @@ def assemble(s: StarterSet, sigma=None) -> MultiFactorization:
     for pi in s.perms:
         factors.extend(cyclic.cross_factor(p, n) for p in cyclic.h_orbit(pi, n))
     if n % 2 == 0:
-        factors.extend(cyclic.join_even(n, lam, sigma))
+        factors.extend(cyclic.join_even(n, lam))
         skip = set()
     else:
         b = s.orbit_b()
@@ -424,7 +429,8 @@ def _slot_candidates(n: int, lam: int, p: int) -> list[tuple[tuple, dict[int, in
 
     Each comes with its key, the sorted tuple of its items.
 
-    s is the closure singleton forced by the displacement sum; candidates
+    w = n - p - q - 1, so every shape has mass n; s is the closure singleton
+    forced by the displacement sum, on an orbit of its own.  Candidates
     whose largest entry exceeds p come first (those defeat their own
     single-orbit selection in the certificate), then q descends and the
     bulk orbit g ascends.
@@ -432,27 +438,18 @@ def _slot_candidates(n: int, lam: int, p: int) -> list[tuple[tuple, dict[int, in
     out = []
     seen = set()
     for q in range(n - 1 - p, -1, -1):
-        rho = n - p - q
-        if rho < 1:
-            continue
-        if rho == 1:
-            gs = [None]
-        else:
-            gs = list(range(2, n))
-        for g in gs:
-            w = rho - 1
+        w = n - p - q - 1
+        for g in (range(2, n) if w else [None]):
             if g is None:
                 s = (-q) % n
                 prof = {0: p, 1: q, s: 1}
             else:
                 s = (-(q + g * w)) % n
-                if s in (0, 1) or s == g:
-                    continue
                 prof = {0: p, 1: q, g: w, s: 1}
-            if s in (0, 1):
+            if s in (0, 1) or s == g:
                 continue
             prof = {a: v for a, v in prof.items() if v > 0}
-            if sum(prof.values()) != n or max(prof.values()) > lam:
+            if max(prof.values()) > lam:
                 continue
             key = tuple(sorted(prof.items()))
             if key in seen:
@@ -464,56 +461,64 @@ def _slot_candidates(n: int, lam: int, p: int) -> list[tuple[tuple, dict[int, in
     return [(key, prof) for _, key, prof in out]
 
 
-def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
-                  max_nodes: int = 2_000_000) -> list[tuple[dict[int, int], ...]]:
-    """Search m-tuples of starter profiles whose certificate is proven.
+def find_profiles(n: int, lam: int, m: int, fixed=(),
+                  max_nodes: int = 2_000_000) -> tuple[dict[int, int], ...]:
+    """The first m-tuple of starter profiles, in search order, that certifies.
 
     The first len(fixed) slots are pinned; the remaining slots are drawn
     from a structured family anchored on orbit 0 (the free slots' orbit-0
     masses always top the aggregate T(0) up to exactly lambda, which every
     proven certificate needs on some orbit) plus an orbit-1 mass, one bulk
-    orbit and a closure singleton.  Every returned tuple is realizable
-    (find_starter succeeds per profile), keeps T(a) <= lambda, leaves a
-    zero orbit when n is odd, and passes certificate_order and
-    certificate_indecomposable.  Deterministic; returns at most `limit`
-    solutions.  Raises NoProfilesFound when the enumeration ends without
-    one, and its subclass ProfileBudgetExhausted when the search stops
+    orbit and a closure singleton.  The answer is realizable, keeps
+    T(a) <= lambda, leaves a zero orbit when n is odd, and passes
+    certificate_order and certificate_indecomposable.
+
+    Checked once per call, with zero counts dropped: lambda >= 2, the
+    fixed profiles keep T(a) <= lambda and are distinct, and each has
+    positive counts on orbits of Z_n, mass n, a displacement sum
+    divisible by n and a singleton.  The search keeps all of these for
+    every tuple it builds, so `_leaf_ok` checks only the rest at each
+    leaf.  Deterministic.  Raises
+    NoProfilesFound when the checks or the enumeration end without an
+    answer, and its subclass ProfileBudgetExhausted when the search stops
     after `max_nodes` candidates without one.
     """
-    fixed = tuple(dict(t) for t in fixed)
+    fixed = tuple({a: v for a, v in dict(t).items() if v} for t in fixed)
     free = m - len(fixed)
     if free < 0:
         raise ValueError("more fixed profiles than slots")
-    solutions: list[tuple[dict[int, int], ...]] = []
-    nodes = 0
-    tot: dict[int, int] = {}
-    for t in fixed:
-        for a, v in t.items():
-            tot[a] = tot.get(a, 0) + v
-    if any(v > lam for v in tot.values()):
-        raise NoProfilesFound("fixed profiles already exceed lambda")
-    delta0 = lam - tot.get(0, 0)
-    if free == 0:
-        if _leaf_ok(n, lam, fixed):
-            return [fixed]
-        raise NoProfilesFound("fixed profiles do not certify")
-    if delta0 < 0:
-        raise NoProfilesFound("orbit-0 mass of fixed profiles exceeds lambda")
-
-    chosen: list[dict[int, int]] = []
     # Keys of the fixed and chosen profiles, and `tot` their totals T(a):
     # both are updated in place and restored on backtrack.
     used = {tuple(sorted(t.items())) for t in fixed}
+    tot = _totals(fixed)
+    if lam < 2:
+        raise NoProfilesFound("lambda < 2 leaves nothing to certify")
+    if any(v > lam for v in tot.values()):
+        raise NoProfilesFound("fixed profiles already exceed lambda")
+    if len(used) != len(fixed):
+        raise NoProfilesFound("fixed profiles repeat")
+    for t in fixed:
+        if (any(not 0 <= a < n or v < 0 for a, v in t.items())
+                or sum(t.values()) != n or sum(a * v for a, v in t.items()) % n
+                or 1 not in t.values()):
+            raise NoProfilesFound(
+                f"fixed profile {t} needs positive counts on orbits of Z_{n}, "
+                f"mass {n}, a displacement sum divisible by {n} and a singleton")
+    if free == 0:
+        if _leaf_ok(n, lam, fixed):
+            return fixed
+        raise NoProfilesFound("fixed profiles do not certify")
+
+    nodes = 0
+    chosen: list[dict[int, int]] = []
     candidates: dict[int, list[tuple[tuple, dict[int, int]]]] = {}
 
     def dfs(slot: int, rem0: int) -> bool:
+        """True once `chosen` completes the answer or the budget runs out."""
         nonlocal nodes
         last = slot == free - 1
         table = _prefix_table(n, lam, fixed + tuple(chosen)) if last else None
-        pmax = min(rem0, n - 1)
-        for p in range(pmax, -1, -1):
-            if last and p != rem0:
-                continue
+        for p in ([rem0] if last else range(min(rem0, n - 1), -1, -1)):
             if p not in candidates:
                 candidates[p] = _slot_candidates(n, lam, p)
             for key, prof in candidates[p]:
@@ -531,12 +536,8 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
                     continue
                 chosen.append(prof)
                 if last:
-                    cand = fixed + tuple(chosen)
-                    if _leaf_ok(n, lam, cand, table):
-                        solutions.append(cand)
-                        if len(solutions) >= limit:
-                            chosen.pop()
-                            return True
+                    if _leaf_ok(n, lam, fixed + tuple(chosen), table):
+                        return True
                 else:
                     used.add(key)
                     for a, v in key:
@@ -546,61 +547,43 @@ def find_profiles(n: int, lam: int, m: int, fixed=(), limit: int = 1,
                         tot[a] -= v
                     used.discard(key)
                     if done:
-                        chosen.pop()
                         return True
                 chosen.pop()
         return False
 
-    dfs(0, delta0)
-    if solutions:
-        return solutions
+    found = dfs(0, lam - tot.get(0, 0))
     if nodes > max_nodes:
         raise ProfileBudgetExhausted(
             f"profile search for n={n}, lambda={lam} stopped at its budget "
             f"of {max_nodes} nodes")
+    if found:
+        return fixed + tuple(chosen)
     raise NoProfilesFound(f"no certified {m}-tuple exists for n={n}, lambda={lam} "
                           f"in the searched family")
 
 
 def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...],
              table=None) -> bool:
-    """Full feasibility check of a complete profile tuple.
+    """Whether a complete profile tuple of the search certifies.
 
-    Every test is a pure conjunct.  Most leaves fail at a selection of one
-    or two orbits without the last profile, so the interval test runs
-    first, reading `table` (the last slot's `_prefix_table`, as in
-    `_selections`) and the last profile's orbits only.
+    Only for tuples that meet what `find_profiles` checks once per call
+    and its search keeps: lambda >= 2, T(a) <= lambda, distinct profiles,
+    each of mass n with displacement sum 0 mod n and a singleton.  Under
+    those, the all-zero selection's interval is empty exactly when some
+    T(a) = lambda, so the interval test covers that too.  Most leaves fail
+    at a selection of one or two orbits without the last profile, so the
+    interval test runs first, reading `table` (the last slot's
+    `_prefix_table`, as in `_selections`) and the last profile's orbits.
     """
-    if lam < 2:
-        return False
     if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles, table)):
         return False
-    tot: dict[int, int] = {}
-    for t in profiles:
-        for a, v in t.items():
-            tot[a] = tot.get(a, 0) + v
-    if any(v > lam for v in tot.values()):
-        return False
-    if max(tot.values(), default=0) != lam:
-        return False
+    tot = _totals(profiles)
     if n % 2 and all(tot.get(a, 0) > 0 for a in range(n)):
         return False
-    keys = [tuple(sorted(t.items())) for t in profiles]
-    if len(set(keys)) != len(keys):
-        return False
-    for t in profiles:
-        if sum(t.values()) != n:
-            return False
-        if sum(a * v for a, v in t.items()) % n != 0:
-            return False
-        if 1 not in t.values():
-            return False
     if _greedy_order_profiles(profiles) is None:
         return False
-    for t in profiles:
-        if _realization(n, tuple(sorted(t.items()))) is None:
-            return False
-    return True
+    return all(_realization(n, tuple(sorted(t.items()))) is not None
+               for t in profiles)
 
 
 def _greedy_order_profiles(profiles) -> list[tuple[int, int]] | None:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -272,8 +273,8 @@ def test_selftest_quick(capsys):
     assert all("PASS" in line for line in lines)
 
 
-def test_selftest_fails_on_unrealizable_searched_profiles(monkeypatch):
-    from onefac import acceptance
+@pytest.fixture
+def unrealizable_p3_n9_l10(monkeypatch):
     real_discover = families._discover
 
     def corrupted(family, n, lam):
@@ -282,8 +283,43 @@ def test_selftest_fails_on_unrealizable_searched_profiles(monkeypatch):
         return real_discover(family, n, lam)
 
     monkeypatch.setattr(families, "_discover", corrupted)
+
+
+def test_selftest_fails_on_unrealizable_searched_profiles(unrealizable_p3_n9_l10):
+    from onefac import acceptance
     results = acceptance.run(["A8"])
     assert not results[0].passed and "P3 at n=9, lambda=10" in results[0].detail
+
+
+def test_construct_family_with_unrealizable_profiles_exits_3(unrealizable_p3_n9_l10,
+                                                            capsys):
+    # --family takes the same path as plain construct, so an unrealizable
+    # searched profile ends as a construction failure, not a traceback.
+    outcomes = []
+    for extra in (["--family", "P3"], []):
+        code, stdout, stderr = run_cli(capsys, "construct", "--n", "9",
+                                       "--lambda", "10", *extra)
+        assert code == 3 and stdout == ""
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+        outcomes.append(stderr)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_verify_validity_of_a_huge_empty_document_is_bounded(tmp_path, capsys):
+    # Listing every uncovered pair of n = 100000 would take about 2e10
+    # entries; the report keeps the first 10 and the scan stops there.
+    path = tmp_path / "empty.json"
+    path.write_text('{"format":1,"model":{"tag":"plain"},"n":100000,'
+                    '"lambda":2,"factors":[]}')
+    start = time.monotonic()
+    code, stdout, _ = run_cli(capsys, "verify", str(path), "--checks", "validity")
+    assert time.monotonic() - start < 1.0
+    report = json.loads(stdout)
+    assert code == 1 and report["validity"] == "fail"
+    assert report["validity_errors"] == [[[0, v], 0, 2] for v in range(1, 11)]
+    code, stdout, stderr = run_cli(capsys, "verify", str(path),
+                                   "--checks", "indecomposable")
+    assert code == 2 and stdout == "" and "not a valid" in stderr
 
 
 def test_python_dash_m_runs_the_cli(capsys):

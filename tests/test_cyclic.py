@@ -96,14 +96,7 @@ def test_join_even_minimal_case():
     assert cyclic.join_even(2, 1) == [((0, 1), (2, 3))]
 
 
-def test_join_even_sigma_changes_factors_not_edges():
-    base = cyclic.join_even(4, 1)
-    swapped = cyclic.join_even(4, 1, sigma=(1, 0, 2))
-    assert set(base) != set(swapped)
-    flat = Counter(e for f in base for e in f)
-    assert flat == Counter(e for f in swapped for e in f)
-    with pytest.raises(cyclic.NotAPermutation):
-        cyclic.join_even(4, 1, sigma=(0, 0, 2))
+def test_join_even_rejects_odd_order():
     with pytest.raises(cyclic.OddOrder):
         cyclic.join_even(5, 1)
 
@@ -188,7 +181,9 @@ def test_stabilizer_orders():
 
 
 def test_profile_of_m_factor():
-    assert cyclic.profile(cyclic.m_factor(7, 3), 7) == {3: 7}
+    pi = tuple((x + 3) % 7 for x in range(7))
+    assert cyclic.cross_factor(pi, 7) == cyclic.m_factor(7, 3)
+    assert cyclic.profile(pi, 7) == {3: 7}
 
 
 def test_profile_of_heavy_zero_starter():
@@ -198,16 +193,8 @@ def test_profile_of_heavy_zero_starter():
 
 def test_profile_of_explicit_chain_factor():
     # {[i_0,(i+1)_1] : 2<=i<=8} + [0_0,2_1] + [1_0,1_1] on Z_9
-    from onefac.core import canonicalize_factor
-    edges = [(i, 9 + (i + 1) % 9) for i in range(2, 9)]
-    edges += [(0, 9 + 2), (1, 9 + 1)]
-    f = canonicalize_factor(edges, 18)
-    assert cyclic.profile(f, 9) == {1: 7, 2: 1, 0: 1}
-
-
-def test_profile_rejects_side_edges():
-    with pytest.raises(cyclic.NotCrossOnly):
-        cyclic.factor_permutation(((0, 1), (2, 3)), 2)
+    pi = (2, 1, 3, 4, 5, 6, 7, 8, 0)
+    assert cyclic.profile(pi, 9) == {1: 7, 2: 1, 0: 1}
 
 
 @given(st.permutations(list(range(8))))

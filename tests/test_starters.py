@@ -346,9 +346,9 @@ def test_selections_over_a_shared_prefix_match_a_cold_call():
 
 
 def test_find_profiles_p2_case():
-    sols = starters.find_profiles(5, 2, 1)
-    assert sols[0][0][0] == 2  # t(M_0) = lambda = 2
-    assert starters.find_profiles(5, 2, 1) == sols
+    sol = starters.find_profiles(5, 2, 1)
+    assert sol[0][0] == 2  # t(M_0) = lambda = 2
+    assert starters.find_profiles(5, 2, 1) == sol
 
 
 def test_find_profiles_rejects_lambda_one():
@@ -367,9 +367,43 @@ def test_find_profiles_budget_stop_is_its_own_outcome():
 def test_find_profiles_with_pins_certifies():
     pins = [{0: 7, 2: 1, 7: 1}, {0: 7, 3: 1, 6: 1},
             {0: 2, 1: 6, 3: 1}, {0: 1, 1: 7, 2: 1}]
-    sols = starters.find_profiles(9, 17, 5, fixed=pins)
-    s = StarterSet.from_profiles(9, 17, sols[0])
+    sol = starters.find_profiles(9, 17, 5, fixed=pins)
+    s = StarterSet.from_profiles(9, 17, sol)
     assert starters.certificate_indecomposable(s).proven
+
+
+@pytest.mark.parametrize("last", [
+    {1: 7, 2: 1},        # mass 8
+    {0: 1, 1: 7, 3: 1},  # displacement sum 10
+    {1: 4, 4: 2, 5: 3},  # no singleton
+    {0: 1, 1: 7, 2: 1},  # repeats the third pin
+    {0: 1, 1: 7, 2: 1, 5: 0},  # repeats it up to a zero count
+    {0: 1, 1: 7, 20: 1},  # orbit outside Z_9
+], ids=["mass", "displacement-sum", "no-singleton", "duplicate", "zero-count",
+        "orbit-range"])
+def test_find_profiles_rejects_malformed_fixed_at_once(last):
+    # The search never checks these again, so they must fail before any
+    # node: the budget of 1 node would otherwise stop it first.
+    pins = [{0: 7, 2: 1, 7: 1}, {0: 7, 3: 1, 6: 1}, {0: 1, 1: 7, 2: 1}, last]
+    with pytest.raises(starters.NoProfilesFound) as info:
+        starters.find_profiles(9, 17, 5, fixed=pins, max_nodes=1)
+    assert not isinstance(info.value, starters.ProfileBudgetExhausted)
+
+
+def test_slot_candidates_are_starter_profiles():
+    # `_leaf_ok` relies on these without checking them: mass n,
+    # displacement sum 0 mod n, a singleton, entries <= lambda, distinct keys.
+    for n in range(5, 17):
+        for lam in (2, n, 2 * n):
+            for p in range(n):
+                keys = [key for key, _ in starters._slot_candidates(n, lam, p)]
+                assert len(set(keys)) == len(keys)
+                for key in keys:
+                    t = dict(key)
+                    assert list(key) == sorted(t.items())  # one entry per orbit
+                    assert sum(t.values()) == n and 1 in t.values()
+                    assert sum(a * v for a, v in key) % n == 0
+                    assert 0 < min(t.values()) and max(t.values()) <= lam
 
 
 def test_assemble_factor_count_identity():
