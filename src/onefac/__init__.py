@@ -11,7 +11,7 @@ from .families import (construct, coverage_table, family_domain,
                        family_profiles, plan, upper_bound)
 from .gf import agl_orbit_factorization, base_factor, field_ctx
 from .starters import (StarterSet, assemble, certificate_indecomposable,
-                       certificate_order, find_profiles, find_starter,
+                       certificate_order, find_starter,
                        orbit_multiplicity_check)
 from .verify import (SearchBudget, Witness, certificate_witness,
                      decomposability_witness_check, find_subfactorization)
@@ -25,7 +25,7 @@ __all__ = [
     "plan", "upper_bound",
     "agl_orbit_factorization", "base_factor", "field_ctx",
     "StarterSet", "assemble", "certificate_indecomposable",
-    "certificate_order", "find_profiles", "find_starter",
+    "certificate_order", "find_starter",
     "orbit_multiplicity_check",
     "SearchBudget", "Witness", "certificate_witness",
     "decomposability_witness_check", "find_subfactorization",

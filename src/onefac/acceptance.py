@@ -151,7 +151,7 @@ def a6() -> str:
 
 
 def a7() -> str:
-    """Closed-form and searched profile tables match the golden file."""
+    """The closed-form profile tables match the golden file."""
     doc = profile_golden_document()
     want = resources.files("onefac").joinpath(
         "data/family_profiles_golden.json").read_text()
@@ -184,8 +184,8 @@ def a8() -> str:
 def profile_golden_document() -> dict:
     """Current profile tables of every catalog case with n = 5..14.
 
-    Closed forms and search-discovered profiles alike, so the golden file
-    pins the deterministic profile search as well as the text.
+    Whole closed forms, pins and free slots alike, so the golden file pins
+    the slot rules and the small-case table as well as the text.
     """
     entries = []
     for n in GOLDEN_NS:

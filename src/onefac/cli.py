@@ -5,7 +5,7 @@ summary line, `verify` runs requested checks on a document and emits a
 JSON report, `coverage` prints the embedding provenance table, and
 `selftest` runs the acceptance suite.  Exit codes: 0 success, 1 some
 requested check failed, 2 usage/parse/domain errors, 3 construction
-failure, 4 search budget exhausted.
+failure, 4 decomposability search budget exhausted (`verify`).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import sys
 from . import acceptance, docio, gf, verify
 from .core import is_simple, validate_factorization
 from .families import (FAMILY_IDS, FamilyPlan, NoFamily, OutOfDomain,
-                       SearchBudgetExhausted, STooSmall, StarterSearchFailed,
-                       coverage_table, family_domain, plan)
+                       STooSmall, StarterSearchFailed, coverage_table,
+                       family_domain, plan)
 from .starters import OrderingFailed, assemble
 
 EXIT_OK = 0
@@ -38,9 +38,6 @@ def main(argv=None) -> int:
             verify.InvalidInput, gf.NotPrime, gf.EvenP, gf.BadDegree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SearchBudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except StarterSearchFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION

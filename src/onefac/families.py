@@ -3,11 +3,11 @@
 Eight cyclic-model families partition the parameter strip
 ceil((n-2)/3) <= lambda <= 2n for n >= 9 (smaller n keep the low-lambda
 families only); a ninth entry is the finite-field construction living in
-the `gf` module.  Families with closed-form starter profiles are coded
-here; the rest pin closed-form starters and complete them with the
-deterministic profile search `starters.find_profiles`, memoized per
-(family, n, lambda).  Acceptance criterion A7 pins every profile table
-with n <= 14, searched ones included, against a golden file.
+the `gf` module.  Every family's starter profiles are closed forms coded
+here: whole for P1 and P4, and otherwise closed-form pinned starters
+(`_pins`) followed by free slots given by rules affine in n (`_slots`)
+or, at twelve small cases, by the table `_SMALL_SLOTS`.  Acceptance
+criterion A7 pins every profile table with n <= 14 against a golden file.
 
 Both parity families P1 and P2 start at the same floor ceil((n-2)/3), so
 the two parity classes tile the low-lambda strip completely; the
@@ -18,13 +18,11 @@ certificate covers the whole range (e.g. (n, lambda) = (10, 3) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil, comb
 
 from .core import MultiFactorization
-from .starters import (Certificate, NoProfilesFound, ProfileBudgetExhausted,
-                       StarterSet, assemble, certificate_indecomposable,
-                       find_profiles)
+from .starters import (Certificate, StarterSet, assemble,
+                       certificate_indecomposable, find_profiles)
 
 FAMILY_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8")
 
@@ -38,11 +36,7 @@ class NoFamily(ValueError):
 
 
 class StarterSearchFailed(ValueError):
-    """Starter realization or profile discovery failed."""
-
-
-class SearchBudgetExhausted(StarterSearchFailed):
-    """Profile discovery stopped at its node budget without an answer."""
+    """Starter realization failed."""
 
 
 class STooSmall(ValueError):
@@ -98,10 +92,12 @@ def _profile_b(n: int, r: int) -> dict[int, int]:
 
 
 def family_profiles(family: str, n: int, lam: int) -> list[dict[int, int]]:
-    """Starter profiles for one family at (n, lambda).
+    """Starter profiles for one family at (n, lambda), all in closed form.
 
-    Text-fixed families return their closed forms; the others return
-    closed-form pins followed by the profiles the memoized search finds.
+    P1 and P4 are coded whole, as are P3 at n = 11 and P6 at n = 9, 10.
+    The other cases are the family's pins followed by one profile per
+    free slot of `_slots`, or of `_SMALL_SLOTS` at the twelve small cases
+    the rules do not reproduce, built by `starters.find_profiles`.
     """
     if not family_domain(family, n, lam):
         raise OutOfDomain(f"{family} does not cover n={n}, lambda={lam}")
@@ -118,29 +114,79 @@ def family_profiles(family: str, n: int, lam: int) -> list[dict[int, int]]:
         return _p3_n11(lam)
     if family == "P6" and n in (9, 10):
         return _p6_small(n)
-    return [dict(t) for t in _discover(family, n, lam)]
+    slots = _SMALL_SLOTS.get((family, n, lam)) or _slots(family, n, lam)
+    return list(find_profiles(n, _pins(family, n, lam), slots))
 
 
-def _pins(family: str, n: int, lam: int) -> tuple[list[dict[int, int]], int]:
-    """Closed-form pinned starters and slot count of a searched family."""
+def _pins(family: str, n: int, lam: int) -> list[dict[int, int]]:
+    """Closed-form pinned starters of a family completed by free slots."""
     if family == "P2":
-        return [], 1
+        return []
     if family in ("P3", "P7"):
-        return [_profile_a(n, 3), _profile_b(n, 0)], 4
+        return [_profile_a(n, 3), _profile_b(n, 0)]
     if family == "P5":
         r = 2 * n - lam
-        return [_profile_a(n, 4 if r == 4 else 2), _profile_b(n, 1)], 4
+        return [_profile_a(n, 4 if r == 4 else 2), _profile_b(n, 1)]
     if family == "P6":
-        return [_profile_a(n, 2), _profile_b(n, 1)], 4
+        return [_profile_a(n, 2), _profile_b(n, 1)]
     if family == "P8":
         if lam == 2 * n - 1:
             return [_profile_a(n, 2), _profile_a(n, 3),
-                    _profile_b(n, 1), _profile_b(n, 0)], 5
+                    _profile_b(n, 1), _profile_b(n, 0)]
         if n == 9:  # lam = 18: explicit starters except one
             return [_profile_a(9, 4), _profile_a(9, 3), _profile_b(9, 0),
-                    {1: 6, 2: 2, 8: 1}], 5
-        return [_profile_a(n, 2), _profile_a(n, 3), _profile_b(n, 1)], 5
-    raise ValueError(f"{family} has no searched cases")
+                    {1: 6, 2: 2, 8: 1}]
+        return [_profile_a(n, 2), _profile_a(n, 3), _profile_b(n, 1)]
+    raise ValueError(f"{family} has no free slots")
+
+
+def _slots(family: str, n: int, lam: int) -> list[tuple[int, int, int]]:
+    """Free slots (p, q, g) completing `_pins`; g is idle when p + q = n - 1."""
+    k, r = lam - n, 2 * n - lam
+    if family == "P2":
+        if 2 * lam >= n:
+            return [(lam, n - lam - 1, 2)]
+        return [(lam, lam, 3 if n == 3 * lam + 1 else 2)]
+    if family == "P3":
+        if 3 * k + 5 <= n - 1:
+            return [(k + 1, k + 1, 2), (0, 1, 3)]
+        if n % 2 and 2 * k == n - 5:
+            return [(k + 1, 1, 3), (0, k + 1, 4)]
+        if n % 2 and 2 * k == n - 3:
+            return [(k + 1, k, 2), (0, 2, 2)]
+        if n - 2 * k - 4 >= 0:
+            return [(k + 1, n - 2 * k - 4, 3), (0, 3 * k + 6 - n, 2)]
+        return [(k + 1, n - k - 2, 2), (0, 2 * k - n + 4, 2)]
+    if family == "P5":
+        return {6: [(n - 6, 5, 2), (0, n - 8, 2)],
+                5: [(n - 5, 4, 2), (0, n - 6, 3)],
+                4: [(n - 4, 3, 2), (0, n - 4, 2)],
+                3: [(n - 4, 3, 2), (1, n - 3, 4)]}[r]
+    if family == "P6":
+        return [(n - 4, 3, 2), (2, n - 4, 5)]
+    if family == "P7":
+        return [(n - 6, 5, 2), (0, n - 10, 2)]
+    if r == 1:  # P8
+        return [(0, 4, 2)]
+    return [(2, n - 4, 5), (0, 7, 2)]
+
+
+# Free slots of the small cases whose golden profiles the rules of
+# `_slots` do not reproduce.
+_SMALL_SLOTS = {
+    ("P5", 9, 12): [(3, 5, 2), (0, 1, 3)],
+    ("P5", 9, 13): [(4, 3, 2), (0, 4, 2)],
+    ("P5", 10, 15): [(5, 3, 2), (0, 5, 2)],
+    ("P5", 11, 16): [(5, 4, 2), (0, 4, 2)],
+    ("P5", 12, 19): [(7, 4, 2), (0, 6, 4)],
+    ("P7", 9, 11): [(3, 1, 3), (0, 3, 5)],
+    ("P7", 10, 13): [(4, 0, 3), (0, 5, 2)],
+    ("P7", 11, 15): [(5, 4, 2), (0, 2, 2)],
+    ("P8", 9, 17): [(0, 4, 6)],
+    ("P8", 9, 18): [(3, 5, 2)],
+    ("P8", 11, 22): [(2, 7, 5), (0, 7, 3)],
+    ("P8", 12, 24): [(2, 8, 5), (0, 7, 3)],
+}
 
 
 def _p3_n11(lam: int) -> list[dict[int, int]]:
@@ -159,24 +205,6 @@ def _p6_small(n: int) -> list[dict[int, int]]:
     d = {1: n - 3, n - 1: 1, 4: 1, 0: 1}
     r = {1: 3, 2: 5, 5: 1} if n == 9 else {1: 3, 2: 6, 5: 1}
     return [_profile_a(n, 2), _profile_a(n, second_alpha), c, d, r]
-
-
-@lru_cache(maxsize=None)
-def _discover(family: str, n: int, lam: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The pins of (family, n, lambda) and the profiles that complete them.
-
-    Returned as sorted item tuples, pins first.
-    """
-    pins, m = _pins(family, n, lam)
-    try:
-        solution = find_profiles(n, lam, m, fixed=pins)
-    except ProfileBudgetExhausted as exc:
-        raise SearchBudgetExhausted(
-            f"{family} at n={n}, lambda={lam}: {exc}") from exc
-    except NoProfilesFound as exc:
-        raise StarterSearchFailed(
-            f"{family} at n={n}, lambda={lam}: {exc}") from exc
-    return tuple(tuple(sorted(t.items())) for t in solution)
 
 
 @dataclass(frozen=True)

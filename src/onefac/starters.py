@@ -19,12 +19,13 @@ factor, which pins the coverage of every M_a to an integer system
 over orbit in/out bits x in {0,1}^m.  If the system is infeasible for every
 x and every 0 < lambda_0 < lambda, no subfactorization exists.  One kernel,
 `_selections`, yields the lambda_0 interval of every x; the certificate
-traces it, the profile search rejects a leaf at its first nonempty
-interval, and `verify.certificate_witness` builds a subfactorization from
-the first one.  The kernel reads each interval off a table over all
-profiles but the last (`_prefix_table`) and the last profile's orbits, so
-the profile search builds that table once per last slot and pays per leaf
-only for the orbits its last candidate touches.
+traces it, and `verify.certificate_witness` builds a subfactorization from
+the first nonempty one.
+
+Starter profiles come in closed form from `families`.  Past the pinned
+ones, each is a free slot {0: p, 1: q, g: w, s: 1} that `find_profiles`
+spells out; Hall's theorem on Z_n makes every such profile realizable,
+and `find_starter` realizes it.
 """
 
 from __future__ import annotations
@@ -64,23 +65,6 @@ class OrderingFailed(ValueError):
     """The greedy private-orbit ordering could not mark every starter."""
 
 
-class NoProfilesFound(ValueError):
-    """Profile search exhausted its enumeration without a solution."""
-
-
-class ProfileBudgetExhausted(NoProfilesFound):
-    """Profile search stopped at its node budget before finding a solution."""
-
-
-def _totals(profiles) -> dict[int, int]:
-    """Aggregated profile T(a) = sum_i t_i(a) over the orbits the profiles touch."""
-    tot: dict[int, int] = {}
-    for t in profiles:
-        for a, v in t.items():
-            tot[a] = tot.get(a, 0) + v
-    return tot
-
-
 @dataclass(frozen=True)
 class StarterSet:
     """Starters for the assembly, stored as permutations of Z_n."""
@@ -93,7 +77,7 @@ class StarterSet:
     def from_profiles(cls, n: int, lam: int, profiles) -> "StarterSet":
         """Realize every profile; an unrealizable one raises find_starter's error."""
         return cls(n, lam, tuple(_realization(n, tuple(sorted(t.items())))
-                                 or find_starter(n, t) for t in profiles))
+                                 for t in profiles))
 
     @property
     def m(self) -> int:
@@ -104,7 +88,11 @@ class StarterSet:
 
     def totals(self) -> dict[int, int]:
         """Aggregated profile T(a) = sum_i t_i(a), zero entries omitted."""
-        return _totals(self.profiles())
+        tot: dict[int, int] = {}
+        for t in self.profiles():
+            for a, v in t.items():
+                tot[a] = tot.get(a, 0) + v
+        return tot
 
     def orbit_b(self) -> int | None:
         """Smallest a with T(a) = 0 (the joined cross orbit for odd n)."""
@@ -249,83 +237,34 @@ def certificate_order(s: StarterSet) -> tuple[tuple[int, int], ...] | None:
     return None if order is None else tuple(order)
 
 
-def _prefix_table(n: int, lam: int, profiles) -> list[tuple]:
-    """One row per orbit selection x over `profiles`, in ascending bit order.
-
-    A row is (x, cov, e, by_cov, by_e, lo, lo_orbit, hi, hi_orbit): the
-    coverage cov_x, e_x = cov_x + lambda - T over these profiles, the orbits
-    ordered by (-cov_x(a), a) and by (e_x(a), a), the clamped lambda_0 lower
-    bound of x alone and the clamped upper bound of x with any last profile
-    added (which cancels out of its coverage plus stock).
-    """
-    rows = [((), [0] * n)]
-    for t in profiles:
-        v = [0] * n
-        for a, c in t.items():
-            v[a] = c
-        rows = ([(x + (0,), cov) for x, cov in rows]
-                + [(x + (1,), list(map(add, cov, v))) for x, cov in rows])
-    stock = [lam - c for c in rows[-1][1]]
-    table = []
-    for x, cov in rows:
-        e = list(map(add, cov, stock))
-        # Stable sorts: equal values keep ascending orbit order.
-        by_cov = sorted(range(n), key=cov.__getitem__, reverse=True)
-        by_e = sorted(range(n), key=e.__getitem__)
-        top, bottom = cov[by_cov[0]], e[by_e[0]]
-        lo, lo_orbit = (top, by_cov[0]) if top > 1 else (1, None)
-        hi, hi_orbit = (bottom, by_e[0]) if bottom < lam - 1 else (lam - 1, None)
-        table.append((x, cov, e, by_cov, by_e, lo, lo_orbit, hi, hi_orbit))
-    return table
-
-
-def _selections(n: int, lam: int, profiles, table=None):
+def _selections(n: int, lam: int, profiles):
     """The lambda_0 interval of every orbit selection x, in ascending bit order.
 
     Yields (x, lo, hi, lo_orbit, hi_orbit): the coverage equation of each
     orbit a forces cov_x(a) <= lambda_0 <= cov_x(a) + lambda - T(a), inside
     1 <= lambda_0 <= lambda - 1, and the binding orbits are the smallest to
-    attain each bound (None when only the outer range binds).  An orbit
-    with T(a) = 0, such as the joined orbit b of odd n, never binds.
-
-    The selections are read off `table`, the `_prefix_table` of all
-    profiles but the last one l, which the profile search shares across
-    every candidate for its last slot.  Without l, lo is the row's and hi
-    is min_a e_x(a) - l(a); with l, hi is the row's and lo is
-    max_a cov_x(a) + l(a).  Each extremum differs from the row's only on
-    the orbits of l, so it is found among them and the first other orbit
-    in the row's order.
+    attain each bound (None when only the outer range binds).  Bit i of x
+    is profile i, and x counts up with bit 0 lowest.  As T is the coverage
+    of all profiles, cov_x + lambda - T = lambda - cov_y for the complement
+    y of x, so hi and its orbit come from the largest entry of cov_y, as lo
+    and its orbit come from that of cov_x.  An orbit with T(a) = 0, such as
+    the joined orbit b of odd n, never binds.
     """
-    if table is None:
-        table = _prefix_table(n, lam, profiles[:-1])
-    last = profiles[-1] if profiles else {}
-    tail = (0,) if profiles else ()
-    for x, cov, e, by_cov, by_e, lo, lo_orbit, _, _ in table:
-        bottom, hi_orbit = lam - 1, None
-        for a in by_e:
-            if a not in last:
-                if e[a] < bottom:
-                    bottom, hi_orbit = e[a], a
-                break
-        for a, v in last.items():
-            s = e[a] - v
-            if s < bottom or s == bottom and hi_orbit is not None and a < hi_orbit:
-                bottom, hi_orbit = s, a
-        yield x + tail, lo, bottom, lo_orbit, hi_orbit
-    if not profiles:
-        return
-    for x, cov, e, by_cov, by_e, _, _, hi, hi_orbit in table:
-        top, lo_orbit = 1, None
-        for a in by_cov:
-            if a not in last:
-                if cov[a] > top:
-                    top, lo_orbit = cov[a], a
-                break
-        for a, v in last.items():
-            s = cov[a] + v
-            if s > top or s == top and lo_orbit is not None and a < lo_orbit:
-                top, lo_orbit = s, a
-        yield x + (1,), top, hi, lo_orbit, hi_orbit
+    covs = [[0] * n]
+    for t in profiles:
+        v = [0] * n
+        for a, c in t.items():
+            v[a] = c
+        covs += [list(map(add, cov, v)) for cov in covs]
+    peaks = []
+    for cov in covs:
+        top = max(cov)
+        peaks.append((top, cov.index(top)) if top > 1 else (1, None))
+    full = len(covs) - 1
+    for bits, (lo, lo_orbit) in enumerate(peaks):
+        top, hi_orbit = peaks[full - bits]
+        yield (tuple(bits >> i & 1 for i in range(len(profiles))),
+               lo, lam - top, lo_orbit, hi_orbit)
 
 
 def certificate_indecomposable(s: StarterSet) -> Certificate:
@@ -416,178 +355,34 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _realization(n: int, items: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
-    """find_starter on a sorted profile key, or None when it has no realization."""
-    try:
-        return find_starter(n, dict(items))
-    except (ProfileSumInvalid, InfeasibleProfile):
-        return None
+def _realization(n: int, items: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """find_starter on a sorted profile key, memoized; its errors pass through."""
+    return find_starter(n, dict(items))
 
 
-def _slot_candidates(n: int, lam: int, p: int) -> list[tuple[tuple, dict[int, int]]]:
-    """Searched profile shapes {0: p, 1: q, g: w, s: 1} in deterministic order.
+def find_profiles(n: int, pins, slots) -> tuple[dict[int, int], ...]:
+    """The pins followed by one starter profile per free slot (p, q, g).
 
-    Each comes with its key, the sorted tuple of its items.
-
-    w = n - p - q - 1, so every shape has mass n; s is the closure singleton
-    forced by the displacement sum, on an orbit of its own.  Candidates
-    whose largest entry exceeds p come first (those defeat their own
-    single-orbit selection in the certificate), then q descends and the
-    bulk orbit g ascends.
+    Slot (p, q, g) is the profile {0: p, 1: q, g: w, s: 1} with
+    w = n - p - q - 1, so its mass is n, and s = -(q + g*w) mod n, the
+    singleton that makes its displacement sum 0 mod n.  Counts on
+    coinciding orbits add up and zero counts are dropped.  By M. Hall Jr.
+    (Proc. AMS 3, 1952) any n elements of Z_n summing to 0 are the
+    differences of two orderings of Z_n, so such a profile has a
+    realization, and a singleton leaves it no nontrivial stabilizer.
     """
-    out = []
-    seen = set()
-    for q in range(n - 1 - p, -1, -1):
+    out = list(pins)
+    for p, q, g in slots:
         w = n - p - q - 1
-        for g in (range(2, n) if w else [None]):
-            if g is None:
-                s = (-q) % n
-                prof = {0: p, 1: q, s: 1}
-            else:
-                s = (-(q + g * w)) % n
-                prof = {0: p, 1: q, g: w, s: 1}
-            if s in (0, 1) or s == g:
-                continue
-            prof = {a: v for a, v in prof.items() if v > 0}
-            if max(prof.values()) > lam:
-                continue
-            key = tuple(sorted(prof.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            bucket = 0 if max(prof.values()) > p else 1
-            out.append((bucket, key, prof))
-    out.sort(key=lambda c: c[0])
-    return [(key, prof) for _, key, prof in out]
-
-
-def find_profiles(n: int, lam: int, m: int, fixed=(),
-                  max_nodes: int = 2_000_000) -> tuple[dict[int, int], ...]:
-    """The first m-tuple of starter profiles, in search order, that certifies.
-
-    The first len(fixed) slots are pinned; the remaining slots are drawn
-    from a structured family anchored on orbit 0 (the free slots' orbit-0
-    masses always top the aggregate T(0) up to exactly lambda, which every
-    proven certificate needs on some orbit) plus an orbit-1 mass, one bulk
-    orbit and a closure singleton.  The answer is realizable, keeps
-    T(a) <= lambda, leaves a zero orbit when n is odd, and passes
-    certificate_order and certificate_indecomposable.
-
-    Checked once per call, with zero counts dropped: lambda >= 2, the
-    fixed profiles keep T(a) <= lambda and are distinct, and each has
-    positive counts on orbits of Z_n, mass n, a displacement sum
-    divisible by n and a singleton.  The search keeps all of these for
-    every tuple it builds, so `_leaf_ok` checks only the rest at each
-    leaf.  Deterministic.  Raises
-    NoProfilesFound when the checks or the enumeration end without an
-    answer, and its subclass ProfileBudgetExhausted when the search stops
-    after `max_nodes` candidates without one.
-    """
-    fixed = tuple({a: v for a, v in dict(t).items() if v} for t in fixed)
-    free = m - len(fixed)
-    if free < 0:
-        raise ValueError("more fixed profiles than slots")
-    # Keys of the fixed and chosen profiles, and `tot` their totals T(a):
-    # both are updated in place and restored on backtrack.
-    used = {tuple(sorted(t.items())) for t in fixed}
-    tot = _totals(fixed)
-    if lam < 2:
-        raise NoProfilesFound("lambda < 2 leaves nothing to certify")
-    if any(v > lam for v in tot.values()):
-        raise NoProfilesFound("fixed profiles already exceed lambda")
-    if len(used) != len(fixed):
-        raise NoProfilesFound("fixed profiles repeat")
-    for t in fixed:
-        if (any(not 0 <= a < n or v < 0 for a, v in t.items())
-                or sum(t.values()) != n or sum(a * v for a, v in t.items()) % n
-                or 1 not in t.values()):
-            raise NoProfilesFound(
-                f"fixed profile {t} needs positive counts on orbits of Z_{n}, "
-                f"mass {n}, a displacement sum divisible by {n} and a singleton")
-    if free == 0:
-        if _leaf_ok(n, lam, fixed):
-            return fixed
-        raise NoProfilesFound("fixed profiles do not certify")
-
-    nodes = 0
-    chosen: list[dict[int, int]] = []
-    candidates: dict[int, list[tuple[tuple, dict[int, int]]]] = {}
-
-    def dfs(slot: int, rem0: int) -> bool:
-        """True once `chosen` completes the answer or the budget runs out."""
-        nonlocal nodes
-        last = slot == free - 1
-        table = _prefix_table(n, lam, fixed + tuple(chosen)) if last else None
-        for p in ([rem0] if last else range(min(rem0, n - 1), -1, -1)):
-            if p not in candidates:
-                candidates[p] = _slot_candidates(n, lam, p)
-            for key, prof in candidates[p]:
-                nodes += 1
-                if nodes > max_nodes:
-                    return True
-                if key in used:
-                    continue
-                fits = True
-                for a, v in key:
-                    if tot.get(a, 0) + v > lam:
-                        fits = False
-                        break
-                if not fits:
-                    continue
-                chosen.append(prof)
-                if last:
-                    if _leaf_ok(n, lam, fixed + tuple(chosen), table):
-                        return True
-                else:
-                    used.add(key)
-                    for a, v in key:
-                        tot[a] = tot.get(a, 0) + v
-                    done = dfs(slot + 1, rem0 - p)
-                    for a, v in key:
-                        tot[a] -= v
-                    used.discard(key)
-                    if done:
-                        return True
-                chosen.pop()
-        return False
-
-    found = dfs(0, lam - tot.get(0, 0))
-    if nodes > max_nodes:
-        raise ProfileBudgetExhausted(
-            f"profile search for n={n}, lambda={lam} stopped at its budget "
-            f"of {max_nodes} nodes")
-    if found:
-        return fixed + tuple(chosen)
-    raise NoProfilesFound(f"no certified {m}-tuple exists for n={n}, lambda={lam} "
-                          f"in the searched family")
-
-
-def _leaf_ok(n: int, lam: int, profiles: tuple[dict[int, int], ...],
-             table=None) -> bool:
-    """Whether a complete profile tuple of the search certifies.
-
-    Only for tuples that meet what `find_profiles` checks once per call
-    and its search keeps: lambda >= 2, T(a) <= lambda, distinct profiles,
-    each of mass n with displacement sum 0 mod n and a singleton.  Under
-    those, the all-zero selection's interval is empty exactly when some
-    T(a) = lambda, so the interval test covers that too.  Most leaves fail
-    at a selection of one or two orbits without the last profile, so the
-    interval test runs first, reading `table` (the last slot's
-    `_prefix_table`, as in `_selections`) and the last profile's orbits.
-    """
-    if any(lo <= hi for _, lo, hi, _, _ in _selections(n, lam, profiles, table)):
-        return False
-    tot = _totals(profiles)
-    if n % 2 and all(tot.get(a, 0) > 0 for a in range(n)):
-        return False
-    if _greedy_order_profiles(profiles) is None:
-        return False
-    return all(_realization(n, tuple(sorted(t.items()))) is not None
-               for t in profiles)
+        t: dict[int, int] = {}
+        for a, v in ((0, p), (1, q), (g, w), (-(q + g * w) % n, 1)):
+            t[a] = t.get(a, 0) + v
+        out.append({a: v for a, v in sorted(t.items()) if v})
+    return tuple(out)
 
 
 def _greedy_order_profiles(profiles) -> list[tuple[int, int]] | None:
-    """certificate_order on bare profile dicts (used inside the search)."""
+    """certificate_order on bare profile dicts."""
     m = len(profiles)
     marked: set[int] = set()
     order = []

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -161,29 +160,17 @@ def test_construct_realizes_each_profile_once(monkeypatch, capsys):
         return real_find_starter(n, target)
 
     monkeypatch.setattr(starters, "find_starter", counting_find_starter)
-    # (22, 44) is a P8 case: its profiles come from a live search.
+    # (22, 44) is a P8 case: three pins and two free slots.
     code, _, stderr = run_cli(capsys, "construct", "--n", "22", "--lambda", "44")
     assert code == 0 and "certificate=proven" in stderr
     assert len(calls) == len(set(calls)) == 5
 
 
-def test_construct_profile_search_budget_stop_exits_4(monkeypatch, capsys):
-    families._discover.cache_clear()
-    monkeypatch.setattr(families, "find_profiles",
-                        functools.partial(starters.find_profiles, max_nodes=10))
-    code, stdout, stderr = run_cli(capsys, "construct", "--n", "22", "--lambda", "44")
-    assert code == 4 and stdout == ""
-    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
-    assert "budget of 10 nodes" in stderr
-
-
 def test_construct_starter_search_failure_exits_3(monkeypatch, capsys):
-    families._discover.cache_clear()
+    def unrealizable(family, n, lam):
+        return [{0: n}]  # only the identity, whose stabilizer is all of H
 
-    def no_profiles(*args, **kw):
-        raise starters.NoProfilesFound("no certified 5-tuple")
-
-    monkeypatch.setattr(families, "find_profiles", no_profiles)
+    monkeypatch.setattr(families, "family_profiles", unrealizable)
     code, stdout, stderr = run_cli(capsys, "construct", "--n", "22", "--lambda", "44")
     assert code == 3 and stdout == ""
     assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
@@ -275,14 +262,14 @@ def test_selftest_quick(capsys):
 
 @pytest.fixture
 def unrealizable_p3_n9_l10(monkeypatch):
-    real_discover = families._discover
+    real_family_profiles = families.family_profiles
 
     def corrupted(family, n, lam):
         if (family, n, lam) == ("P3", 9, 10):
-            return (((0, 9),), ((1, 9),))  # unrealizable starters
-        return real_discover(family, n, lam)
+            return [{0: 9}, {1: 9}]  # unrealizable starters
+        return real_family_profiles(family, n, lam)
 
-    monkeypatch.setattr(families, "_discover", corrupted)
+    monkeypatch.setattr(families, "family_profiles", corrupted)
 
 
 def test_selftest_fails_on_unrealizable_searched_profiles(unrealizable_p3_n9_l10):
@@ -294,7 +281,7 @@ def test_selftest_fails_on_unrealizable_searched_profiles(unrealizable_p3_n9_l10
 def test_construct_family_with_unrealizable_profiles_exits_3(unrealizable_p3_n9_l10,
                                                             capsys):
     # --family takes the same path as plain construct, so an unrealizable
-    # searched profile ends as a construction failure, not a traceback.
+    # profile ends as a construction failure, not a traceback.
     outcomes = []
     for extra in (["--family", "P3"], []):
         code, stdout, stderr = run_cli(capsys, "construct", "--n", "9",

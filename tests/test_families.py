@@ -1,11 +1,12 @@
 import hashlib
 import json
+from collections import Counter
 from importlib import resources
 from math import comb
 
 import pytest
 
-from onefac import docio, families
+from onefac import docio, families, starters
 from onefac.core import is_simple, validate_factorization
 from onefac.starters import assemble
 
@@ -208,8 +209,9 @@ def test_coverage_table_rejects_small_s():
         families.coverage_table(17)
 
 
-# The (family, n) grid whose profiles the live search supplies for n <= 14;
-# P3 at n = 11 and P6 at n = 9, 10 have closed forms.
+# The (family, n) grid whose profiles a live search once supplied for
+# n <= 14; the closed forms now supply them, pinned by the golden file.
+# P3 at n = 11 and P6 at n = 9, 10 had closed forms all along.
 SEARCHED_NS = {
     "P2": range(5, 15),
     "P3": [9, 10, 12, 13, 14],
@@ -220,24 +222,58 @@ SEARCHED_NS = {
 }
 
 
-def test_searched_profiles_match_golden(monkeypatch):
+def test_searched_profiles_match_golden():
     golden = json.loads(resources.files("onefac").joinpath(
         "data/family_profiles_golden.json").read_text())["entries"]
-    families._discover.cache_clear()
-    searched = set()
-    real_discover = families._discover
-
-    def recording(family, n, lam):
-        searched.add((family, n, lam))
-        return real_discover(family, n, lam)
-
-    monkeypatch.setattr(families, "_discover", recording)
     mismatched = []
     for e in golden:
         got = families.family_profiles(e["family"], e["n"], e["lambda"])
         if [docio.profile_to_pairs(t) for t in got] != e["profiles"]:
             mismatched.append((e["family"], e["n"], e["lambda"]))
-    assert searched == {(f, n, lam) for f, ns in SEARCHED_NS.items() for n in ns
-                        for lam in range(2, 2 * n + 1)
-                        if families.family_domain(f, n, lam)}
+    pinned = {(e["family"], e["n"], e["lambda"]) for e in golden}
+    assert pinned >= {(f, n, lam) for f, ns in SEARCHED_NS.items() for n in ns
+                      for lam in range(2, 2 * n + 1)
+                      if families.family_domain(f, n, lam)}
     assert mismatched == []
+
+
+# sha256 over the profile tables the leaf-condition sweep checks.
+SLOT_FAMILY_PROFILES_SHA256 = "15f375a950534a2c382c0f8c27bfb211d8f72e1c5a9445272183dfae71652d11"
+
+
+def test_closed_form_profiles_meet_every_leaf_condition():
+    # Every family with free slots at every served lambda, through
+    # family_profiles: mass n, displacement sum 0 mod n and a singleton
+    # (with Hall's theorem, a trivial-stabilizer realization), distinct
+    # profiles, T(a) <= lambda, a zero orbit for odd n, the greedy
+    # ordering, and an empty lambda_0 interval for every selection.  The
+    # digest catches a rule changed into another that passes them all.
+    checked = 0
+    digest = hashlib.sha256()
+    for n in [*range(9, 121), 199, 200, 299, 300]:
+        for family in ("P2", "P3", "P5", "P6", "P7", "P8"):
+            for lam in range(2, 2 * n + 1):
+                if not families.family_domain(family, n, lam):
+                    continue
+                where = (family, n, lam)
+                profiles = families.family_profiles(family, n, lam)
+                for t in profiles:
+                    assert all(0 <= a < n and v > 0 for a, v in t.items()), where
+                    assert sum(t.values()) == n, where
+                    assert sum(a * v for a, v in t.items()) % n == 0, where
+                    assert 1 in t.values(), where
+                assert len({tuple(sorted(t.items())) for t in profiles}) \
+                    == len(profiles), where
+                totals = Counter()
+                for t in profiles:
+                    totals.update(t)
+                assert max(totals.values()) <= lam, where
+                assert n % 2 == 0 or len(totals) < n, where
+                assert starters._greedy_order_profiles(profiles) is not None, where
+                assert all(lo > hi for _, lo, hi, _, _
+                           in starters._selections(n, lam, profiles)), where
+                digest.update(repr((where, [sorted(t.items()) for t in profiles]))
+                              .encode())
+                checked += 1
+    assert checked == 10885
+    assert digest.hexdigest() == SLOT_FAMILY_PROFILES_SHA256

@@ -183,6 +183,22 @@ def test_find_starter_infeasible_when_only_invariant_factor_fits():
         starters.find_starter(5, {1: 5})
 
 
+def test_from_profiles_runs_the_realizer_once_on_an_unrealizable_profile(
+        monkeypatch):
+    starters._realization.cache_clear()
+    calls = []
+    real_find_starter = starters.find_starter
+
+    def counting_find_starter(n, target):
+        calls.append(target)
+        return real_find_starter(n, target)
+
+    monkeypatch.setattr(starters, "find_starter", counting_find_starter)
+    with pytest.raises(starters.InfeasibleProfile):
+        StarterSet.from_profiles(9, 10, [{0: 9}])
+    assert calls == [{0: 9}]
+
+
 def _plain_backtracking(n, target):
     # find_starter without its forward check: positions in order,
     # displacements ascending, the first trivial-stabilizer completion.
@@ -267,28 +283,9 @@ def _dense_selections(n, lam, profiles):
                lo, hi, lo_orbit, hi_orbit)
 
 
-def _check_prefix_table(n, lam, head, table):
-    # Every row against its coverage, slack, orders and bounds written out.
-    total = [sum(t.get(a, 0) for t in head) for a in range(n)]
-    assert len(table) == 2 ** len(head)
-    for bits, row in enumerate(table):
-        x, cov, e, by_cov, by_e, lo, lo_orbit, hi, hi_orbit = row
-        assert x == tuple(bits >> i & 1 for i in range(len(head)))
-        assert cov == [sum(t.get(a, 0) for t, bit in zip(head, x) if bit)
-                       for a in range(n)]
-        assert e == [cov[a] + lam - total[a] for a in range(n)]
-        assert by_cov == sorted(range(n), key=lambda a: (-cov[a], a))
-        assert by_e == sorted(range(n), key=lambda a: (e[a], a))
-        top, bottom = max(cov), min(e)
-        assert (lo, lo_orbit) == ((top, cov.index(top)) if top > 1 else (1, None))
-        assert (hi, hi_orbit) == ((bottom, e.index(bottom)) if bottom < lam - 1
-                                  else (lam - 1, None))
-
-
 def test_selections_match_the_dense_interval_system():
     # Random tuples with m = 0..5, zero-valued entries and last profiles
-    # that touch every orbit; the kernel reads each selection off the
-    # prefix table and only the last profile's orbits.
+    # that touch every orbit.
     rng = random.Random(7)
     dense_last = empty = 0
     for _ in range(2000):
@@ -300,110 +297,19 @@ def test_selections_match_the_dense_interval_system():
             profiles[-1] = {a: rng.randint(0, 2) for a in range(n)}
             dense_last += 1
         empty += m == 0
-        _check_prefix_table(n, lam, profiles[:-1],
-                            starters._prefix_table(n, lam, profiles[:-1]))
         want = list(_dense_selections(n, lam, profiles))
         assert list(starters._selections(n, lam, profiles)) == want, (n, lam, profiles)
         assert list(starters._selections(n, lam, tuple(profiles))) == want
     assert dense_last > 300 and empty > 200
 
 
-def test_selections_over_a_shared_prefix_match_a_cold_call():
-    # The profile search builds the prefix table once and reuses it for
-    # every last profile; nothing may leak between leaves.  Random tuples
-    # mostly fail the interval test, catalog tuples pass.
-    rng = random.Random(3)
-
-    def random_profile(n):
-        return {a: rng.randint(1, 3) for a in rng.sample(range(n), rng.randint(1, 4))}
-
-    cases = []
-    for _ in range(300):
-        n, m = rng.randint(5, 15), rng.randint(1, 5)
-        head = tuple(random_profile(n) for _ in range(m - 1))
-        cases.append((n, rng.randint(2, 2 * n), head,
-                      [random_profile(n) for _ in range(4)]))
-    for n in range(5, 11):
-        for lam in range(2, 2 * n + 1):
-            try:
-                profiles = [dict(t) for t in families.plan(n, lam).profiles]
-            except families.NoFamily:
-                continue
-            cases.append((n, lam, tuple(profiles[:-1]), profiles[-1:]))
-    verdicts = set()
-    for n, lam, head, lasts in cases:
-        table = starters._prefix_table(n, lam, head)
-        _check_prefix_table(n, lam, head, table)
-        for last in lasts:
-            cand = head + (last,)
-            assert (list(starters._selections(n, lam, cand, table))
-                    == list(starters._selections(n, lam, cand))
-                    == list(_dense_selections(n, lam, cand)))
-            ok = starters._leaf_ok(n, lam, cand, table)
-            assert ok == starters._leaf_ok(n, lam, cand)
-            verdicts.add(ok)
-    assert verdicts == {True, False}
-
-
-def test_find_profiles_p2_case():
-    sol = starters.find_profiles(5, 2, 1)
-    assert sol[0][0] == 2  # t(M_0) = lambda = 2
-    assert starters.find_profiles(5, 2, 1) == sol
-
-
-def test_find_profiles_rejects_lambda_one():
-    with pytest.raises(starters.NoProfilesFound) as info:
-        starters.find_profiles(4, 1, 1)
-    assert not isinstance(info.value, starters.ProfileBudgetExhausted)
-
-
-def test_find_profiles_budget_stop_is_its_own_outcome():
-    pins = [{0: 7, 2: 1, 7: 1}, {0: 7, 3: 1, 6: 1},
-            {0: 2, 1: 6, 3: 1}, {0: 1, 1: 7, 2: 1}]
-    with pytest.raises(starters.ProfileBudgetExhausted, match="budget of 1 nodes"):
-        starters.find_profiles(9, 17, 5, fixed=pins, max_nodes=1)
-
-
-def test_find_profiles_with_pins_certifies():
-    pins = [{0: 7, 2: 1, 7: 1}, {0: 7, 3: 1, 6: 1},
-            {0: 2, 1: 6, 3: 1}, {0: 1, 1: 7, 2: 1}]
-    sol = starters.find_profiles(9, 17, 5, fixed=pins)
-    s = StarterSet.from_profiles(9, 17, sol)
-    assert starters.certificate_indecomposable(s).proven
-
-
-@pytest.mark.parametrize("last", [
-    {1: 7, 2: 1},        # mass 8
-    {0: 1, 1: 7, 3: 1},  # displacement sum 10
-    {1: 4, 4: 2, 5: 3},  # no singleton
-    {0: 1, 1: 7, 2: 1},  # repeats the third pin
-    {0: 1, 1: 7, 2: 1, 5: 0},  # repeats it up to a zero count
-    {0: 1, 1: 7, 20: 1},  # orbit outside Z_9
-], ids=["mass", "displacement-sum", "no-singleton", "duplicate", "zero-count",
-        "orbit-range"])
-def test_find_profiles_rejects_malformed_fixed_at_once(last):
-    # The search never checks these again, so they must fail before any
-    # node: the budget of 1 node would otherwise stop it first.
-    pins = [{0: 7, 2: 1, 7: 1}, {0: 7, 3: 1, 6: 1}, {0: 1, 1: 7, 2: 1}, last]
-    with pytest.raises(starters.NoProfilesFound) as info:
-        starters.find_profiles(9, 17, 5, fixed=pins, max_nodes=1)
-    assert not isinstance(info.value, starters.ProfileBudgetExhausted)
-
-
-def test_slot_candidates_are_starter_profiles():
-    # `_leaf_ok` relies on these without checking them: mass n,
-    # displacement sum 0 mod n, a singleton, entries <= lambda, distinct keys.
-    for n in range(5, 17):
-        for lam in (2, n, 2 * n):
-            for p in range(n):
-                keys = [key for key, _ in starters._slot_candidates(n, lam, p)]
-                assert len(set(keys)) == len(keys)
-                for key in keys:
-                    t = dict(key)
-                    assert list(key) == sorted(t.items())  # one entry per orbit
-                    assert sum(t.values()) == n and 1 in t.values()
-                    assert sum(a * v for a, v in key) % n == 0
-                    assert 0 < min(t.values()) and max(t.values()) <= lam
+def test_find_profiles_spells_out_each_slot():
+    # {0: p, 1: q, g: n-p-q-1, s: 1} with s closing the displacement sum;
+    # coinciding orbits add up, zero counts drop, the pins come first.
+    pin = {0: 7, 2: 1, 7: 1}
+    assert starters.find_profiles(9, [pin], [(0, 4, 2), (3, 5, 2), (4, 3, 2)]) == (
+        pin, {1: 4, 2: 4, 6: 1}, {0: 3, 1: 5, 4: 1}, {0: 4, 1: 3, 2: 1, 4: 1})
+    assert starters.find_profiles(11, [], [(5, 4, 9)]) == ({0: 5, 1: 4, 9: 2},)
 
 
 def test_assemble_factor_count_identity():
