@@ -11,7 +11,10 @@ these integers elsewhere in the package:
   sum(a_i * p^i), and the extra vertex "infinity" gets id p^m.
 
 Factor equality is syntactic equality of canonical forms, which makes all
-multiset bookkeeping cheap and deterministic.
+multiset bookkeeping cheap and deterministic.  Catalog factorizations
+repeat most factors, and `runs` is the one place that finds the runs of
+equal adjacent factors; construction, validation, edge counting, the
+document writer and the multicover search each work once per run.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, count
-from operator import ne
+from operator import itemgetter, ne
 
 Edge = tuple[int, int]
 OneFactor = tuple[Edge, ...]
@@ -78,6 +81,19 @@ def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
     return tuple(canon)
 
 
+def runs(factors):
+    """Iterate (factor, start, stop) over the maximal runs of equal adjacent factors.
+
+    `factors` is a sequence; factors[start:stop] is one run.  The run
+    ends are found in C, so a sequence of distinct factors costs no
+    per-factor Python loop here.
+    """
+    # A run starts at 0 and wherever a factor differs from the one before.
+    starts = [0, *compress(count(1), map(ne, factors, factors[1:]))] if factors else []
+    stops = [*starts[1:], len(factors)]
+    return zip(map(factors.__getitem__, starts), starts, stops)
+
+
 @dataclass(frozen=True)
 class MultiFactorization:
     """A multiset of 1-factors of lambda*K_2n plus its model tag.
@@ -98,15 +114,11 @@ class MultiFactorization:
     def make(cls, n: int, lam: int, factors, model=None) -> "MultiFactorization":
         """Canonicalize every factor, sort the multiset and wrap it up.
 
-        A factor equal to the one before it reuses that one's canonical
-        form, so adjacent copies are canonicalized once.
+        Each run of equal adjacent factors is canonicalized once.
         """
         canon = []
-        for f in factors:
-            if not canon or f != prev:
-                c = canonicalize_factor(f, 2 * n)
-            canon.append(c)
-            prev = f
+        for f, start, stop in runs(tuple(factors)):
+            canon += [canonicalize_factor(f, 2 * n)] * (stop - start)
         return cls(n=n, lam=lam, factors=tuple(sorted(canon)),
                    model=dict(model) if model else {"tag": "plain"})
 
@@ -144,19 +156,15 @@ def edge_multiplicity_table(mf: MultiFactorization) -> Counter:
     """Exact multiplicity of every edge over the factor multiset.
 
     Each run of equal adjacent factors adds its edges once, weighted by
-    the run length.  The runs are found and one factor of each is counted
-    in C, so only the extra copies of longer runs cost a Python loop.
+    the run length.  One factor of each run is counted in C, so only the
+    extra copies of longer runs cost a Python loop.
     """
-    fs = mf.factors
-    # The last index of every run.
-    ends = list(compress(count(), map(ne, fs, fs[1:]))) + [len(fs) - 1] if fs else []
-    table = Counter(chain.from_iterable(map(fs.__getitem__, ends)))
-    prev = -1
-    for end in ends:
-        if end - prev > 1:
-            for e in fs[end]:
-                table[e] += end - prev - 1
-        prev = end
+    rs = list(runs(mf.factors))
+    table = Counter(chain.from_iterable(map(itemgetter(0), rs)))
+    for f, start, stop in rs:
+        if stop - start > 1:
+            for e in f:
+                table[e] += stop - start - 1
     return table
 
 
@@ -164,16 +172,12 @@ def validate_factorization(mf: MultiFactorization) -> ValidityReport:
     """Check that every vertex pair is covered exactly lambda times."""
     nv = mf.num_vertices
     factor_errors: list[tuple[int, str]] = []
-    for i, f in enumerate(mf.factors):
-        # A factor equal to the one before it gets that one's verdict.
-        if i == 0 or f != mf.factors[i - 1]:
-            try:
-                canonicalize_factor(f, nv)
-                error = None
-            except FactorError as exc:
-                error = str(exc)
-        if error is not None:
-            factor_errors.append((i, error))
+    # Each copy in a run of equal factors gets the run's verdict.
+    for f, start, stop in runs(mf.factors):
+        try:
+            canonicalize_factor(f, nv)
+        except FactorError as exc:
+            factor_errors += [(i, str(exc)) for i in range(start, stop)]
     table = edge_multiplicity_table(mf)
     mult_errors: list[tuple[Edge, int, int]] = []
     for e in combinations(range(nv), 2):
@@ -193,6 +197,6 @@ def validate_factorization(mf: MultiFactorization) -> ValidityReport:
 
 def is_simple(mf: MultiFactorization) -> tuple[bool, list[tuple[OneFactor, int]]]:
     """True iff no 1-factor repeats; repeated factors listed with counts."""
-    counts = Counter(mf.factors)
-    repeated = [(f, c) for f, c in sorted(counts.items()) if c >= 2]
+    repeated = [(f, stop - start) for f, start, stop in runs(sorted(mf.factors))
+                if stop - start >= 2]
     return (not repeated, repeated)

@@ -7,17 +7,18 @@ factorization document stores the model block, n, lambda and the factor
 list as arrays of [u, v] pairs; factors and edges are written in
 canonical sorted order.
 
-Catalog factorizations repeat factors many times over, so equal
-neighbours in a document's factor list share one list object and the
-serializer encodes each shared object once.  Treat a document as
-read-only: mutating one factor's list changes all its copies.
+Catalog factorizations repeat factors many times over, so each run of
+equal factors (`core.runs`) shares one list object in a document's
+factor list, and the serializer encodes each run of one object once.
+Treat a document as read-only: mutating one factor's list changes all
+its copies.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core import FactorError, MultiFactorization
+from .core import FactorError, MultiFactorization, runs
 
 FORMAT_VERSION = 1
 
@@ -28,11 +29,8 @@ class ParseError(ValueError):
 
 def document_from_mf(mf: MultiFactorization) -> dict:
     factors = []
-    for i, f in enumerate(mf.factors):
-        # A factor equal to the one before it shares that one's list.
-        if i == 0 or f != mf.factors[i - 1]:
-            pairs = [[u, v] for u, v in f]
-        factors.append(pairs)
+    for f, start, stop in runs(mf.factors):
+        factors += [[[u, v] for u, v in f]] * (stop - start)
     return {
         "format": FORMAT_VERSION,
         "model": dict(mf.model),
@@ -77,10 +75,10 @@ def serialize(doc: dict) -> str:
     for key, value in sorted(doc.items()):
         if isinstance(value, (list, tuple)):
             items = []
-            for i, item in enumerate(value):
-                if i == 0 or item is not value[i - 1]:
-                    text = _encode(item)
-                items.append(text)
+            # Runs of one object, not of equal items: 1 == True, yet they
+            # encode differently.
+            for _, start, stop in runs([*map(id, value)]):
+                items += [_encode(value[start])] * (stop - start)
             text = "[" + ",".join(items) + "]"
         else:
             text = _encode(value)

@@ -8,9 +8,14 @@ multiset of factors through it until its need is 0.  A pair whose need
 reaches 0 is covered at once: every remaining candidate through it dies,
 which keeps supply exact, and a pair left short of supply prunes the
 branch.  The branching order follows the factors, not the vertex labels.
-Outcomes are kept strictly apart: a witness, a proof of absence (full
-exhaustion), or a budget stop; the clock is read before each lambda_0
-target and every 4096 nodes.
+The candidates are the runs of equal factors (`core.runs`), each with
+its length as a count.  The search is set up once per document, each
+lambda_0 target resets only the need, and the picks are kept on an
+explicit stack, so a deep search costs no Python frames.  Outcomes are
+kept strictly apart: a witness, a proof of absence (full exhaustion), or
+a budget stop; the clock is read before each lambda_0 target and every
+4096 nodes, and a budget stop ends the search, with every later target
+reported exhausted unsearched.
 
 For a starter-set assembly, `certificate_witness` reads a witness straight
 off the counting certificate's first feasible orbit selection, or returns
@@ -24,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import MultiFactorization, validate_factorization
+from .core import MultiFactorization, runs, validate_factorization
 from . import cyclic
 from .starters import StarterSet, assemble, certificate_indecomposable
 
@@ -108,81 +113,51 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
     if lambda0 is not None and not 0 < lambda0 < mf.lam:
         raise InvalidInput(f"lambda0 = {lambda0} out of range")
     start = time.monotonic()
-    total_nodes = 0
-    exhausted: list[int] = []
-    for target in targets:
-        searcher = _MulticoverSearch(mf, target, budget, start, total_nodes)
-        witness = None
-        stopped = False
+    searcher = _MulticoverSearch(mf, budget, start)
+    for k, target in enumerate(targets):
         try:
-            witness = searcher.run()
+            witness = searcher.run(target)
         except _BudgetStop:
-            stopped = True
-        total_nodes = searcher.nodes
+            # Every later target would stop on its first node: none is searched.
+            return SearchResult(EXHAUSTED, None, searcher.nodes,
+                                time.monotonic() - start, targets[k:])
         if witness is not None:
             assert decomposability_witness_check(mf, witness)
-            return SearchResult(FOUND, witness, total_nodes,
+            return SearchResult(FOUND, witness, searcher.nodes,
                                 time.monotonic() - start)
-        if stopped:
-            exhausted.append(target)
-    elapsed = time.monotonic() - start
-    if exhausted:
-        return SearchResult(EXHAUSTED, None, total_nodes, elapsed, exhausted)
-    return SearchResult(PROVEN_NONE, None, total_nodes, elapsed)
+    return SearchResult(PROVEN_NONE, None, searcher.nodes, time.monotonic() - start)
 
 
 class _MulticoverSearch:
-    """Depth-first exact multicover for one lambda_0 target."""
+    """Depth-first exact multicover over one document, run once per lambda_0 target.
 
-    def __init__(self, mf, lambda0, budget, start, nodes0):
-        self.mf = mf
-        self.lambda0 = lambda0
+    A search that finds nothing undoes all its picks, so the next target
+    only resets `need`.
+    """
+
+    def __init__(self, mf, budget, start):
         self.budget = budget
         self.start = start
-        self.nodes = nodes0
+        self.nodes = 0
         nv = 2 * mf.n
-        uniq: list = []
-        counts: list[int] = []
-        self.copy_indices: list[list[int]] = []
-        for i, f in enumerate(mf.factors):
-            if uniq and uniq[-1] == f:
-                counts[-1] += 1
-                self.copy_indices[-1].append(i)
-            else:
-                uniq.append(f)
-                counts.append(1)
-                self.copy_indices.append([i])
-        self.counts = counts
-        self.edge_ids = [tuple(u * nv + v for u, v in f) for f in uniq]
+        rs = list(runs(mf.factors))
+        self.firsts = [a for _, a, _ in rs]
+        self.counts = [b - a for _, a, b in rs]
+        self.edge_ids = [tuple(u * nv + v for u, v in f) for f, _, _ in rs]
         self.pairs = [u * nv + v for u in range(nv) for v in range(u + 1, nv)]
         self.by_pair: list[list[int]] = [[] for _ in range(nv * nv)]
         self.need = [0] * (nv * nv)
         self.supply = [0] * (nv * nv)
-        for e in self.pairs:
-            self.need[e] = lambda0
         for i, ids in enumerate(self.edge_ids):
             for e in ids:
                 self.by_pair[e].append(i)
-                self.supply[e] += counts[i]
-        self.picks: list[int] = []
+                self.supply[e] += self.counts[i]
 
     def _out_of_time(self) -> bool:
         return time.monotonic() - self.start >= self.budget.max_seconds
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _BudgetStop()
-        if self.nodes % 4096 == 0 and self._out_of_time():
-            raise _BudgetStop()
-
-    def run(self) -> Witness | None:
-        if self._out_of_time():
-            raise _BudgetStop()
-        return self._next_pair()
-
-    def _next_pair(self) -> Witness | None:
-        """Branch on the uncovered pair with the least slack supply - need."""
+    def _least_slack_pair(self) -> int:
+        """The uncovered pair with the least slack supply - need, or -1."""
         need, supply = self.need, self.supply
         best, best_slack = -1, 0
         for e in self.pairs:
@@ -192,63 +167,77 @@ class _MulticoverSearch:
                     best, best_slack = e, slack
                     if slack == 0:
                         break
-        if best < 0:
-            return self._make_witness()
-        return self._pair(best, 0)
+        return best
 
-    def _pair(self, e: int, min_u: int) -> Witness | None:
-        """Pick factors through pair e, non-decreasing in u, until e is covered."""
+    def run(self, lambda0: int) -> Witness | None:
+        """The first witness at lambda0 in branching order, or None.
+
+        Picks factors through the least-slack pair, non-decreasing in run
+        id, until that pair is covered, then branches again.  The stack
+        holds one (pair, position in by_pair[pair], killed) entry per pick,
+        where killed lists the (run, count) candidates the pick covered
+        away.  Raises _BudgetStop on the node or time budget.
+        """
+        if self._out_of_time():
+            raise _BudgetStop()
         need, supply, counts = self.need, self.supply, self.counts
-        for u in self.by_pair[e]:
-            if u < min_u or counts[u] == 0:
-                continue
-            self._tick()
-            ids = self.edge_ids[u]
-            counts[u] -= 1
-            for f in ids:
-                need[f] -= 1
-                supply[f] -= 1
-            # Cover every pair the pick finished: its other candidates die.
-            killed = []
-            ok = True
-            for f in ids:
-                if need[f] == 0:
-                    for w in self.by_pair[f]:
-                        c = counts[w]
-                        if c:
-                            killed.append((w, c))
-                            counts[w] = 0
-                            for g in self.edge_ids[w]:
-                                supply[g] -= c
-                                if supply[g] < need[g]:
-                                    ok = False
-            self.picks.append(u)
-            result = None
-            if ok:
-                result = self._pair(e, u) if need[e] else self._next_pair()
-            self.picks.pop()
+        by_pair, edge_ids, budget = self.by_pair, self.edge_ids, self.budget
+        for e in self.pairs:
+            need[e] = lambda0
+        stack: list[tuple[int, int, list]] = []
+        e, i = self._least_slack_pair(), 0
+        while e >= 0:
+            cands = by_pair[e]
+            while i < len(cands) and not counts[cands[i]]:
+                i += 1
+            if i < len(cands):
+                self.nodes += 1
+                if self.nodes > budget.max_nodes or (
+                        self.nodes % 4096 == 0 and self._out_of_time()):
+                    raise _BudgetStop()
+                u = cands[i]
+                ids = edge_ids[u]
+                counts[u] -= 1
+                for f in ids:
+                    need[f] -= 1
+                    supply[f] -= 1
+                # Cover every pair the pick finished: its other candidates die.
+                killed = []
+                ok = True
+                for f in ids:
+                    if need[f] == 0:
+                        for w in by_pair[f]:
+                            c = counts[w]
+                            if c:
+                                killed.append((w, c))
+                                counts[w] = 0
+                                for g in edge_ids[w]:
+                                    supply[g] -= c
+                                    if supply[g] < need[g]:
+                                        ok = False
+                stack.append((e, i, killed))
+                if ok:
+                    # Pick again through e from this candidate on, or branch anew.
+                    if not need[e]:
+                        e, i = self._least_slack_pair(), 0
+                    continue
+            elif not stack:
+                return None
+            # Undo the latest pick and move past it.
+            e, i, killed = stack.pop()
+            u = by_pair[e][i]
             for w, c in reversed(killed):
                 counts[w] = c
-                for g in self.edge_ids[w]:
+                for g in edge_ids[w]:
                     supply[g] += c
-            for f in ids:
+            for f in edge_ids[u]:
                 need[f] += 1
                 supply[f] += 1
             counts[u] += 1
-            if result is not None:
-                return result
-        return None
-
-    def _make_witness(self) -> Witness | None:
-        if any(v != 0 for v in self.need):
-            return None
-        chosen: dict[int, int] = {}
-        for u in self.picks:
-            chosen[u] = chosen.get(u, 0) + 1
-        indices: list[int] = []
-        for u, k in chosen.items():
-            indices.extend(self.copy_indices[u][:k])
-        return Witness(self.lambda0, tuple(sorted(indices)))
+            i += 1
+        chosen = Counter(by_pair[p][j] for p, j, _ in stack)
+        return Witness(lambda0, tuple(sorted(
+            j for u, k in chosen.items() for j in range(self.firsts[u], self.firsts[u] + k))))
 
 
 def certificate_witness(s: StarterSet) -> Witness | None:
@@ -279,10 +268,7 @@ def certificate_witness(s: StarterSet) -> Witness | None:
         if a != b:
             used[cyclic.m_factor(n, a)] += lam0 - cov[a]
     mf = assemble(s)
-    where: dict = {}
-    for i, f in enumerate(mf.factors):
-        where.setdefault(f, []).append(i)
-    witness = Witness(lam0, tuple(sorted(
-        i for f, k in used.items() for i in where.get(f, [])[:k])))
+    witness = Witness(lam0, tuple(
+        i for f, start, _ in runs(mf.factors) for i in range(start, start + used[f])))
     assert decomposability_witness_check(mf, witness)
     return witness

@@ -71,10 +71,17 @@ def test_validate_agrees_with_naive_pair_loop():
 
 def test_validate_reports_broken_factor():
     broken = ((0, 1), (1, 2))
-    mf = core.MultiFactorization(2, 1, (broken, k4_matchings()[0], k4_matchings()[1]))
+    f0, f1, _ = k4_matchings()
+    mf = core.MultiFactorization(2, 1, (broken, f0, f1))
     report = core.validate_factorization(mf)
     assert not report.valid
     assert report.factor_errors and report.factor_errors[0][0] == 0
+    # A run of equal broken factors gives one error per copy; so do copies apart.
+    for factors, indices in [((f0, broken, broken, broken, f1), [1, 2, 3]),
+                             ((broken, f0, broken), [0, 2])]:
+        errors = core.validate_factorization(core.MultiFactorization(2, 1, factors)).factor_errors
+        assert [i for i, _ in errors] == indices
+        assert len({reason for _, reason in errors}) == 1
 
 
 def test_is_simple_on_doubled_matchings():
@@ -82,6 +89,11 @@ def test_is_simple_on_doubled_matchings():
     simple, repeated = core.is_simple(mf)
     assert not simple
     assert sorted(repeated) == sorted((f, 2) for f in k4_matchings())
+    # Repeats apart in an unsorted tuple, and no factors at all.
+    f0, f1, f2 = sorted(k4_matchings())
+    mf = core.MultiFactorization(2, 2, (f1, f0, f2, f1, f0, f1))
+    assert core.is_simple(mf) == (False, [(f0, 2), (f1, 3)])
+    assert core.is_simple(core.MultiFactorization(2, 1, ())) == (True, [])
 
 
 def test_is_simple_on_field_orbit():
@@ -133,7 +145,19 @@ def test_edge_multiplicity_table_matches_plain_count():
 
 def test_edge_multiplicity_table_on_unsorted_factors():
     f0, f1, f2 = sorted(k4_matchings())
-    factors = (f1, f0, f0, f2, f1, f0, f1, f1)  # unsorted, repeats apart
-    mf = core.MultiFactorization(2, 3, factors)
-    assert core.edge_multiplicity_table(mf) == _plain_edge_count(factors)
-    assert core.edge_multiplicity_table(core.MultiFactorization(2, 1, ())) == Counter()
+    for factors in [(f1, f0, f0, f2, f1, f0, f1, f1),  # unsorted, repeats apart
+                    (f2, f2, f2, f0), (f0,) * 5, (f1,), ()]:
+        mf = core.MultiFactorization(2, 3, factors)
+        assert core.edge_multiplicity_table(mf) == _plain_edge_count(factors)
+
+
+@given(st.lists(st.integers(0, 3), max_size=12))
+def test_runs_are_the_maximal_runs_of_equal_entries(xs):
+    rs = list(core.runs(xs))
+    # The runs partition 0..len(xs) in order ...
+    assert [a for _, a, _ in rs] == [0, *(b for _, _, b in rs)][:len(rs)]
+    assert (rs[-1][2] if rs else 0) == len(xs)
+    # ... each holds equal entries, and neighbouring runs differ.
+    for x, a, b in rs:
+        assert a < b and xs[a:b] == [x] * (b - a)
+    assert all(x != y for (x, _, _), (y, _, _) in zip(rs, rs[1:]))

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -140,7 +142,22 @@ def test_budget_exhaustion_is_reported_distinctly():
     res = verify.find_subfactorization(
         mf, budget=verify.SearchBudget(max_nodes=5))
     assert res.outcome == verify.EXHAUSTED
-    assert res.lambda0_exhausted
+    # The stop comes at lambda_0 = 1; lambda_0 = 2 is not searched at all.
+    assert res.lambda0_exhausted == [1, 2] and res.nodes == 6
+
+
+def test_search_depth_does_not_grow_the_call_stack():
+    # The witness takes 59 picks; a search that recurses per pick needs
+    # about 130 frames here.
+    mf = MultiFactorization.make(30, 2, cyclic.lucas_factorization(60) * 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        res = verify.find_subfactorization(mf)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.outcome == verify.FOUND
+    assert res.witness.lambda0 == 1 and res.nodes == 59
 
 
 def test_invalid_inputs_rejected():
