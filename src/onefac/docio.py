@@ -3,24 +3,27 @@
 Both are JSON with a `format` version field, serialized canonically
 (sorted keys, compact separators, trailing newline) so golden tests can
 compare bytes; a profile is written as sorted [orbit, count] pairs.  A
-factorization document stores the model block, n, lambda and the factor
-list as arrays of [u, v] pairs; factors and edges are written in
-canonical sorted order.
-
-Catalog factorizations repeat factors many times over, so each run of
-equal factors (`core.runs`) shares one list object in a document's
-factor list, and the serializer encodes each run of one object once.
-Treat a document as read-only: mutating one factor's list changes all
-its copies.
+factorization document (format 2) stores the model block, n, lambda, the
+distinct factors in canonical sorted order as arrays of [u, v] pairs
+(`factors`) and, in a parallel array, how often each one occurs
+(`counts`).  Catalog factorizations repeat most factors, so a document
+costs time and bytes per distinct factor.  Format 1 listed every copy and
+had no `counts`; it is still read, as a document whose counts are all 1.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 from .core import FactorError, MultiFactorization, runs
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# MultiFactorization.factors holds every copy, so without this bound a
+# short document with a count of 10**12 would ask for terabytes.  The
+# catalog's (n, lambda) = (1000, 998) has 1,995,002 factors.
+MAX_FACTORS = 10_000_000
 
 
 class ParseError(ValueError):
@@ -28,62 +31,51 @@ class ParseError(ValueError):
 
 
 def document_from_mf(mf: MultiFactorization) -> dict:
-    factors = []
-    for f, start, stop in runs(mf.factors):
-        factors += [[[u, v] for u, v in f]] * (stop - start)
+    rs = list(runs(mf.factors))
     return {
         "format": FORMAT_VERSION,
         "model": dict(mf.model),
         "n": mf.n,
         "lambda": mf.lam,
-        "factors": factors,
+        "factors": [[[u, v] for u, v in f] for f, _, _ in rs],
+        "counts": [stop - start for _, start, stop in rs],
     }
 
 
 def mf_from_document(doc: dict) -> MultiFactorization:
     try:
-        if doc["format"] != FORMAT_VERSION:
-            raise ParseError(f"unsupported format {doc['format']!r}")
+        fmt = doc["format"]
+        # JSON true and false load as bool, a subclass of int: test the type.
+        if type(fmt) is not int or fmt not in (1, FORMAT_VERSION):
+            raise ParseError(f"unsupported format {fmt!r}")
         n = doc["n"]
         lam = doc["lambda"]
         model = doc["model"]
         factors = doc["factors"]
-        # JSON true and false load as bool, a subclass of int: test the type.
+        counts = doc["counts"] if fmt == FORMAT_VERSION else [1] * len(factors)
         if not (type(n) is int and type(lam) is int and n >= 2 and lam >= 1):
             raise ParseError("n and lambda must be integers with n >= 2, lambda >= 1")
         if not isinstance(model, dict) or "tag" not in model:
             raise ParseError("model block must carry a tag")
-        return MultiFactorization.make(n, lam, factors, model)
+        if not (type(counts) is list and len(counts) == len(factors)):
+            raise ParseError("counts must be a list as long as factors")
+        if not all(type(c) is int and c >= 1 for c in counts):
+            raise ParseError("every count must be an integer >= 1")
+        if sum(counts) > MAX_FACTORS:
+            raise ParseError(f"counts total {sum(counts)} factors, more than {MAX_FACTORS}")
+        if {*map(type, chain.from_iterable(chain.from_iterable(factors)))} - {int}:
+            raise ParseError("every vertex id must be an integer")
+        return MultiFactorization.make(n, lam, chain.from_iterable(map(repeat, factors, counts)),
+                                       model)
     except ParseError:
         raise
     except (KeyError, TypeError, FactorError) as exc:
         raise ParseError(f"malformed document: {exc}") from exc
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def serialize(doc: dict) -> str:
-    """Bit-exact canonical serialization.
-
-    The text is json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    plus a newline, for any object with string keys.  The top-level
-    object is written here so that each element of a top-level array is
-    encoded once per run of the same object.
-    """
-    parts = []
-    for key, value in sorted(doc.items()):
-        if isinstance(value, (list, tuple)):
-            items = []
-            # Runs of one object, not of equal items: 1 == True, yet they
-            # encode differently.
-            for _, start, stop in runs([*map(id, value)]):
-                items += [_encode(value[start])] * (stop - start)
-            text = "[" + ",".join(items) + "]"
-        else:
-            text = _encode(value)
-        parts.append(_encode(key) + ":" + text)
-    return "{" + ",".join(parts) + "}\n"
+    """Bit-exact canonical serialization."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def parse(text: str) -> dict:
@@ -110,4 +102,3 @@ def read_mf(path) -> MultiFactorization:
 
 def profile_to_pairs(profile: dict[int, int]) -> list[list[int]]:
     return [[a, t] for a, t in sorted(profile.items())]
-

@@ -296,10 +296,11 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
 
     Finds pi with displacement multiset {pi(x) - x mod n} equal to `target`
     and trivial shift stabilizer, assigning positions smallest-index-first
-    and differences in ascending order.  After placing x, each target x + b
-    must be taken or keep a later source z - c with c in stock, checked in
-    plain loops that stop at the first dead target; this cuts only dead
-    subtrees, so the result is plain backtracking's.  Raises
+    and differences in ascending order; the choices are kept on an explicit
+    stack, so no position costs a Python frame.  After placing x, each
+    target x + b must be taken or keep a later source z - c with c in
+    stock, checked in plain loops that stop at the first dead target; this
+    cuts only dead subtrees, so the result is plain backtracking's.  Raises
     ProfileSumInvalid when the displacement sum is nonzero mod n (no
     permutation can exist), and InfeasibleProfile when the exhaustive
     search finds no realization.
@@ -314,18 +315,24 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
     pi = [-1] * n
     used = [False] * n
     diffs = sorted(remaining)
-
-    def extend(x: int) -> tuple[int, ...] | None:
+    nxt = [0] * n  # index into diffs of the next difference to try at each x
+    x = 0
+    while x >= 0:
         if x == n:
             cand = tuple(pi)
             if cyclic.h_stabilizer_order(cand, n) == 1:
                 return cand
-            return None
-        for a in diffs:
-            if remaining[a] == 0:
-                continue
+            x -= 1
+            continue
+        if pi[x] >= 0:  # back at x: take back its placement
+            used[pi[x]] = False
+            remaining[(pi[x] - x) % n] += 1
+            pi[x] = -1
+        while nxt[x] < len(diffs):
+            a = diffs[nxt[x]]
+            nxt[x] += 1
             y = (x + a) % n
-            if used[y]:
+            if remaining[a] == 0 or used[y]:
                 continue
             pi[x] = y
             used[y] = True
@@ -340,18 +347,16 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
                 else:
                     break  # target z has no later source left
             else:
-                found = extend(x + 1)
-                if found is not None:
-                    return found
+                break  # every free target keeps a source: go on to x + 1
             remaining[a] += 1
             used[y] = False
             pi[x] = -1
-        return None
-
-    found = extend(0)
-    if found is None:
-        raise InfeasibleProfile(f"no trivial-stabilizer realization of {target}")
-    return found
+        else:
+            nxt[x] = 0
+            x -= 1
+            continue
+        x += 1
+    raise InfeasibleProfile(f"no trivial-stabilizer realization of {target}")
 
 
 @lru_cache(maxsize=None)

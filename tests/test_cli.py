@@ -315,3 +315,48 @@ def test_python_dash_m_runs_the_cli(capsys):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout == run_cli(capsys, "coverage", "--s", "18")[1]
+
+
+_K4 = '"model":{"tag":"plain"},"n":2,"lambda":2'
+
+
+@pytest.mark.parametrize("tail", [
+    '"factors":[[[0,1],[2,3]]]',  # no counts
+    '"factors":[[[0,1],[2,3]]],"counts":{"0":2}',
+    '"factors":[[[0,1],[2,3]]],"counts":[1,1]',
+    '"factors":[[[0,1],[2,3]]],"counts":[true]',
+    '"factors":[[[0,1],[2,3]]],"counts":[0]',
+    '"factors":[[[0,1],[2,3]]],"counts":[2.0]',
+    '"factors":[[[0,1],[2,3]]],"counts":[1000000000000]',
+])
+def test_verify_malformed_counts_exit_2(tail, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"format":2,' + _K4 + "," + tail + "}")
+    start = time.monotonic()
+    code, stdout, stderr = run_cli(capsys, "verify", str(path), "--checks", "validity")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+
+def test_verify_count_above_lambda_fails_validity(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"format":2,' + _K4 + ',"factors":[[[0,1],[2,3]],[[0,2],[1,3]],'
+                    '[[0,3],[1,2]]],"counts":[3,2,1]}')
+    code, stdout, _ = run_cli(capsys, "verify", str(path), "--checks", "validity")
+    report = json.loads(stdout)
+    assert code == 1 and report["validity"] == "fail"
+    assert [[0, 1], 3, 2] in report["validity_errors"]
+
+
+@pytest.mark.parametrize("check", ["validity", "indecomposable"])
+@pytest.mark.parametrize("vertex", ["1.0", "1e0", "true"])
+def test_verify_non_integer_vertex_exits_2(vertex, check, tmp_path, capsys):
+    # Unchecked, 1.0 passes validity and crashes the search, and true
+    # reads as vertex 1.
+    path = tmp_path / "doc.json"
+    path.write_text('{"format":1,' + _K4 + ',"factors":[[[0,' + vertex + '],[2,3]],'
+                    '[[0,1],[2,3]],[[0,2],[1,3]],[[0,2],[1,3]],[[0,3],[1,2]],[[0,3],[1,2]]]}')
+    code, stdout, stderr = run_cli(capsys, "verify", str(path), "--checks", check)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1

@@ -1,9 +1,8 @@
-import json
 from pathlib import Path
 
 import pytest
 
-from onefac import acceptance, cyclic, docio, families, gf
+from onefac import cyclic, docio, families, gf
 from onefac.core import MultiFactorization
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,6 +71,18 @@ def test_bool_lambda_rejected():
         docio.mf_from_document(docio.parse(docio.serialize(doc)))
 
 
+def test_bool_format_rejected():
+    doc = {"format": True, "model": {"tag": "plain"}, "n": 2, "lambda": 1,
+           "factors": [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]}
+    with pytest.raises(docio.ParseError):
+        docio.mf_from_document(doc)  # would read as format 1
+
+
+def test_max_factors_admits_the_catalog():
+    # The catalog's (n, lambda) = (1000, 998) has lambda * (2n - 1) factors.
+    assert docio.MAX_FACTORS >= 998 * (2 * 1000 - 1)
+
+
 def test_profile_pairs_are_sorted():
     assert docio.profile_to_pairs({7: 1, 0: 3, 2: 1}) == [[0, 3], [2, 1], [7, 1]]
 
@@ -81,8 +92,18 @@ def test_make_rejects_malformed_factor():
         MultiFactorization.make(2, 1, [((0, 1), (1, 2))])
 
 
-def _plain(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _format1(doc: dict) -> dict:
+    """The format-1 form of a document: every copy listed, no counts."""
+    factors = [f for f, c in zip(doc["factors"], doc["counts"]) for _ in range(c)]
+    return {"format": 1, "model": doc["model"], "n": doc["n"], "lambda": doc["lambda"],
+            "factors": factors}
+
+
+def test_format1_golden_reads_like_format2():
+    old = docio.parse((GOLDEN / "t3_p3m1_format1.json").read_text())
+    new = docio.parse((GOLDEN / "t3_p3m1.json").read_text())
+    assert (old["format"], new["format"]) == (1, 2)
+    assert docio.mf_from_document(old) == docio.mf_from_document(new)
 
 
 def _catalog_documents():
@@ -93,45 +114,27 @@ def _catalog_documents():
             except families.NoFamily:
                 continue
             yield docio.document_from_mf(families.construct(n, lam))
-    for lam in (7, 23, 44):
-        yield docio.document_from_mf(families.construct(23, lam))
 
 
-def test_serialize_matches_plain_json_on_catalog_documents():
+def test_format1_catalog_documents_read_like_format2():
     for doc in _catalog_documents():
-        assert docio.serialize(doc) == _plain(doc), (doc["n"], doc["lambda"])
-        # Equal neighbours share one list: one list object per distinct factor.
-        shared = {id(f) for f in doc["factors"]}
-        assert len(shared) == len({tuple(map(tuple, f)) for f in doc["factors"]})
+        old = _format1(doc)
+        assert len(old["factors"]) == doc["lambda"] * (2 * doc["n"] - 1)
+        assert docio.mf_from_document(old) == docio.mf_from_document(doc), \
+            (doc["n"], doc["lambda"])
 
 
-@pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (7, 2)])
-def test_serialize_matches_plain_json_on_field_documents(p, m):
-    doc = docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m)))
-    assert docio.serialize(doc) == _plain(doc)
-
-
-def test_serialize_matches_plain_json_on_profile_tables():
-    doc = acceptance.profile_golden_document()
-    assert "factors" not in doc
-    assert docio.serialize(doc) == _plain(doc)
-
-
-def test_serialize_matches_plain_json_on_hand_made_documents():
-    a, b = [[0, 1], [2, 3]], [[0, 2], [1, 3]]
-    mf = families.construct(5, 3)
-    docs = [
-        # the same list object at non-adjacent positions, and an equal copy
-        {"format": 1, "model": {"tag": "plain"}, "n": 2, "lambda": 3,
-         "factors": [a, b, a, [[0, 1], [2, 3]], a]},
-        # factors and edges out of canonical order
-        {"format": 1, "model": {"tag": "plain"}, "n": 2, "lambda": 1,
-         "factors": [[[3, 0], [2, 1]], [[1, 3], [0, 2]], [[0, 1], [2, 3]]]},
-        # tuple-valued factors, as stored in a MultiFactorization
-        {"format": 1, "model": mf.model, "n": mf.n, "lambda": mf.lam,
-         "factors": mf.factors},
-        {"factors": list(mf.factors), "extra": [None, None, (), ()], "z": "x"},
-        {"factors": [], "empty": {}},
-    ]
+def test_document_has_one_entry_per_distinct_factor():
+    docs = [*_catalog_documents(),
+            *(docio.document_from_mf(families.construct(23, lam)) for lam in (7, 23, 44)),
+            *(docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m)))
+              for p, m in [(3, 2), (3, 3), (7, 2)])]
     for doc in docs:
-        assert docio.serialize(doc) == _plain(doc)
+        key = (doc["model"], doc["n"], doc["lambda"])
+        factors = [tuple(map(tuple, f)) for f in doc["factors"]]
+        assert factors == sorted(set(factors)), key
+        assert sum(doc["counts"]) == doc["lambda"] * (2 * doc["n"] - 1), key
+        text = docio.serialize(doc)
+        again = docio.serialize(docio.document_from_mf(
+            docio.mf_from_document(docio.parse(text))))
+        assert again == text, key

@@ -196,11 +196,11 @@ def test_orbit_size_matches_stabilizer():
 # sha256 of the serialized field documents with m > 1; the affine orbit,
 # the modulus and the vertex labelling all enter these bytes.
 FIELD_DOCUMENT_SHA256 = {
-    (3, 2): "ad92bf6add16739e3fb72f6e8269af0b457da776c6aae8165c834a774ce99258",
-    (5, 2): "ffd75587fa19d3182f89b28a7411ec3930579b2bcdef4ae1e8042005e4587729",
-    (3, 3): "ad84ec1656690a1426f9bb81b7136b60ad6576f6f70f91ce0dd51777de16db85",
-    (7, 2): "208eb0506fbe7fd1ab76267d04ec901d13243b1212b277a0f5f927975cb52e3c",
-    (3, 4): "248de5aba4abbb19d4dce956fa61e77afd20f14bb4e692e3b12db7dc37f829c1",
+    (3, 2): "7bda0a6ba11393960c67f0231e6d2642faee538db4aebc3db6d9cb7ab54e67ca",
+    (5, 2): "d92cfeed85a0627b6183bc5437e49c3f6248344d7c8a302df76397584717cc3b",
+    (3, 3): "132e93a557ebb20b19ce56aed496572d89ef6baec835db57d174e55b3d41148d",
+    (7, 2): "03ffc545f3626ec2029177a621f491406f56207d264ce77c9c36af14ae2730c4",
+    (3, 4): "ac517bb3d0dad457a8190c4273d795880a8490f3ca02fa30cbb4d1beadad2816",
 }
 
 
@@ -216,62 +216,62 @@ def test_field_document_bytes_pinned(p, m):
 # assembly all enter these bytes.  A realizer that returns other
 # permutations changes them.
 CATALOG_DOCUMENT_SHA256 = {
-    (9, 3): "c824f5322cfa0bc521f597b89af08aad0d991ef9de7ddcd7ef5f4798182f5aef",
-    (9, 4): "6424b88e94876a7efe05e2a57d63301cc44615cac1fcb5207b048cab3da830f2",
-    (9, 5): "8bb1054a50a9654ff37d4ae7c4065384419d7d079d86641ed47425f35fdd5841",
-    (9, 6): "e7737a46588204d86e9c39f850e0df7ccc0f386ed67ef995ff371ee77454dd74",
-    (9, 7): "9781f8a3e1c2c7fd9c072e4f8f61b7a928785b2d710250ca30e9afd7faac94c3",
-    (9, 8): "56bfc51b61515e78a657057a643d4bf551d596d183c6417351cb7f3bab08b6bc",
-    (9, 9): "12226f4569c9ee75251d5e2dc170232d6bc3c7d746fd43d713dcb07613dfd11e",
-    (9, 10): "227dd52c53432fa462bae595335e8af4722335518f46465cb7a3a3501199357d",
-    (9, 11): "6032ac15e8e034449f82e4225e3c3570b4419a45397878de799d0b04b2b8e737",
-    (9, 12): "917475512aa6b459d1b7dfe022ff252706574a69064e51efec394af4c2db55fe",
-    (9, 13): "cd5e807f3c0180cd28544c979ef557ff965d4e1378dbc3bd1445c9000c20b62f",
-    (9, 14): "01a1c5f17eeae381046b12220898d95c649ca4cca546f24628dd42a352c3bd2b",
-    (9, 15): "1a00b4abbf1cddd80cc9efb1f8a856595f51f7ef388c49b5d882c8cf6a290be3",
-    (9, 16): "fe0629c1d19ef32e0f8f77e988769babafb848aa00e30a4660037d9fb7150a8b",
-    (9, 17): "bd1e75fea9ed2459577fcabbb5ab42331c5ebe3bcda6ddc0dfb5457662e7e486",
-    (9, 18): "ab20861a97cc9f135c80e3d44e8bc6582cdda4724eb4629e926e2a01bf7da803",
-    (23, 7): "3f80fd6073d98c7ade63256b809c6bad5fa0c746baba06fdb1f5f11601d25398",
-    (23, 8): "71ade897265b5ddd27549f6c9bda89e8145347298f42410910847a04f0bb0281",
-    (23, 9): "f44cce78fe82bd3da344ad56ddb40b605dc9fbc707b7152a96aa45650726361a",
-    (23, 10): "5bccb6cb2125ebd6855d4a7a090d6c2c014c226efbb81fc509e97d05033b48bd",
-    (23, 11): "d70e1802df28831741ee0ef8c0652b75cdc406a48709aa29b9a5dd68b34948d7",
-    (23, 12): "914e26514ca5f5d4adbc781dd2cef9ded9f9b685ef6343004441ee0929ad411f",
-    (23, 13): "461edcfda96c0f58b4ef4c29f15f1a930eb5ce847f567c0042078b31179dee6f",
-    (23, 14): "1920ae7190d14391d0d262f7a48ebea58c73ba7c9ae14b04bc52f3460653a08c",
-    (23, 15): "f9cded9efba93ba5e056fb1cc4345ae0ecfe53348714487be323463257c3f010",
-    (23, 16): "79903df9670684c52238d2811a2afd32299fe2beada9cd01d63532b1fc563b97",
-    (23, 17): "7710cea9fc0f9162ca40770e06683e173dad54b2437599361b2a662b6fdc103b",
-    (23, 18): "b31c5ba4cd2ffa86a3d9bcba3beea642e68284019ce2fe03ced057479c796671",
-    (23, 19): "e8a4c0baeaa74c7e7decf1a20ab6e2f9134f9b245f381cf8234bd899d88bb0cd",
-    (23, 20): "fd9a4c59969fa467223f192f978b349eb75aa60bf2a50f4af8ae5d338c7d1bd4",
-    (23, 21): "d18a2402ca958b8b85b190408b39267da84119f55fef587cfece5b348b317e98",
-    (23, 22): "189611585125f9737a6c301c8c4e2aa2bcbb271d36474371f0fa9b34b77a7ea5",
-    (23, 23): "2c6905da494f754573901fe6f7e5a141660a18c4d1ee93cb6d45a4b53d2fd482",
-    (23, 24): "61ebfbda9d574d7aef5da6700d0eea6913e78d9513b010eea2d4cd186ba9310b",
-    (23, 25): "c5f2f9da34f4ef4892a6f55c6f930c97d601b5e0aaa64d77938a14b9e020ae36",
-    (23, 26): "42dcc9b52c5dfba265c1b4991a9c5e1fdf45f28072f19c3323f1e2116a89cb59",
-    (23, 27): "1dcf278c3310ea2876889b697db5d1d65531a5bbcad78a0677605b09e3d04855",
-    (23, 28): "3b51d9880f8998b8579a38bc49dc8299b34a9b253cd3a45b61918e3e71a2de45",
-    (23, 29): "af80fc9ca911acd5ab3104e211c34026acc4d2348c8062e46e947463ebf0b1e1",
-    (23, 30): "d34a7389567a313d9e925336ec8d3641a123e1efbae727a18b9f58cd9bce96ea",
-    (23, 31): "1f8c003e2afed6d886b3dc2a6e3b7d6bce2217f430d75ab808b63b8de26733f3",
-    (23, 32): "9c95af105085942ea431efb3fc00a2657a1cad52a0c2ca32aa65d376a6aa95d2",
-    (23, 33): "92eeb75414a9737d0a3c776da750750e8a3fb374bd1850bc775b6de1129d8b5d",
-    (23, 34): "cc008176b5ae5ad2b8af18b52a890ce787945441fb8c78b449cbb32b5529b55b",
-    (23, 35): "9b0784f287fb353a7a31fd1bb6255f16ac35646b07842daa0e3b5ed9a069fde6",
-    (23, 36): "afe1da46de492057a3d1dc1c56b1412018a96f4ab706161b3cb42da3d6fa9af9",
-    (23, 37): "a0cd3876fd43f70c1912482587c5983b62f5498cb3bdb20aa5c949a9acf40c23",
-    (23, 38): "e824da0ee43d370010faa12f66b06e1a658b82426406ce0de7f0ba95ce517e55",
-    (23, 39): "e2fd584d5eaa397d2d691d61f83f09415ba059b38e913a3285b020a2dad0b382",
-    (23, 40): "1eed9ac51f848ea32a938a8f879a785e6e23a93400b1875b53789697f607a6d8",
-    (23, 41): "9d240bd689a7a677928e356379810473aab59cc5a5078c264e28a7103ef22723",
-    (23, 42): "f59ed4bdd7607dad66e480f0c1ae3dc1f882adf88fdb5a359e1c037cf758c20d",
-    (23, 43): "8e29532a74aa0afbd871ff2beada916d16c941b1eaa847bbd4c8d4ce93420dbc",
-    (23, 44): "861c258f66d0e71518b8e2bd9c5027b86e1dec756fbf4dde03fe439b72f6f9ed",
-    (23, 45): "4654d0f951c07a5c398dae0bf6e1c04750b81c6b2be08f6bc95ae3242d481ae2",
-    (23, 46): "c0e537dee477dc70dab81bef629b4d26e87c35a0cc8d7d56253131c37dc24484",
+    (9, 3): "c34977df1c347b41640ca0300d7715783c9ed2e68f85bb1c284043ec31791ef1",
+    (9, 4): "e57490e88135fb6e7d4a2cea150def893f0e24f7a7288de415302d63a73648be",
+    (9, 5): "86f078491bb2d11d2f5ea8ef5d07d1e22403a6fe7713ad13519c9219f4ddf579",
+    (9, 6): "5fa71ba7c34deb637b0e116963c1a61dd2b6dda26ddfb944a41085b46589ebf3",
+    (9, 7): "32f29ff1a4900dcd1eb0df0f3cf20b38ca7cd22e25d372e1149f5c10648b2485",
+    (9, 8): "d43fecaaf40edee67730dabce4e6e918090b0726925742f9ec181ab7c47a73ce",
+    (9, 9): "dd649028fcfac0e674551901b589db8361474a53ded6deaa2c8afaf49e573cd4",
+    (9, 10): "69adeec92232266bb8dcfee38b7a4cdf794e1bc38c954714b4ac1bfe5f2e97bd",
+    (9, 11): "4cc9349e5ce78b99e94e4796797f21447d94b55b9d10094d3893509196b842de",
+    (9, 12): "3a521f303cd7f4d47aaaaa4957d7fedfe7c6354979878180003b03965b818fd2",
+    (9, 13): "50b80c7f6dea509a61ccd3cda5b0cb2f15e5b074d687886d639fc54a9b59a773",
+    (9, 14): "2c94f5372586e4da59d0feb9ef0c2f01857567d4d8a64ed93cfc0a477c7ee223",
+    (9, 15): "e9fdd2523394e3a78c576d9260fab2757cc1128ec72e0f2cd649ddcd1fe7d26e",
+    (9, 16): "9d586ab1c5c0079effb334189ceb5fe71f6a7bb5b558265ac57e2d7e010de1ec",
+    (9, 17): "a9fa4b9bacabad648aab665aac4bb7299cc401ac92df4f09d49e846381de3470",
+    (9, 18): "3b5b1b068593a71ba7e50787bf230ab2fe278c18a4b5bcc09b9405ed62cdf8d9",
+    (23, 7): "593c7a83d605031aff44c781e50cd3a7331219a635f0b5f38e6c6755b8b3c5c1",
+    (23, 8): "080239e3f9d8e5f753c0f9accfb8a2f7038990680237f81f7fd84e4226b7294a",
+    (23, 9): "319ff4501aff66364aaa4611afb8a7b3cbd98a875fa827be1b8ef36cbf6419a1",
+    (23, 10): "8e73a2b027200b1ca131d1879227c0c1264030f36a48ff641c0c2b99a3a4dfdb",
+    (23, 11): "1d33500ef568bfd313eb6725ee06bae3110ef1bf1498f32a25662c8a45b40327",
+    (23, 12): "17de230a0d1edd1002de1e138dc824ba6f31e44911556624a895fb6e8ea3fb6b",
+    (23, 13): "993b3d22e304fc1cf389c4394f39d5f63a7a72ce2bde271c6f5a58821d2b9728",
+    (23, 14): "469d64d3105c68e1661720d1ee414e00167892d62fe95e6f426e14c012c0ce81",
+    (23, 15): "aaf28ad5c3ec46d50e1ba42e90abe0422ad69857a529bd887d95f00701c04429",
+    (23, 16): "41256cbfb44775b711d257f0721213e31ee1dcf5088c0a457a0ba8bb12ca60b2",
+    (23, 17): "8c3ca44907989019ce450906c7cee53a25e37dcb029ed69b285a62fcfc59c54a",
+    (23, 18): "9f11508c0563dd613f56ed6caf5e0aa05a749009548076557382b21ed8a53717",
+    (23, 19): "d5addd2ffd8b956e083ae89111bb97dd40a8cb56ead54d70aeafb6863d8bd70c",
+    (23, 20): "5ecca99cca2c48aec4f96837b9faac28f5ac794378fa11aec8cee678b234d5ed",
+    (23, 21): "204310a697713c318d243d6001d72177d94db37861d52a1bd1f2a6a8efb9c645",
+    (23, 22): "8fac65d7feec0d6495be5d6fc3e74dbcec6eec191d7cee1840b04c4ac9dfb64a",
+    (23, 23): "742655d36056c57433e726b2d2367a41fc447fcd8707cc73b3b99c03388846b7",
+    (23, 24): "b22bbfca998820143ef9807a1d099dbdb26126d0b431838eb3f336ce7d3e1679",
+    (23, 25): "b1d1e6f2503eae6c92994189bd139665ba3d04059cc02af0f644f74761f09729",
+    (23, 26): "f92d491d9cc5fc4187e16e811b4aa2dcda47721b9b5f3664bec5f17ff3b7f98f",
+    (23, 27): "c53eb70cf266194fffc88157892dd4cad2b08adbed919d6b216cb1ac83d2b58f",
+    (23, 28): "a0d5e29002c0a7f9293eacfeb05dfd67388a2cb5ed42b8e37ad3f69eaad95280",
+    (23, 29): "fc984e8ac55a2058ad68dc53061f1a34238b1bec7da3c55a9395bbe80a63aff8",
+    (23, 30): "3d20c822a5e8cec436970381325e9064c63672ebf8f4deaa3de73582d675ad27",
+    (23, 31): "43265fc57900cc4667318986c2c618ab538d1b7b2154da48d0c07cd3d0cfd714",
+    (23, 32): "bc93862e2c690d4e58625661b7dee0f98e01b2bf3cdd375c387b87aedc1921d5",
+    (23, 33): "b75a752f99ab699b2b5973719485aa4e3c24d6987b1d8b26ede30d2f6d3626eb",
+    (23, 34): "dbaa78e55bd37b00e4e81ed33718267f57a8de5a7f61914afa89fbc53c280191",
+    (23, 35): "d762367a0432d5aaada5d8cb54b1b6c1d0112d23723e05adfecf7724c72c9e56",
+    (23, 36): "711b57f60cae68e527caaa0e2665f4784d465c54552f82f9e049234e241e444d",
+    (23, 37): "5c96ad256a9c8eefbe50f4c933af3165b360abbaa095cd308c8bb7b84bec6a68",
+    (23, 38): "ed1d3dcf455306c6c78cb598dab70ad0ed27b3b34cb198631bb20ffbb851bbbc",
+    (23, 39): "6b7769c742d34c5028dc11eb703537ca96c1a4c6f985fdd9e6daa1486796080f",
+    (23, 40): "19e9ee2f6a01f5c96ae0d7edf7d1491f5cedbdc78b8c09b18825a160d4ed96c7",
+    (23, 41): "f3d04dab62d57c48a35679d4af1caf7214767ce28f4bbb34f9c6f043179b41b4",
+    (23, 42): "aa4f8c42bfd0862a4649f93dbaee20bcfb3b31ec8d328c1c23cd2271c0aa19c3",
+    (23, 43): "9b181131d100e9f0d1306a47aa4a20dc6444a1fcdf541440d84404a26aa58e18",
+    (23, 44): "d4f9254e14d7c50559ac0a8d5cba558b9acefb346685d2c7a286a90b0a4962f4",
+    (23, 45): "e6e062eea48725e61ceaff2547cf134183b3e14124ccd1911adca92df411c51c",
+    (23, 46): "bce1b6bd788bb384cc065f2cc234478002811b3b1647fdfe4a9e7e9265d85dd0",
 }
 
 

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -260,6 +262,19 @@ def test_find_starter_mixed_profile_at_n35():
     pi = starters.find_starter(35, target)
     assert cyclic.profile(pi, 35) == target
     assert cyclic.h_stabilizer_order(pi, 35) == 1
+
+
+def test_find_starter_depth_does_not_grow_the_call_stack():
+    # A realizer that recursed once per position would need 200 frames here.
+    target = {0: 198, 1: 1, 199: 1}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        pi = starters.find_starter(200, target)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cyclic.profile(pi, 200) == target
+    assert cyclic.h_stabilizer_order(pi, 200) == 1
 
 
 def _dense_selections(n, lam, profiles):
