@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -124,17 +125,31 @@ def test_format1_catalog_documents_read_like_format2():
             (doc["n"], doc["lambda"])
 
 
-def test_document_has_one_entry_per_distinct_factor():
-    docs = [*_catalog_documents(),
-            *(docio.document_from_mf(families.construct(23, lam)) for lam in (7, 23, 44)),
-            *(docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m)))
-              for p, m in [(3, 2), (3, 3), (7, 2)])]
-    for doc in docs:
-        key = (doc["model"], doc["n"], doc["lambda"])
-        factors = [tuple(map(tuple, f)) for f in doc["factors"]]
-        assert factors == sorted(set(factors)), key
-        assert sum(doc["counts"]) == doc["lambda"] * (2 * doc["n"] - 1), key
-        text = docio.serialize(doc)
-        again = docio.serialize(docio.document_from_mf(
-            docio.mf_from_document(docio.parse(text))))
-        assert again == text, key
+def _plain(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _check_document(doc: dict) -> None:
+    """One entry per distinct factor, counts summing to lambda(2n - 1), plain
+    sorted-key JSON bytes and a byte-identical round trip."""
+    key = (doc["model"], doc["n"], doc["lambda"])
+    factors = [tuple(map(tuple, f)) for f in doc["factors"]]
+    assert factors == sorted(set(factors)), key
+    assert sum(doc["counts"]) == doc["lambda"] * (2 * doc["n"] - 1), key
+    text = docio.serialize(doc)
+    assert text == _plain(doc), key
+    again = docio.serialize(docio.document_from_mf(
+        docio.mf_from_document(docio.parse(text))))
+    assert again == text, key
+
+
+def test_serialize_matches_plain_json_on_catalog_documents():
+    for doc in _catalog_documents():
+        _check_document(doc)
+    for lam in (7, 23, 44):
+        _check_document(docio.document_from_mf(families.construct(23, lam)))
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (7, 2)])
+def test_serialize_matches_plain_json_on_field_documents(p, m):
+    _check_document(docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m))))
