@@ -152,16 +152,18 @@ def cmd_verify(args) -> int:
     except ValueError as exc:  # a malformed variable, or verify.InvalidInput
         print(f"error: search budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # One validation serves the validity check and the search's input check.
+    validity = (validate_factorization(mf)
+                if {"validity", "indecomposable"} & set(checks) else None)
     report: dict = {}
     exhausted = False
     for check in checks:
         if check == "validity":
-            rep = validate_factorization(mf)
-            report["validity"] = "pass" if rep.valid else "fail"
-            if not rep.valid:
+            report["validity"] = "pass" if validity.valid else "fail"
+            if not validity.valid:
                 report["validity_errors"] = (
-                    [[list(e), o, x] for e, o, x in rep.multiplicity_errors]
-                    + [[i, reason] for i, reason in rep.factor_errors[:10]])
+                    [[list(e), o, x] for e, o, x in validity.multiplicity_errors]
+                    + [[i, reason] for i, reason in validity.factor_errors[:10]])
         elif check == "simple":
             simple, repeated = is_simple(mf)
             report["simple"] = "pass" if simple else "fail"
@@ -169,7 +171,7 @@ def cmd_verify(args) -> int:
                 report["repeated_factors"] = len(repeated)
         elif check == "indecomposable":
             res = verify.find_subfactorization(mf, lambda0=args.lambda0,
-                                               budget=budget)
+                                               budget=budget, validity=validity)
             if res.outcome == verify.PROVEN_NONE:
                 report["indecomposable"] = "pass"
             elif res.outcome == verify.FOUND:

@@ -86,10 +86,14 @@ def runs(factors):
 
     `factors` is a sequence; factors[start:stop] is one run.  The run
     ends are found in C, so a sequence of distinct factors costs no
-    per-factor Python loop here.
+    per-factor Python loop here.  Copies of one factor object are told
+    equal by identity, without walking their edges.
     """
     # A run starts at 0 and wherever a factor differs from the one before.
-    starts = [0, *compress(count(1), map(ne, factors, factors[1:]))] if factors else []
+    # Containers compare their items identity first, so the factors are
+    # compared wrapped in 1-tuples.
+    differs = map(ne, zip(factors), zip(factors[1:]))
+    starts = [0, *compress(count(1), differs)] if factors else []
     stops = [*starts[1:], len(factors)]
     return zip(map(factors.__getitem__, starts), starts, stops)
 

@@ -6,7 +6,9 @@ x modulo a monic primitive polynomial.  Addition is digitwise mod p;
 multiplication goes through the table exp[k] = v^k (k = 0..q-2) and its
 inverse log.  The vertex set of the factorization is GF(p^m) plus one
 extra vertex "infinity" with id q.  The affine maps x -> x*b + a (b != 0)
-fix infinity and act on edges and factors vertexwise.
+fix infinity and act on edges and factors vertexwise.  The base factor's
+stabilizer is {x, -x}, so the orbit runs over AGL(1, q)/{+-1} and each of
+its q(q-1)/2 factors is built once.
 """
 
 from __future__ import annotations
@@ -129,39 +131,61 @@ def base_factor(ctx: FieldCtx) -> OneFactor:
     return canonicalize_factor(edges, q + 1)
 
 
-def _affine_images(ctx: FieldCtx):
-    """The base factor's image under each of the q(q-1) maps x -> x*b + a."""
+def _scaling(ctx: FieldCtx, log_b: int) -> list[int]:
+    """The vertex map x -> x * v^log_b on ids 0..q; it fixes 0 and infinity."""
+    q, exp, log = ctx.q, ctx.exp, ctx.log
+    return [0] + [exp[(log[x] + log_b) % (q - 1)] for x in range(1, q)] + [q]
+
+
+def _affine_images(ctx: FieldCtx, log_bs: range | None = None):
+    """The base factor's image under x -> x*b + a for every a and b = v^k.
+
+    k runs over `log_bs`, by default all of 0..q-2: then these are the
+    images under all q(q-1) affine maps.
+    """
     p, m, q = ctx.p, ctx.m, ctx.q
-    exp, log = ctx.exp, ctx.log
     places = [p ** i for i in range(m)]
     digits = [[x // w % p for w in places] for x in range(q)]
-    # shifted[a] maps each vertex x to x + a, and scaled maps x to x * v^log_b;
-    # both fix infinity (id q).
+    # shifted[a] maps each vertex x to x + a, and fixes infinity (id q).
     shifted = [[sum((da + dx) % p * w for da, dx, w in zip(ds, xs, places))
                 for xs in digits] + [q] for ds in digits]
     f = base_factor(ctx)
-    for log_b in range(q - 1):
-        scaled = [0] + [exp[(log[x] + log_b) % (q - 1)] for x in range(1, q)] + [q]
+    for log_b in range(q - 1) if log_bs is None else log_bs:
+        scaled = _scaling(ctx, log_b)
         pairs = [(scaled[u], scaled[v]) for u, v in f]
         for shift in shifted:
             yield canonicalize_factor([(shift[u], shift[v]) for u, v in pairs], q + 1)
 
 
 def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
-    """Number of affine maps fixing the base factor."""
+    """Number of affine maps fixing the base factor.
+
+    The independent full enumeration: it builds the images under all
+    q(q-1) maps, so it checks the stabilizer {x, -x} that
+    `agl_orbit_factorization` relies on rather than assuming it.
+    """
     f = base_factor(ctx)
     return sum(1 for image in _affine_images(ctx) if image == f)
 
 
 def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
-    """Orbit of the base factor under all q(q-1) affine maps.
+    """Orbit of the base factor under AGL(1, q), each factor built once.
 
-    Returns the deduplicated orbit as a factorization of lambda*K_2n with
-    2n = q + 1 and lambda = (q-1)/2; simple by construction (it is a set).
+    x -> -x fixes the base factor, so the maps x*b + a and x*(-b) + a give
+    the same image, and the orbit is built over AGL(1, q)/{+-1}: the
+    multipliers b = v^k for k = 0..(q-3)/2 (one of each pair +-b, as
+    -1 = v^((q-1)/2)) with all q translations, q(q-1)/2 maps.  That x -> -x
+    fixes the base factor is checked on every call.  Returns the
+    deduplicated orbit as a factorization of lambda*K_2n with 2n = q + 1
+    and lambda = (q-1)/2; simple by construction (it is a set).
     """
-    orbit = set(_affine_images(ctx))
-    n = (ctx.q + 1) // 2
-    lam = (ctx.q - 1) // 2
+    q = ctx.q
+    half = (q - 1) // 2
+    f = base_factor(ctx)
+    minus = _scaling(ctx, half)
+    if canonicalize_factor([(minus[u], minus[v]) for u, v in f], q + 1) != f:
+        raise AssertionError(f"x -> -x does not fix the base factor of GF({q})")
+    orbit = set(_affine_images(ctx, range(half)))
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
     # Every image came out of canonicalize_factor.
-    return MultiFactorization(n, lam, tuple(sorted(orbit)), model)
+    return MultiFactorization((q + 1) // 2, half, tuple(sorted(orbit)), model)

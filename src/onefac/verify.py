@@ -29,7 +29,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import MultiFactorization, runs, validate_factorization
+from .core import (MultiFactorization, ValidityReport, runs,
+                   validate_factorization)
 from . import cyclic
 from .starters import StarterSet, assemble, certificate_indecomposable
 
@@ -96,17 +97,22 @@ def decomposability_witness_check(mf: MultiFactorization, w: Witness) -> bool:
 
 
 def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
-                          budget: SearchBudget | None = None) -> SearchResult:
+                          budget: SearchBudget | None = None, *,
+                          validity: ValidityReport | None = None) -> SearchResult:
     """Find a proper subfactorization or prove that none exists.
 
     With `lambda0` given only that target is searched; otherwise targets
     run 1..lam//2 (a lambda_0 witness complements to a lam-lambda_0 one).
     Returns the first witness in deterministic order, PROVEN_NONE after
     full exhaustion of every target, or EXHAUSTED on budget stop.
+    `validity` is `validate_factorization(mf)` when the caller already
+    has it; otherwise it is computed here.
     """
     if mf.lam < 2:
         raise InvalidInput("decomposability needs lambda >= 2")
-    if not validate_factorization(mf).valid:
+    if validity is None:
+        validity = validate_factorization(mf)
+    if not validity.valid:
         raise InvalidInput("input is not a valid 1-factorization")
     budget = budget or SearchBudget()
     targets = [lambda0] if lambda0 is not None else list(range(1, mf.lam // 2 + 1))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import onefac
-from onefac import cli, cyclic, docio, families, starters
+from onefac import cli, core, cyclic, docio, families, gf, starters, verify
 from onefac.core import MultiFactorization
 
 
@@ -347,6 +347,43 @@ def test_verify_count_above_lambda_fails_validity(tmp_path, capsys):
     report = json.loads(stdout)
     assert code == 1 and report["validity"] == "fail"
     assert [[0, 1], 3, 2] in report["validity_errors"]
+
+
+@pytest.fixture
+def validation_calls(monkeypatch):
+    calls = []
+
+    def counting(mf):
+        calls.append(mf)
+        return core.validate_factorization(mf)
+    monkeypatch.setattr(cli, "validate_factorization", counting)
+    monkeypatch.setattr(verify, "validate_factorization", counting)
+    return calls
+
+
+@pytest.mark.parametrize("checks", ["validity", "indecomposable",
+                                    "validity,indecomposable",
+                                    "indecomposable,simple,validity"])
+def test_verify_validates_once(checks, validation_calls, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    docio.write_mf(gf.agl_orbit_factorization(gf.field_ctx(7, 1)), path)
+    code, stdout, _ = run_cli(capsys, "verify", str(path), "--checks", checks)
+    report = json.loads(stdout)
+    assert code == 0 and len(validation_calls) == 1
+    assert all(report[check] == "pass" for check in checks.split(","))
+
+
+def test_verify_invalid_document_validates_once(validation_calls, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"format":2,' + _K4 + ',"factors":[[[0,1],[2,3]],[[0,2],[1,3]],'
+                    '[[0,3],[1,2]]],"counts":[3,2,1]}')
+    code, stdout, _ = run_cli(capsys, "verify", str(path), "--checks", "validity")
+    report = json.loads(stdout)
+    assert code == 1 and report["validity"] == "fail" and report["validity_errors"]
+    code, stdout, stderr = run_cli(capsys, "verify", str(path),
+                                   "--checks", "validity,indecomposable")
+    assert code == 2 and stdout == "" and "not a valid" in stderr
+    assert len(validation_calls) == 2  # one per command
 
 
 @pytest.mark.parametrize("check", ["validity", "indecomposable"])

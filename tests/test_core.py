@@ -151,8 +151,12 @@ def test_edge_multiplicity_table_on_unsorted_factors():
         assert core.edge_multiplicity_table(mf) == _plain_edge_count(factors)
 
 
-@given(st.lists(st.integers(0, 3), max_size=12))
-def test_runs_are_the_maximal_runs_of_equal_entries(xs):
+@given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=12))
+def test_runs_are_the_maximal_runs_of_equal_entries(draws):
+    # Equal entries are either one shared object or equal but distinct
+    # copies, so runs cannot lean on identity alone.
+    shared = {v: [v] for v in range(4)}
+    xs = [shared[v] if same else [v] for v, same in draws]
     rs = list(core.runs(xs))
     # The runs partition 0..len(xs) in order ...
     assert [a for _, a, _ in rs] == [0, *(b for _, _, b in rs)][:len(rs)]

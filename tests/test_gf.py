@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from onefac import cyclic, docio, families, gf
+from onefac.acceptance import A4_PRIME_POWERS
 from onefac.core import is_simple, validate_factorization
 
 
@@ -191,6 +192,26 @@ def test_orbit_size_matches_stabilizer():
         mf = gf.agl_orbit_factorization(ctx)
         q = ctx.q
         assert len(mf.factors) * gf.base_factor_stabilizer_order(ctx) == q * (q - 1)
+
+
+@pytest.mark.parametrize("p, m", A4_PRIME_POWERS)  # m = 1 and m > 1, q <= 81
+def test_halved_orbit_is_the_full_group_orbit(p, m):
+    ctx = gf.field_ctx(p, m)
+    q = ctx.q
+    f = gf.base_factor(ctx)
+    negated = sorted(tuple(sorted((_neg(ctx, u) if u < q else u,
+                                   _neg(ctx, v) if v < q else v))) for u, v in f)
+    assert tuple(negated) == f
+    mf = gf.agl_orbit_factorization(ctx)
+    assert set(mf.factors) == set(gf._affine_images(ctx))
+    assert len(mf.factors) == q * (q - 1) // 2
+
+
+def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
+    # x -> -x maps (0,1) to (0,4): halving the maps would lose images.
+    monkeypatch.setattr(gf, "base_factor", lambda ctx: ((0, 1), (2, 3), (4, 5)))
+    with pytest.raises(AssertionError, match="does not fix"):
+        gf.agl_orbit_factorization(gf.field_ctx(5, 1))
 
 
 # sha256 of the serialized field documents with m > 1; the affine orbit,
