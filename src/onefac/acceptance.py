@@ -48,8 +48,8 @@ def a1() -> str:
         report = validate_factorization(mf)
         assert report.valid, f"({n},{lam}): invalid ({report.multiplicity_errors[:3]}...)"
         expected = lam * (2 * n - 1)
-        assert len(mf.factors) == expected, \
-            f"({n},{lam}): {len(mf.factors)} factors, expected {expected}"
+        assert report.factor_count == expected, \
+            f"({n},{lam}): {report.factor_count} factors, expected {expected}"
     return f"{len(outputs)} constructions valid with exact factor counts"
 
 
@@ -84,13 +84,14 @@ def a4() -> str:
         q = p ** m
         ctx = gf.field_ctx(p, m)
         mf = gf.agl_orbit_factorization(ctx)
-        assert validate_factorization(mf).valid, f"p^m={q}: invalid"
+        report = validate_factorization(mf)
+        assert report.valid, f"p^m={q}: invalid"
         assert is_simple(mf)[0], f"p^m={q}: not simple"
         expected = (q - 1) * q // 2
-        assert len(mf.factors) == expected, f"p^m={q}: {len(mf.factors)} factors"
+        assert report.factor_count == expected, f"p^m={q}: {report.factor_count} factors"
         assert gf.base_factor_stabilizer_order(ctx) == 2, f"p^m={q}: stabilizer != 2"
         if q == 3:
-            assert sorted(mf.factors) == sorted(cyclic.lucas_factorization(4)), \
+            assert [f for f, _ in mf.runs] == sorted(cyclic.lucas_factorization(4)), \
                 "p^m=3 orbit is not the three matchings of K_4"
         note = ""
         if q in A4_EXHAUSTIVE:
@@ -122,7 +123,7 @@ def a5() -> str:
             if sum(mult) != 3 * lam:
                 continue
             factors = [f for f, k in zip(matchings, mult) for _ in range(k)]
-            mf = MultiFactorization(2, lam, tuple(sorted(factors)))
+            mf = MultiFactorization.make(2, lam, factors)
             valid = validate_factorization(mf).valid
             assert valid == (mult == (lam, lam, lam)), f"K4 validity at {mult}"
             if valid:

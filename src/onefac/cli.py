@@ -116,7 +116,7 @@ def cmd_construct(args) -> int:
         stream = sys.stderr
     report = validate_factorization(mf)
     simple, _ = is_simple(mf)
-    print(f"factors={len(mf.factors)} valid={str(report.valid).lower()} "
+    print(f"factors={report.factor_count} valid={str(report.valid).lower()} "
           f"simple={str(simple).lower()} certificate={cert_note}", file=stream)
     return EXIT_OK
 

@@ -3,8 +3,9 @@
 Vertices are the dense integers 0..2n-1.  An edge is a pair (u, v) with
 u < v, a 1-factor is a perfect matching stored as a lexicographically
 sorted tuple of edges, and a factorization is a multiset of 1-factors
-stored as a sorted tuple (repeats allowed).  Two labelled models map onto
-these integers elsewhere in the package:
+stored as runs: each distinct factor once, in sorted order, with how
+often it occurs.  Two labelled models map onto these integers elsewhere
+in the package:
 
 * cyclic model: the vertex a_j (a mod n, j mod 2) gets id a + n*j;
 * field model:  the element sum(a_i * v^i) of GF(p^m) gets id
@@ -12,17 +13,18 @@ these integers elsewhere in the package:
 
 Factor equality is syntactic equality of canonical forms, which makes all
 multiset bookkeeping cheap and deterministic.  Catalog factorizations
-repeat most factors, and `runs` is the one place that finds the runs of
-equal adjacent factors; construction, validation, edge counting, the
-document writer and the multicover search each work once per run.
+repeat most factors, so construction, validation, edge counting, the
+document writer and the multicover search each work once per distinct
+factor; only witness indices count through the flat view of every copy.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, count
-from operator import itemgetter, ne
+from functools import cached_property
+from itertools import chain, combinations, groupby, repeat, starmap
+from operator import itemgetter
 
 Edge = tuple[int, int]
 OneFactor = tuple[Edge, ...]
@@ -81,50 +83,40 @@ def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
     return tuple(canon)
 
 
-def runs(factors):
-    """Iterate (factor, start, stop) over the maximal runs of equal adjacent factors.
-
-    `factors` is a sequence; factors[start:stop] is one run.  The run
-    ends are found in C, so a sequence of distinct factors costs no
-    per-factor Python loop here.  Copies of one factor object are told
-    equal by identity, without walking their edges.
-    """
-    # A run starts at 0 and wherever a factor differs from the one before.
-    # Containers compare their items identity first, so the factors are
-    # compared wrapped in 1-tuples.
-    differs = map(ne, zip(factors), zip(factors[1:]))
-    starts = [0, *compress(count(1), differs)] if factors else []
-    stops = [*starts[1:], len(factors)]
-    return zip(map(factors.__getitem__, starts), starts, stops)
-
-
 @dataclass(frozen=True)
 class MultiFactorization:
     """A multiset of 1-factors of lambda*K_2n plus its model tag.
 
-    `factors` is kept as a sorted tuple of canonical factors with repeats,
-    so identical factors are adjacent and multiplicity counts are
-    recoverable.  `model` records how vertex ids were produced, e.g.
-    {"tag": "cyclic", "n": 5} or {"tag": "field", "p": 5, "m": 1,
-    "modulus": [3, 1]} or {"tag": "plain"}.
+    `runs` holds each distinct canonical factor once, in sorted order,
+    paired with its count >= 1.  The constructor trusts its caller to
+    keep that form; `make` builds one from outside input.  `model` records
+    how vertex ids were produced, e.g. {"tag": "cyclic", "n": 5} or
+    {"tag": "field", "p": 5, "m": 1, "modulus": [3, 1]} or {"tag": "plain"}.
     """
 
     n: int
     lam: int
-    factors: tuple[OneFactor, ...]
+    runs: tuple[tuple[OneFactor, int], ...]
     model: dict = field(default_factory=lambda: {"tag": "plain"})
 
     @classmethod
     def make(cls, n: int, lam: int, factors, model=None) -> "MultiFactorization":
-        """Canonicalize every factor, sort the multiset and wrap it up.
+        """Canonicalize, count and sort a flat list of factors with repeats.
 
-        Each run of equal adjacent factors is canonicalized once.
+        Each group of adjacent equal factors is canonicalized once; copies
+        of one object are told equal by identity, without walking their
+        edges.  Only the distinct factors are sorted.
         """
-        canon = []
-        for f, start, stop in runs(tuple(factors)):
-            canon += [canonicalize_factor(f, 2 * n)] * (stop - start)
-        return cls(n=n, lam=lam, factors=tuple(sorted(canon)),
-                   model=dict(model) if model else {"tag": "plain"})
+        counts: Counter = Counter()
+        for f, copies in groupby(factors):
+            counts[canonicalize_factor(f, 2 * n)] += len(list(copies))
+        return cls(n, lam, tuple(sorted(counts.items())),
+                   dict(model) if model else {"tag": "plain"})
+
+    @cached_property
+    def factors(self) -> tuple[OneFactor, ...]:
+        """Every copy in sorted order, the view that witness indices count through."""
+        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
 
     @property
     def num_vertices(self) -> int:
@@ -159,16 +151,15 @@ class ValidityReport:
 def edge_multiplicity_table(mf: MultiFactorization) -> Counter:
     """Exact multiplicity of every edge over the factor multiset.
 
-    Each run of equal adjacent factors adds its edges once, weighted by
-    the run length.  One factor of each run is counted in C, so only the
-    extra copies of longer runs cost a Python loop.
+    Each distinct factor adds its edges once, weighted by its count.  One
+    copy of every factor is counted in C, so only the extra copies cost a
+    Python loop.
     """
-    rs = list(runs(mf.factors))
-    table = Counter(chain.from_iterable(map(itemgetter(0), rs)))
-    for f, start, stop in rs:
-        if stop - start > 1:
+    table = Counter(chain.from_iterable(map(itemgetter(0), mf.runs)))
+    for f, k in mf.runs:
+        if k > 1:
             for e in f:
-                table[e] += stop - start - 1
+                table[e] += k - 1
     return table
 
 
@@ -176,12 +167,14 @@ def validate_factorization(mf: MultiFactorization) -> ValidityReport:
     """Check that every vertex pair is covered exactly lambda times."""
     nv = mf.num_vertices
     factor_errors: list[tuple[int, str]] = []
-    # Each copy in a run of equal factors gets the run's verdict.
-    for f, start, stop in runs(mf.factors):
+    # Each copy of a broken factor gets its verdict, at its flat index.
+    start = 0
+    for f, k in mf.runs:
         try:
             canonicalize_factor(f, nv)
         except FactorError as exc:
-            factor_errors += [(i, str(exc)) for i in range(start, stop)]
+            factor_errors += [(i, str(exc)) for i in range(start, start + k)]
+        start += k
     table = edge_multiplicity_table(mf)
     mult_errors: list[tuple[Edge, int, int]] = []
     for e in combinations(range(nv), 2):
@@ -190,17 +183,16 @@ def validate_factorization(mf: MultiFactorization) -> ValidityReport:
             mult_errors.append((e, observed, mf.lam))
             if len(mult_errors) == MULTIPLICITY_ERRORS:
                 break
-    count_ok = len(mf.factors) == mf.expected_factor_count()
+    count_ok = start == mf.expected_factor_count()
     valid = count_ok and not mult_errors and not factor_errors
     return ValidityReport(valid=valid,
                           multiplicity_errors=mult_errors,
                           factor_errors=factor_errors,
-                          factor_count=len(mf.factors),
+                          factor_count=start,
                           expected_factor_count=mf.expected_factor_count())
 
 
 def is_simple(mf: MultiFactorization) -> tuple[bool, list[tuple[OneFactor, int]]]:
     """True iff no 1-factor repeats; repeated factors listed with counts."""
-    repeated = [(f, stop - start) for f, start, stop in runs(sorted(mf.factors))
-                if stop - start >= 2]
+    repeated = [(f, k) for f, k in mf.runs if k >= 2]
     return (not repeated, repeated)

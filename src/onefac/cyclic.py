@@ -122,27 +122,22 @@ def near_one_factorization(n: int) -> list[tuple[Edge, ...]]:
     return near
 
 
-def join_even(n: int, lam: int) -> list[OneFactor]:
-    """lam copies of the n-1 side factors L_i(V_0) | L_i(V_1).
+def join_even(n: int) -> list[OneFactor]:
+    """The n-1 side factors L_i(V_0) | L_i(V_1).
 
-    Covers every side edge exactly lam times and no cross edge.
+    Covers every side edge exactly once and no cross edge.
     """
     if n % 2:
         raise OddOrder(f"n={n} must be even")
-    side = lucas_factorization(n)
-    out = []
-    for f in side:
-        edges = list(f) + [(u + n, v + n) for u, v in f]
-        f = canonicalize_factor(edges, 2 * n)
-        out.extend([f] * lam)
-    return out
+    return [canonicalize_factor(list(f) + [(u + n, v + n) for u, v in f], 2 * n)
+            for f in lucas_factorization(n)]
 
 
-def join_odd(n: int, lam: int, b: int) -> list[OneFactor]:
-    """lam copies of the n factors L*_i(V_0) | L*_{i+b}(V_1) + [i_0,(i+b)_1].
+def join_odd(n: int, b: int) -> list[OneFactor]:
+    """The n factors L*_i(V_0) | L*_{i+b}(V_1) + [i_0,(i+b)_1].
 
-    Covers every side edge exactly lam times, every edge of M_b exactly lam
-    times, and no other cross edge.
+    Covers every side edge exactly once, every edge of M_b exactly once,
+    and no other cross edge.
     """
     if n % 2 == 0:
         raise EvenOrder(f"n={n} must be odd")
@@ -152,8 +147,7 @@ def join_odd(n: int, lam: int, b: int) -> list[OneFactor]:
         j = (i + b) % n
         edges = list(near[i]) + [(u + n, v + n) for u, v in near[j]]
         edges.append((i, n + j))
-        f = canonicalize_factor(edges, 2 * n)
-        out.extend([f] * lam)
+        out.append(canonicalize_factor(edges, 2 * n))
     return out
 
 

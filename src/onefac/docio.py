@@ -6,8 +6,9 @@ compare bytes; a profile is written as sorted [orbit, count] pairs.  A
 factorization document (format 2) stores the model block, n, lambda, the
 distinct factors in canonical sorted order as arrays of [u, v] pairs
 (`factors`) and, in a parallel array, how often each one occurs
-(`counts`).  Catalog factorizations repeat most factors, so a document
-costs time and bytes per distinct factor.  Format 1 listed every copy and
+(`counts`): the runs of `MultiFactorization`, written as they are held.
+Catalog factorizations repeat most factors, so a document costs time and
+bytes per distinct factor.  Format 1 listed every copy and
 had no `counts`; it is still read, as a document whose counts are all 1.
 """
 
@@ -16,13 +17,14 @@ from __future__ import annotations
 import json
 from itertools import chain, repeat
 
-from .core import FactorError, MultiFactorization, runs
+from .core import FactorError, MultiFactorization
 
 FORMAT_VERSION = 2
 
-# MultiFactorization.factors holds every copy, so without this bound a
-# short document with a count of 10**12 would ask for terabytes.  The
-# catalog's (n, lambda) = (1000, 998) has 1,995,002 factors.
+# Reading a document walks every copy once, and the flat view
+# MultiFactorization.factors holds them all, so without this bound a short
+# document with a count of 10**12 would ask for terabytes.  The catalog's
+# (n, lambda) = (1000, 998) has 1,995,002 factors.
 MAX_FACTORS = 10_000_000
 
 
@@ -31,14 +33,13 @@ class ParseError(ValueError):
 
 
 def document_from_mf(mf: MultiFactorization) -> dict:
-    rs = list(runs(mf.factors))
     return {
         "format": FORMAT_VERSION,
         "model": dict(mf.model),
         "n": mf.n,
         "lambda": mf.lam,
-        "factors": [[[u, v] for u, v in f] for f, _, _ in rs],
-        "counts": [stop - start for _, start, stop in rs],
+        "factors": [[[u, v] for u, v in f] for f, _ in mf.runs],
+        "counts": [k for _, k in mf.runs],
     }
 
 
@@ -81,7 +82,7 @@ def serialize(doc: dict) -> str:
 def parse(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("not valid JSON: nested too deeply") from exc

@@ -188,4 +188,4 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     orbit = set(_affine_images(ctx, range(half)))
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
     # Every image came out of canonicalize_factor.
-    return MultiFactorization((q + 1) // 2, half, tuple(sorted(orbit)), model)
+    return MultiFactorization((q + 1) // 2, half, tuple((f, 1) for f in sorted(orbit)), model)

@@ -30,11 +30,12 @@ and `find_starter` realizes it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .core import MultiFactorization, OneFactor
+from .core import MultiFactorization
 from . import cyclic
 
 PROVEN = "proven"
@@ -181,23 +182,19 @@ def assemble(s: StarterSet) -> MultiFactorization:
         raise PreconditionFailed("starter conditions violated", violations)
     n, lam = s.n, s.lam
     totals = s.totals()
-    factors: list[OneFactor] = []
+    counts: Counter = Counter()
     for pi in s.perms:
-        factors.extend(cyclic.cross_factor(p, n) for p in cyclic.h_orbit(pi, n))
-    if n % 2 == 0:
-        factors.extend(cyclic.join_even(n, lam))
-        skip = set()
-    else:
-        b = s.orbit_b()
-        factors.extend(cyclic.join_odd(n, lam, b))
-        skip = {b}
+        counts.update(cyclic.cross_factor(p, n) for p in cyclic.h_orbit(pi, n))
+    b = s.orbit_b() if n % 2 else None
+    for f in cyclic.join_even(n) if b is None else cyclic.join_odd(n, b):
+        counts[f] += lam
     for a in range(n):
-        if a in skip:
-            continue
-        factors.extend([cyclic.m_factor(n, a)] * (lam - totals.get(a, 0)))
+        loose = lam - totals.get(a, 0)
+        if a != b and loose:
+            counts[cyclic.m_factor(n, a)] += loose
     # Every factor above is canonical already.
-    mf = MultiFactorization(n, lam, tuple(sorted(factors)), {"tag": "cyclic", "n": n})
-    assert len(mf.factors) == mf.expected_factor_count()
+    mf = MultiFactorization(n, lam, tuple(sorted(counts.items())), {"tag": "cyclic", "n": n})
+    assert sum(counts.values()) == mf.expected_factor_count()
     return mf
 
 

@@ -8,8 +8,8 @@ multiset of factors through it until its need is 0.  A pair whose need
 reaches 0 is covered at once: every remaining candidate through it dies,
 which keeps supply exact, and a pair left short of supply prunes the
 branch.  The branching order follows the factors, not the vertex labels.
-The candidates are the runs of equal factors (`core.runs`), each with
-its length as a count.  The search is set up once per document, each
+The candidates are the distinct factors (`MultiFactorization.runs`), each
+with its count.  The search is set up once per document, each
 lambda_0 target resets only the need, and the picks are kept on an
 explicit stack, so a deep search costs no Python frames.  Outcomes are
 kept strictly apart: a witness, a proof of absence (full exhaustion), or
@@ -28,9 +28,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .core import (MultiFactorization, ValidityReport, runs,
-                   validate_factorization)
+from .core import MultiFactorization, ValidityReport, validate_factorization
 from . import cyclic
 from .starters import StarterSet, assemble, certificate_indecomposable
 
@@ -146,10 +146,9 @@ class _MulticoverSearch:
         self.start = start
         self.nodes = 0
         nv = 2 * mf.n
-        rs = list(runs(mf.factors))
-        self.firsts = [a for _, a, _ in rs]
-        self.counts = [b - a for _, a, b in rs]
-        self.edge_ids = [tuple(u * nv + v for u, v in f) for f, _, _ in rs]
+        self.counts = [k for _, k in mf.runs]
+        self.firsts = list(accumulate(self.counts, initial=0))
+        self.edge_ids = [tuple(u * nv + v for u, v in f) for f, _ in mf.runs]
         self.pairs = [u * nv + v for u in range(nv) for v in range(u + 1, nv)]
         self.by_pair: list[list[int]] = [[] for _ in range(nv * nv)]
         self.need = [0] * (nv * nv)
@@ -267,14 +266,14 @@ def certificate_witness(s: StarterSet) -> Witness | None:
         if chosen:
             used.update(cyclic.cross_factor(p, n) for p in cyclic.h_orbit(pi, n))
             cov.update(t)
-    join = cyclic.join_even(n, 1) if b is None else cyclic.join_odd(n, 1, b)
-    for f in set(join):
+    for f in cyclic.join_even(n) if b is None else cyclic.join_odd(n, b):
         used[f] += lam0
     for a in range(n):
         if a != b:
             used[cyclic.m_factor(n, a)] += lam0 - cov[a]
     mf = assemble(s)
+    starts = accumulate((k for _, k in mf.runs), initial=0)
     witness = Witness(lam0, tuple(
-        i for f, start, _ in runs(mf.factors) for i in range(start, start + used[f])))
+        i for (f, _), start in zip(mf.runs, starts) for i in range(start, start + used[f])))
     assert decomposability_witness_check(mf, witness)
     return witness

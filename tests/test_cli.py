@@ -112,6 +112,16 @@ def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):
     assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
 
+def test_verify_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # Past Python's int conversion limit json.loads raises a plain ValueError;
+    # without the limit the document still lacks its other keys.
+    path = tmp_path / "huge.json"
+    path.write_text('{"format":2,"n":' + "9" * 5000 + "}")
+    code, stdout, stderr = run_cli(capsys, "verify", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+
 def test_verify_unknown_check_exits_2(tmp_path, capsys):
     path = tmp_path / "doc.json"
     mf = MultiFactorization.make(2, 1, cyclic.lucas_factorization(4))

@@ -72,16 +72,18 @@ def test_validate_agrees_with_naive_pair_loop():
 def test_validate_reports_broken_factor():
     broken = ((0, 1), (1, 2))
     f0, f1, _ = k4_matchings()
-    mf = core.MultiFactorization(2, 1, (broken, f0, f1))
+    mf = core.MultiFactorization(2, 1, ((broken, 1), (f0, 1), (f1, 1)))
     report = core.validate_factorization(mf)
     assert not report.valid
     assert report.factor_errors and report.factor_errors[0][0] == 0
-    # A run of equal broken factors gives one error per copy; so do copies apart.
-    for factors, indices in [((f0, broken, broken, broken, f1), [1, 2, 3]),
-                             ((broken, f0, broken), [0, 2])]:
-        errors = core.validate_factorization(core.MultiFactorization(2, 1, factors)).factor_errors
+    # A broken factor with count k gives k errors, at its copies' flat indices.
+    other = ((0, 3), (3, 1))
+    for runs, indices in [(((f0, 1), (broken, 3), (f1, 1)), [1, 2, 3]),
+                          (((broken, 2), (f0, 1), (other, 2)), [0, 1, 3, 4])]:
+        mf = core.MultiFactorization(2, 1, runs)
+        errors = core.validate_factorization(mf).factor_errors
         assert [i for i, _ in errors] == indices
-        assert len({reason for _, reason in errors}) == 1
+        assert all(mf.factors[i] in (broken, other) for i in indices)
 
 
 def test_is_simple_on_doubled_matchings():
@@ -89,9 +91,9 @@ def test_is_simple_on_doubled_matchings():
     simple, repeated = core.is_simple(mf)
     assert not simple
     assert sorted(repeated) == sorted((f, 2) for f in k4_matchings())
-    # Repeats apart in an unsorted tuple, and no factors at all.
+    # Unsorted input with repeats apart goes through make; and no factors at all.
     f0, f1, f2 = sorted(k4_matchings())
-    mf = core.MultiFactorization(2, 2, (f1, f0, f2, f1, f0, f1))
+    mf = core.MultiFactorization.make(2, 2, (f1, f0, f2, f1, f0, f1))
     assert core.is_simple(mf) == (False, [(f0, 2), (f1, 3)])
     assert core.is_simple(core.MultiFactorization(2, 1, ())) == (True, [])
 
@@ -116,7 +118,7 @@ def test_edge_multiplicity_table_lucas():
 
 def test_edge_multiplicity_table_two_copies_of_one_factor():
     f = k4_matchings()[0]
-    mf = core.MultiFactorization(2, 2, (f, f))
+    mf = core.MultiFactorization(2, 2, ((f, 2),))
     table = core.edge_multiplicity_table(mf)
     assert all(table[e] == 2 for e in f)
     assert table.get((0, 2), 0) == 0 or (0, 2) in f
@@ -147,21 +149,30 @@ def test_edge_multiplicity_table_on_unsorted_factors():
     f0, f1, f2 = sorted(k4_matchings())
     for factors in [(f1, f0, f0, f2, f1, f0, f1, f1),  # unsorted, repeats apart
                     (f2, f2, f2, f0), (f0,) * 5, (f1,), ()]:
-        mf = core.MultiFactorization(2, 3, factors)
+        mf = core.MultiFactorization.make(2, 3, factors)
         assert core.edge_multiplicity_table(mf) == _plain_edge_count(factors)
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=12))
-def test_runs_are_the_maximal_runs_of_equal_entries(draws):
-    # Equal entries are either one shared object or equal but distinct
-    # copies, so runs cannot lean on identity alone.
-    shared = {v: [v] for v in range(4)}
-    xs = [shared[v] if same else [v] for v, same in draws]
-    rs = list(core.runs(xs))
-    # The runs partition 0..len(xs) in order ...
-    assert [a for _, a, _ in rs] == [0, *(b for _, _, b in rs)][:len(rs)]
-    assert (rs[-1][2] if rs else 0) == len(xs)
-    # ... each holds equal entries, and neighbouring runs differ.
-    for x, a, b in rs:
-        assert a < b and xs[a:b] == [x] * (b - a)
-    assert all(x != y for (x, _, _), (y, _, _) in zip(rs, rs[1:]))
+_FORMS = {
+    "shared": lambda f: f,
+    "copy": lambda f: tuple(list(f)),
+    "list": lambda f: [list(e) for e in f],
+    "scrambled": lambda f: [(v, u) for u, v in reversed(f)],
+}
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(sorted(_FORMS)),
+                          st.integers(1, 4)), max_size=8),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_make_counts_and_sorts_the_canonical_forms(groups, shuffle, rng):
+    # Each group is a run of one factor of K_6: all one shared object, or
+    # equal fresh copies as tuples, as lists, or in a non-canonical order.
+    matchings = cyclic.lucas_factorization(6)
+    xs = [_FORMS[form](matchings[v])
+          for v, form, copies in groups for _ in range(copies)]
+    if shuffle:
+        rng.shuffle(xs)
+    mf = core.MultiFactorization.make(3, 1, xs)
+    canon = [core.canonicalize_factor(f, 6) for f in xs]
+    assert mf.runs == tuple(sorted(Counter(canon).items()))
+    assert mf.factors == tuple(sorted(canon))

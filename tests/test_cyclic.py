@@ -85,7 +85,7 @@ def side_and_cross_counts(factors, n):
 
 
 def test_join_even_covers_side_edges_once():
-    factors = cyclic.join_even(4, 1)
+    factors = cyclic.join_even(4)
     assert len(factors) == 3
     side, cross = side_and_cross_counts(factors, 4)
     assert not cross
@@ -93,16 +93,16 @@ def test_join_even_covers_side_edges_once():
 
 
 def test_join_even_minimal_case():
-    assert cyclic.join_even(2, 1) == [((0, 1), (2, 3))]
+    assert cyclic.join_even(2) == [((0, 1), (2, 3))]
 
 
 def test_join_even_rejects_odd_order():
     with pytest.raises(cyclic.OddOrder):
-        cyclic.join_even(5, 1)
+        cyclic.join_even(5)
 
 
 def test_join_odd_explicit_n3():
-    factors = cyclic.join_odd(3, 1, 1)
+    factors = cyclic.join_odd(3, 1)
     assert len(factors) == 3
     near = cyclic.near_one_factorization(3)
     expected0 = tuple(sorted(list(near[0]) + [(u + 3, v + 3) for u, v in near[1]]
@@ -113,19 +113,20 @@ def test_join_odd_explicit_n3():
 
 
 def test_join_odd_multiplicities():
-    factors = cyclic.join_odd(5, 2, 0)
-    assert len(factors) == 10
-    side, cross = side_and_cross_counts(factors, 5)
-    assert set(side.values()) == {2}
-    assert cross == Counter({e: 2 for e in cyclic.m_factor(5, 0)})
+    for n, b in [(5, 0), (5, 3), (7, 2)]:
+        factors = cyclic.join_odd(n, b)
+        assert len(set(factors)) == len(factors) == n
+        side, cross = side_and_cross_counts(factors, n)
+        assert set(side.values()) == {1} and len(side) == n * (n - 1)
+        assert cross == Counter(cyclic.m_factor(n, b))
 
 
 def test_join_odd_cross_edges_are_exactly_m_b():
     for b in range(5):
-        _, cross = side_and_cross_counts(cyclic.join_odd(5, 1, b), 5)
+        _, cross = side_and_cross_counts(cyclic.join_odd(5, b), 5)
         assert set(cross) == set(cyclic.m_factor(5, b))
     with pytest.raises(cyclic.EvenOrder):
-        cyclic.join_odd(4, 1, 0)
+        cyclic.join_odd(4, 0)
 
 
 def test_h_orbit_of_m_factor_is_itself():

@@ -306,3 +306,15 @@ def test_catalog_pins_cover_every_served_lambda():
 def test_catalog_document_bytes_pinned(n, lam):
     text = docio.serialize(docio.document_from_mf(families.construct(n, lam)))
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DOCUMENT_SHA256[(n, lam)]
+
+
+def test_catalog_document_at_300_300_reads_back_equal():
+    # Far past the pinned strips: 1,198 distinct factors carry all 179,700.
+    mf = families.construct(300, 300)
+    text = docio.serialize(docio.document_from_mf(mf))
+    assert len(text) == 3_468_296
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "9b6de596408f71f930c8420c20ef714d2f2cf7cda2f704156df5d982344cb423"
+    doc = docio.parse(text)
+    assert len(doc["counts"]) == 1_198 and sum(doc["counts"]) == 179_700
+    assert docio.mf_from_document(doc) == mf
