@@ -60,28 +60,28 @@ def profile(pi, n: int) -> dict[int, int]:
     return t
 
 
-def _shifted(pi, n: int, h: int) -> tuple[int, ...]:
-    """The permutation of F + h, where F is the factor of pi: x -> pi(x - h) + h."""
-    return tuple((pi[(x - h) % n] + h) % n for x in range(n))
-
-
 def h_orbit(pi, n: int) -> list[tuple[int, ...]]:
     """The orbit {pi + h : h in H} of a permutation, deduplicated and sorted.
 
-    Cross factors list their edges by x, so the sorted permutations give
-    the sorted factors.  Raises NotAPermutation.
+    The factor F + h has the permutation x -> pi(x - h) + h.  Cross factors
+    list their edges by x, so the sorted permutations give the sorted
+    factors.  Raises NotAPermutation.
     """
-    pi = tuple(pi)
     _check_permutation(pi, n)
-    return sorted({_shifted(pi, n, h) for h in range(n)})
+    return sorted({tuple((pi[(x - h) % n] + h) % n for x in range(n))
+                   for h in range(n)})
 
 
 def h_stabilizer_order(pi, n: int) -> int:
-    """Order of {h : pi + h = pi}; always divides n."""
-    pi = tuple(pi)
-    order = sum(1 for h in range(n) if _shifted(pi, n, h) == pi)
-    assert n % order == 0
-    return order
+    """Order of {h : pi + h = pi}: n / h for the least h > 0 in it, a divisor of n.
+
+    Only divisors are tried; a shift that moves pi usually shows it at x = 0.
+    """
+    for h in range(1, n):
+        if n % h == 0 and all((pi[(x + h) % n] - pi[x] - h) % n == 0
+                              for x in range(n)):
+            return n // h
+    return 1
 
 
 def lucas_factorization(n: int) -> list[OneFactor]:

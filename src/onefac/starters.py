@@ -24,8 +24,9 @@ the first nonempty one.
 
 Starter profiles come in closed form from `families`.  Past the pinned
 ones, each is a free slot {0: p, 1: q, g: w, s: 1} that `find_profiles`
-spells out; Hall's theorem on Z_n makes every such profile realizable,
-and `find_starter` realizes it.
+spells out.  `find_starter` realizes a profile with M. Hall Jr.'s
+exchange chain (Proc. AMS 3, 1952) in polynomial time: any n elements of
+Z_n summing to 0 are the differences of two orderings of Z_n.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ class ProfileSumInvalid(ValueError):
 
 class InfeasibleProfile(ValueError):
     """No trivial-stabilizer permutation realizes the requested profile."""
+
+
+class ChainTooLong(ValueError):
+    """Hall's exchange chain passed its step bound without closing."""
 
 
 class PreconditionFailed(ValueError):
@@ -289,18 +294,16 @@ def certificate_indecomposable(s: StarterSet) -> Certificate:
 
 
 def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
-    """Deterministic backtracking for a permutation with a given profile.
+    """A trivial-stabilizer permutation pi of Z_n with the given profile.
 
-    Finds pi with displacement multiset {pi(x) - x mod n} equal to `target`
-    and trivial shift stabilizer, assigning positions smallest-index-first
-    and differences in ascending order; the choices are kept on an explicit
-    stack, so no position costs a Python frame.  After placing x, each
-    target x + b must be taken or keep a later source z - c with c in
-    stock, checked in plain loops that stop at the first dead target; this
-    cuts only dead subtrees, so the result is plain backtracking's.  Raises
-    ProfileSumInvalid when the displacement sum is nonzero mod n (no
-    permutation can exist), and InfeasibleProfile when the exhaustive
-    search finds no realization.
+    Hall's exchange chain runs on the displacements of `target` sorted by
+    value.  A stabilizer of order d > 1 makes every count a multiple of
+    d, so when the counts have gcd 1 (every catalog profile has a
+    singleton) the first chain answers; otherwise the chain reruns on the
+    rotations d[r:] + d[:r], r = 1..n-1.  Raises ProfileSumInvalid when no
+    permutation can have the profile, and InfeasibleProfile when no
+    rotation gives a trivial stabilizer, which for n <= 12 happens
+    exactly when exhaustive search finds no realization either.
     """
     if any(v < 0 for v in target.values()) or any(not 0 <= a < n for a in target):
         raise ProfileSumInvalid(f"profile entries outside Z_{n} or negative")
@@ -308,52 +311,43 @@ def find_starter(n: int, target: dict[int, int]) -> tuple[int, ...]:
         raise ProfileSumInvalid(f"profile mass {sum(target.values())} != n = {n}")
     if sum(a * v for a, v in target.items()) % n != 0:
         raise ProfileSumInvalid("displacement sum not divisible by n")
-    remaining = {a: v for a, v in sorted(target.items()) if v > 0}
-    pi = [-1] * n
-    used = [False] * n
-    diffs = sorted(remaining)
-    nxt = [0] * n  # index into diffs of the next difference to try at each x
-    x = 0
-    while x >= 0:
-        if x == n:
-            cand = tuple(pi)
-            if cyclic.h_stabilizer_order(cand, n) == 1:
-                return cand
-            x -= 1
-            continue
-        if pi[x] >= 0:  # back at x: take back its placement
-            used[pi[x]] = False
-            remaining[(pi[x] - x) % n] += 1
-            pi[x] = -1
-        while nxt[x] < len(diffs):
-            a = diffs[nxt[x]]
-            nxt[x] += 1
-            y = (x + a) % n
-            if remaining[a] == 0 or used[y]:
-                continue
-            pi[x] = y
-            used[y] = True
-            remaining[a] -= 1
-            for b in diffs:
-                z = (x + b) % n
-                if used[z]:
-                    continue
-                for c in diffs:
-                    if remaining[c] and (z - c) % n > x:
-                        break
-                else:
-                    break  # target z has no later source left
-            else:
-                break  # every free target keeps a source: go on to x + 1
-            remaining[a] += 1
-            used[y] = False
-            pi[x] = -1
-        else:
-            nxt[x] = 0
-            x -= 1
-            continue
-        x += 1
+    d = [a for a, v in sorted(target.items()) for _ in range(v)]
+    for r in range(n):
+        pi = _exchange_chain(d[r:] + d[:r], n)
+        if cyclic.h_stabilizer_order(pi, n) == 1:
+            return pi
     raise InfeasibleProfile(f"no trivial-stabilizer realization of {target}")
+
+
+def _exchange_chain(d: list[int], limit: int) -> tuple[int, ...]:
+    """M. Hall Jr.'s exchange chain: pi with pi(b[i]) - b[i] = d[i] for all i.
+
+    d lists n elements of Z_n summing to 0 mod n.  Orderings b and c of
+    Z_n start as the identity, and position n-1 is the sink.  Step k has
+    position k ask for d[k]: the value it needs in c is swapped in from
+    position j, and unless j is the sink, b[j] trades with the sink's
+    value and position j asks again.  The sum condition makes the sink
+    right.  A chain past `limit` steps raises ChainTooLong.
+    """
+    n = len(d)
+    b, c, at = list(range(n)), list(range(n)), list(range(n))  # at[c[i]] = i
+    want = [0] * n
+    for k in range(n - 1):
+        want[k] = d[k]
+        p = k
+        for _ in range(limit):
+            j = at[(b[p] + want[p]) % n]
+            if j == p:
+                break
+            c[p], c[j] = c[j], c[p]
+            at[c[p]], at[c[j]] = p, j
+            if j == n - 1:
+                break
+            b[j], b[-1] = b[-1], b[j]
+            p = j
+        else:
+            raise ChainTooLong(f"exchange chain for d[{k}] passed {limit} steps")
+    return tuple(y for _, y in sorted(zip(b, c)))
 
 
 @lru_cache(maxsize=None)

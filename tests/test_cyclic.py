@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -179,6 +180,15 @@ def test_stabilizer_orders():
     # displacement sequence of period 2 on Z_4: +1 on evens, -1 on odds
     pi = (1, 0, 3, 2)
     assert cyclic.h_stabilizer_order(pi, 4) == 2
+
+
+def test_stabilizer_order_matches_counting_every_shift():
+    # Every permutation of Z_n for n <= 7 against the count of all n shifts.
+    for n in range(1, 8):
+        for pi in permutations(range(n)):
+            brute = sum(all((pi[(x - h) % n] + h) % n == pi[x] for x in range(n))
+                        for h in range(n))
+            assert cyclic.h_stabilizer_order(pi, n) == brute, pi
 
 
 def test_profile_of_m_factor():

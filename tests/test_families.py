@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from onefac import docio, families, starters
+from onefac import cyclic, docio, families, starters
 from onefac.core import is_simple, validate_factorization
 from onefac.starters import assemble
 
@@ -126,7 +126,7 @@ def test_construct_n5_lam3():
 
 # sha256 over (n, lambda, profiles, starter permutations, certificate
 # status and trace) for every lambda of the strips n = 15..22.
-CLAIM_N15_22_SHA256 = "78f520da5f153f87a18af5023d73634a21af50e7e1b268aa1b12815b0dbc16d0"
+CLAIM_N15_22_SHA256 = "d6504dc09e206a5a832bf3a25d5771276f4968853beedcd2473d91e1f84882c4"
 
 
 def test_claim_check_past_n14():
@@ -143,6 +143,17 @@ def test_claim_check_past_n14():
             digest.update(repr((n, lam, p.profiles, p.starter_set.perms,
                                 cert.status, cert.trace)).encode())
     assert digest.hexdigest() == CLAIM_N15_22_SHA256
+
+
+def test_claim_realized_and_certified_n9_to_50():
+    # Every served lambda of every strip n = 9..50 plans: each starter has
+    # exactly its profile, and the certificate is proven.
+    for n in range(9, 51):
+        for lam in range(families.lambda_floor(n), 2 * n + 1):
+            p = families.plan(n, lam)
+            assert [tuple(sorted(cyclic.profile(pi, n).items()))
+                    for pi in p.starter_set.perms] == list(p.profiles), (n, lam)
+            assert p.certificate().proven, (n, lam)
 
 
 def test_construct_rejects_out_of_range():

@@ -237,49 +237,49 @@ def test_field_document_bytes_pinned(p, m):
 # assembly all enter these bytes.  A realizer that returns other
 # permutations changes them.
 CATALOG_DOCUMENT_SHA256 = {
-    (9, 3): "c34977df1c347b41640ca0300d7715783c9ed2e68f85bb1c284043ec31791ef1",
+    (9, 3): "eee7fe15841af5af2fc842d90ddea864c55ba8115a4de8ed60f0cca558899bb8",
     (9, 4): "e57490e88135fb6e7d4a2cea150def893f0e24f7a7288de415302d63a73648be",
     (9, 5): "86f078491bb2d11d2f5ea8ef5d07d1e22403a6fe7713ad13519c9219f4ddf579",
     (9, 6): "5fa71ba7c34deb637b0e116963c1a61dd2b6dda26ddfb944a41085b46589ebf3",
     (9, 7): "32f29ff1a4900dcd1eb0df0f3cf20b38ca7cd22e25d372e1149f5c10648b2485",
     (9, 8): "d43fecaaf40edee67730dabce4e6e918090b0726925742f9ec181ab7c47a73ce",
     (9, 9): "dd649028fcfac0e674551901b589db8361474a53ded6deaa2c8afaf49e573cd4",
-    (9, 10): "69adeec92232266bb8dcfee38b7a4cdf794e1bc38c954714b4ac1bfe5f2e97bd",
-    (9, 11): "4cc9349e5ce78b99e94e4796797f21447d94b55b9d10094d3893509196b842de",
+    (9, 10): "fe309d860f72f537a9341529332251cc57764759ef92178bc842a72cd8e4456c",
+    (9, 11): "33baba197c6d68d90a8798dd0dab206921c5c22a5933c5aea926ba66813c4480",
     (9, 12): "3a521f303cd7f4d47aaaaa4957d7fedfe7c6354979878180003b03965b818fd2",
-    (9, 13): "50b80c7f6dea509a61ccd3cda5b0cb2f15e5b074d687886d639fc54a9b59a773",
+    (9, 13): "42878b5cae794c3a212eaef7f43a0a97b600746cee571756c9fb6a118552b9d0",
     (9, 14): "2c94f5372586e4da59d0feb9ef0c2f01857567d4d8a64ed93cfc0a477c7ee223",
     (9, 15): "e9fdd2523394e3a78c576d9260fab2757cc1128ec72e0f2cd649ddcd1fe7d26e",
     (9, 16): "9d586ab1c5c0079effb334189ceb5fe71f6a7bb5b558265ac57e2d7e010de1ec",
     (9, 17): "a9fa4b9bacabad648aab665aac4bb7299cc401ac92df4f09d49e846381de3470",
     (9, 18): "3b5b1b068593a71ba7e50787bf230ab2fe278c18a4b5bcc09b9405ed62cdf8d9",
-    (23, 7): "593c7a83d605031aff44c781e50cd3a7331219a635f0b5f38e6c6755b8b3c5c1",
-    (23, 8): "080239e3f9d8e5f753c0f9accfb8a2f7038990680237f81f7fd84e4226b7294a",
-    (23, 9): "319ff4501aff66364aaa4611afb8a7b3cbd98a875fa827be1b8ef36cbf6419a1",
-    (23, 10): "8e73a2b027200b1ca131d1879227c0c1264030f36a48ff641c0c2b99a3a4dfdb",
-    (23, 11): "1d33500ef568bfd313eb6725ee06bae3110ef1bf1498f32a25662c8a45b40327",
+    (23, 7): "c71fe1f8a43ead4cff0f9d98b20c29fa67065dec4050ac3cf8413ca7134b8111",
+    (23, 8): "4dd131829e12736a645ded24ca672884cb7956cf69fa31f7dc069fd8359a132b",
+    (23, 9): "8dbc1ac48e07fc881741613d7d71dcd96b2201c9ee9803d79f2b8e2822ec1187",
+    (23, 10): "20720e0e72a478034cc8fd520b56a6721d663c938fb3f7d99a24a9cefcea4c96",
+    (23, 11): "d81f771e778b47c5cbd0b0e8b5e2a45bc1daea1f7979d47d2b28b63e2b7f2159",
     (23, 12): "17de230a0d1edd1002de1e138dc824ba6f31e44911556624a895fb6e8ea3fb6b",
-    (23, 13): "993b3d22e304fc1cf389c4394f39d5f63a7a72ce2bde271c6f5a58821d2b9728",
+    (23, 13): "636f198c578530da0f9cd5bc99415184e0406f2c0993f19e8ae62f2f10d7ee80",
     (23, 14): "469d64d3105c68e1661720d1ee414e00167892d62fe95e6f426e14c012c0ce81",
-    (23, 15): "aaf28ad5c3ec46d50e1ba42e90abe0422ad69857a529bd887d95f00701c04429",
+    (23, 15): "2e224a3bde078832fcc819e22271184678fbcf8e33663452b0b0393c0247c4dd",
     (23, 16): "41256cbfb44775b711d257f0721213e31ee1dcf5088c0a457a0ba8bb12ca60b2",
-    (23, 17): "8c3ca44907989019ce450906c7cee53a25e37dcb029ed69b285a62fcfc59c54a",
+    (23, 17): "33bd901ad38352239c7f9cc8618cd564f8f2bcf10d93446683e21ceb316825f1",
     (23, 18): "9f11508c0563dd613f56ed6caf5e0aa05a749009548076557382b21ed8a53717",
     (23, 19): "d5addd2ffd8b956e083ae89111bb97dd40a8cb56ead54d70aeafb6863d8bd70c",
     (23, 20): "5ecca99cca2c48aec4f96837b9faac28f5ac794378fa11aec8cee678b234d5ed",
     (23, 21): "204310a697713c318d243d6001d72177d94db37861d52a1bd1f2a6a8efb9c645",
     (23, 22): "8fac65d7feec0d6495be5d6fc3e74dbcec6eec191d7cee1840b04c4ac9dfb64a",
     (23, 23): "742655d36056c57433e726b2d2367a41fc447fcd8707cc73b3b99c03388846b7",
-    (23, 24): "b22bbfca998820143ef9807a1d099dbdb26126d0b431838eb3f336ce7d3e1679",
+    (23, 24): "763a3e929d4f425ca98839398c7c1f42ddbaf7e78725cbaf856b01fcd8170088",
     (23, 25): "b1d1e6f2503eae6c92994189bd139665ba3d04059cc02af0f644f74761f09729",
-    (23, 26): "f92d491d9cc5fc4187e16e811b4aa2dcda47721b9b5f3664bec5f17ff3b7f98f",
-    (23, 27): "c53eb70cf266194fffc88157892dd4cad2b08adbed919d6b216cb1ac83d2b58f",
-    (23, 28): "a0d5e29002c0a7f9293eacfeb05dfd67388a2cb5ed42b8e37ad3f69eaad95280",
-    (23, 29): "fc984e8ac55a2058ad68dc53061f1a34238b1bec7da3c55a9395bbe80a63aff8",
-    (23, 30): "3d20c822a5e8cec436970381325e9064c63672ebf8f4deaa3de73582d675ad27",
-    (23, 31): "43265fc57900cc4667318986c2c618ab538d1b7b2154da48d0c07cd3d0cfd714",
-    (23, 32): "bc93862e2c690d4e58625661b7dee0f98e01b2bf3cdd375c387b87aedc1921d5",
-    (23, 33): "b75a752f99ab699b2b5973719485aa4e3c24d6987b1d8b26ede30d2f6d3626eb",
+    (23, 26): "81bfb8ca0e4c1b1930210c442e2223cd5c99d1afe933459b72b2a489def6d272",
+    (23, 27): "3bb3534c1ece437be97934b7e3d7ef45a63034aba7abe957142542cd81449cb4",
+    (23, 28): "94c701b9b5242297e4bad812708376fa56e9428f9e7f752433926d094774586f",
+    (23, 29): "d13491ebffaf72cba34f17d083988bbf0879c0c3cfea939a8ce8f978fb5838ec",
+    (23, 30): "e443197288d7cb9e28932826d0b031d94588a7e9fe671d046268353f8bd79e43",
+    (23, 31): "e67fa9c0b4dd935cd72dab007ecffd4ee5ba4302ab3af727763db9fccbefef6f",
+    (23, 32): "f34fd581964b00eed60bb761d77ae841612c9e8256d425f43fd9e97e6e9198f3",
+    (23, 33): "2b1d7c5216a57c8eea9f78660bb184df81e0c6bb8214620e010b96dfeb63cb6d",
     (23, 34): "dbaa78e55bd37b00e4e81ed33718267f57a8de5a7f61914afa89fbc53c280191",
     (23, 35): "d762367a0432d5aaada5d8cb54b1b6c1d0112d23723e05adfecf7724c72c9e56",
     (23, 36): "711b57f60cae68e527caaa0e2665f4784d465c54552f82f9e049234e241e444d",

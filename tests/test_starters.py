@@ -1,6 +1,9 @@
 import inspect
 import random
 import sys
+from collections import Counter
+from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 
@@ -202,8 +205,8 @@ def test_from_profiles_runs_the_realizer_once_on_an_unrealizable_profile(
 
 
 def _plain_backtracking(n, target):
-    # find_starter without its forward check: positions in order,
-    # displacements ascending, the first trivial-stabilizer completion.
+    # Exhaustive search: positions in order, displacements ascending, the
+    # first trivial-stabilizer completion, or None when there is none.
     remaining = dict(target)
     diffs = sorted(a for a, v in target.items() if v > 0)
     pi, used = [-1] * n, [False] * n
@@ -227,9 +230,9 @@ def _plain_backtracking(n, target):
     return extend(0)
 
 
-def test_find_starter_matches_plain_backtracking():
-    # The forward check only cuts dead subtrees, so every realization, and
-    # with it every document byte, is the one plain backtracking gives.
+def test_find_starter_realizes_catalog_and_random_singleton_profiles():
+    # Every profile the catalog plans at n = 5..18, topped up to 700 with
+    # random zero-sum profiles that hold a singleton (so gcd 1).
     profiles = set()
     for n in range(5, 19):
         for lam in range(2, 2 * n + 1):
@@ -252,8 +255,46 @@ def test_find_starter_matches_plain_backtracking():
         if 1 in t.values():
             profiles.add((n, tuple(sorted(t.items()))))
     for n, items in sorted(profiles):
-        want = _plain_backtracking(n, dict(items))
-        assert starters.find_starter(n, dict(items)) == want, (n, items)
+        pi = starters.find_starter(n, dict(items))
+        assert tuple(sorted(cyclic.profile(pi, n).items())) == items, (n, items)
+        assert cyclic.h_stabilizer_order(pi, n) == 1, (n, items)
+
+
+def test_find_starter_with_gcd_above_one_agrees_with_exhaustive_search():
+    # Hall's theorem leaves the stabilizer open when the counts share a
+    # factor; the rotated chains realize exactly what exhaustive search can.
+    checked = infeasible = 0
+    for n in range(4, 9):
+        for d in combinations_with_replacement(range(n), n):
+            target = dict(Counter(d))
+            if sum(d) % n or gcd(*target.values()) == 1:
+                continue
+            want = _plain_backtracking(n, target)
+            if want is None:
+                with pytest.raises(starters.InfeasibleProfile):
+                    starters.find_starter(n, target)
+                infeasible += 1
+            else:
+                pi = starters.find_starter(n, target)
+                assert cyclic.profile(pi, n) == target
+                assert cyclic.h_stabilizer_order(pi, n) == 1
+            checked += 1
+    assert (checked, infeasible) == (130, 64)
+
+
+def test_exchange_chain_past_its_bound_raises(monkeypatch):
+    # {0: 7, 2: 1, 7: 1} at n = 9: the chain for d[7] = 2 takes two steps.
+    d = [0] * 7 + [2, 7]
+    assert cyclic.profile(starters._exchange_chain(d, 9), 9) == {0: 7, 2: 1, 7: 1}
+    with pytest.raises(starters.ChainTooLong):
+        starters._exchange_chain(d, 1)
+    # plan turns it into a construction failure, as for any realizer error.
+    real_chain = starters._exchange_chain
+    monkeypatch.setattr(starters, "_exchange_chain", lambda d, limit: real_chain(d, 1))
+    starters._realization.cache_clear()
+    with pytest.raises(families.StarterSearchFailed):
+        families.plan(9, 3)
+    starters._realization.cache_clear()
 
 
 def test_find_starter_mixed_profile_at_n35():
