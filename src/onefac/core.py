@@ -16,6 +16,10 @@ multiset bookkeeping cheap and deterministic.  Catalog factorizations
 repeat most factors, so construction, validation, edge counting, the
 document writer and the multicover search each work once per distinct
 factor; only witness indices count through the flat view of every copy.
+
+Every factor the package builds (cyclic orbit factors and joins, field
+images) is canonical by construction.  `canonicalize_factor` checks and
+sorts only input from outside.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
 
     Raises WrongSize, NotAMatching or VertexOutOfRange when the input is
     not a perfect matching on the implied vertex set.  Idempotent.
+
+    This is the boundary for input from outside: `MultiFactorization.make`,
+    the error path of `validate_factorization` and `gf.base_factor` call
+    it.  Factors the package builds are canonical by construction and do
+    not pass through it.
     """
     pairs = [tuple(e) for e in edges]
     if num_vertices is None:

@@ -11,11 +11,17 @@ A cross-edge 1-factor is conveniently a permutation pi of Z_n: the factor
 {[x_0, pi(x)_1]}.  Its difference profile t[a] = |edges in common with M_a|
 = #{x : pi(x) - x = a (mod n)} is the fingerprint all the starter machinery
 works with.
+
+Every factor built here is canonical by construction, without
+`core.canonicalize_factor`: a cross factor lists its edges by x, a
+round-robin factor orders each pair and sorts once, and a joined factor
+puts its V_0 edges, which all precede its V_1 edges, first (the odd join
+sorts once more to place its cross edge).
 """
 
 from __future__ import annotations
 
-from .core import Edge, OneFactor, canonicalize_factor
+from .core import Edge, OneFactor
 
 
 class OddOrder(ValueError):
@@ -38,13 +44,29 @@ def vertex_id(a: int, j: int, n: int) -> int:
 def m_factor(n: int, a: int) -> OneFactor:
     """The orbit factor M_a = {[x_0, (x+a)_1] : x in Z_n}."""
     assert n >= 2
-    return canonicalize_factor([(x, n + (x + a) % n) for x in range(n)], 2 * n)
+    a %= n
+    return tuple(zip(range(n), [*range(n + a, 2 * n), *range(n, n + a)]))
 
 
 def cross_factor(pi, n: int) -> OneFactor:
     """The cross-edge factor {[x_0, pi(x)_1]} of a permutation pi of Z_n."""
     _check_permutation(pi, n)
-    return canonicalize_factor([(x, n + pi[x]) for x in range(n)], 2 * n)
+    return tuple(zip(range(n), [n + y for y in pi]))
+
+
+def orbit_factors(pi, n: int) -> list[OneFactor]:
+    """The n cross factors F + h, h in H, of the permutation pi, in order of h.
+
+    F + h matches x_0 to (pi(x - h) + h)_1, so its V_1 ends are those of
+    pi shifted by h and rotated h places.  A factor fixed by a shift
+    appears once per stabilizer element.  Raises NotAPermutation.
+    """
+    _check_permutation(pi, n)
+    out = []
+    for h in range(n):
+        ids = [n + (y + h) % n for y in pi]
+        out.append(tuple(zip(range(n), ids[n - h:] + ids[:n - h])))
+    return out
 
 
 def profile(pi, n: int) -> dict[int, int]:
@@ -70,6 +92,13 @@ def h_orbit(pi, n: int) -> list[tuple[int, ...]]:
     _check_permutation(pi, n)
     return sorted({tuple((pi[(x - h) % n] + h) % n for x in range(n))
                    for h in range(n)})
+
+
+def same_h_orbit(pi, sigma, n: int) -> bool:
+    """True iff sigma = pi + h for some h in H, tried shift by shift at x = 0 first."""
+    return any((pi[-h % n] + h) % n == sigma[0]
+               and all((pi[(x - h) % n] + h) % n == sigma[x] for x in range(n))
+               for h in range(n))
 
 
 def h_stabilizer_order(pi, n: int) -> int:
@@ -100,8 +129,10 @@ def lucas_factorization(n: int) -> list[OneFactor]:
     for i in range(mod):
         edges = [(i, hub)]
         for a in range(1, (n - 2) // 2 + 1):
-            edges.append(((a + i) % mod, (-a + i) % mod))
-        factors.append(canonicalize_factor(edges, n))
+            u, v = (a + i) % mod, (-a + i) % mod
+            edges.append((u, v) if u < v else (v, u))
+        edges.sort()
+        factors.append(tuple(edges))
     return factors
 
 
@@ -129,8 +160,7 @@ def join_even(n: int) -> list[OneFactor]:
     """
     if n % 2:
         raise OddOrder(f"n={n} must be even")
-    return [canonicalize_factor(list(f) + [(u + n, v + n) for u, v in f], 2 * n)
-            for f in lucas_factorization(n)]
+    return [f + tuple([(u + n, v + n) for u, v in f]) for f in lucas_factorization(n)]
 
 
 def join_odd(n: int, b: int) -> list[OneFactor]:
@@ -147,7 +177,8 @@ def join_odd(n: int, b: int) -> list[OneFactor]:
         j = (i + b) % n
         edges = list(near[i]) + [(u + n, v + n) for u, v in near[j]]
         edges.append((i, n + j))
-        out.append(canonicalize_factor(edges, 2 * n))
+        edges.sort()
+        out.append(tuple(edges))
     return out
 
 

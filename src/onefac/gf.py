@@ -151,10 +151,23 @@ def _affine_images(ctx: FieldCtx, log_bs: range | None = None):
                 for xs in digits] + [q] for ds in digits]
     f = base_factor(ctx)
     for log_b in range(q - 1) if log_bs is None else log_bs:
-        scaled = _scaling(ctx, log_b)
-        pairs = [(scaled[u], scaled[v]) for u, v in f]
+        pairs = _image(f, _scaling(ctx, log_b))
         for shift in shifted:
-            yield canonicalize_factor([(shift[u], shift[v]) for u, v in pairs], q + 1)
+            yield _image(pairs, shift)
+
+
+def _image(f: OneFactor, vmap: list[int]) -> OneFactor:
+    """The factor f with every vertex x moved to vmap[x], in canonical form.
+
+    A vertex bijection maps a perfect matching to a perfect matching, so
+    only the order of each pair and of the edges needs restoring.
+    """
+    image = []
+    for u, v in f:
+        u, v = vmap[u], vmap[v]
+        image.append((u, v) if u < v else (v, u))
+    image.sort()
+    return tuple(image)
 
 
 def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
@@ -182,10 +195,9 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     q = ctx.q
     half = (q - 1) // 2
     f = base_factor(ctx)
-    minus = _scaling(ctx, half)
-    if canonicalize_factor([(minus[u], minus[v]) for u, v in f], q + 1) != f:
+    if _image(f, _scaling(ctx, half)) != f:
         raise AssertionError(f"x -> -x does not fix the base factor of GF({q})")
     orbit = set(_affine_images(ctx, range(half)))
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
-    # Every image came out of canonicalize_factor.
+    # Every image is canonical as _image builds it.
     return MultiFactorization((q + 1) // 2, half, tuple((f, 1) for f in sorted(orbit)), model)

@@ -145,32 +145,31 @@ class Certificate:
 
 
 def check_starter_conditions(s: StarterSet) -> list[str]:
-    """All starter-set conditions; returns a list of violations (empty = ok)."""
+    """All starter-set conditions; returns a list of violations (empty = ok).
+
+    Raises cyclic.NotAPermutation when a starter is not a permutation of
+    Z_n.  A shift keeps the difference profile, so only starters with equal
+    profiles can share an H-orbit, and only those pairs are compared.
+    """
+    n = s.n
+    profiles = s.profiles()
     violations = []
-    orbits = []
     for i, pi in enumerate(s.perms):
-        try:
-            orbits.append(cyclic.h_orbit(pi, s.n))
-        except cyclic.NotAPermutation as exc:
-            violations.append(f"starter {i}: {exc}")
-            orbits.append(None)
-    for i, orbit in enumerate(orbits):
-        if orbit is not None and len(orbit) != s.n:
-            violations.append(f"starter {i}: stabilizer order "
-                              f"{s.n // len(orbit)} (must be 1)")
-    reps = {}
-    for i, orbit in enumerate(orbits):
-        if orbit is None:
-            continue
-        rep = orbit[0]
-        if rep in reps:
-            violations.append(f"starters {reps[rep]} and {i} share an H-orbit")
+        order = cyclic.h_stabilizer_order(pi, n)
+        if order != 1:
+            violations.append(f"starter {i}: stabilizer order {order} (must be 1)")
+    reps: dict[tuple, list[int]] = {}  # profile -> first starter of each orbit
+    for i, (pi, t) in enumerate(zip(s.perms, profiles)):
+        firsts = reps.setdefault(tuple(sorted(t.items())), [])
+        j = next((j for j in firsts if cyclic.same_h_orbit(s.perms[j], pi, n)), None)
+        if j is None:
+            firsts.append(i)
         else:
-            reps[rep] = i
+            violations.append(f"starters {j} and {i} share an H-orbit")
     for a, total in sorted(s.totals().items()):
         if total > s.lam:
             violations.append(f"t(M_{a}) = {total} exceeds lambda = {s.lam}")
-    if s.n % 2 and s.orbit_b() is None:
+    if n % 2 and s.orbit_b() is None:
         violations.append("odd n but no orbit M_b with t(M_b) = 0")
     return violations
 
@@ -185,22 +184,37 @@ def assemble(s: StarterSet) -> MultiFactorization:
     violations = check_starter_conditions(s)
     if violations:
         raise PreconditionFailed("starter conditions violated", violations)
-    n, lam = s.n, s.lam
-    totals = s.totals()
+    counts = _factor_counts(s, s.lam, (1,) * s.m)
+    # Every factor is canonical as cyclic builds it.
+    mf = MultiFactorization(s.n, s.lam, tuple(sorted(counts.items())),
+                            {"tag": "cyclic", "n": s.n})
+    assert sum(counts.values()) == mf.expected_factor_count()
+    return mf
+
+
+def _factor_counts(s: StarterSet, lam: int, chosen) -> Counter:
+    """Factor multiset of the orbit selection `chosen` (one bit per starter) at lam.
+
+    The H-orbit of every chosen starter, lam copies of each joined factor
+    and lam - cov(a) copies of each M_a but M_b, where cov sums the chosen
+    profiles.  All bits set at lambda gives the assembly; a feasible
+    selection at its lambda_0 gives a subfactorization of it.
+    """
+    n = s.n
     counts: Counter = Counter()
-    for pi in s.perms:
-        counts.update(cyclic.cross_factor(p, n) for p in cyclic.h_orbit(pi, n))
+    cov: Counter = Counter()
+    for bit, pi, t in zip(chosen, s.perms, s.profiles()):
+        if bit:
+            counts.update(cyclic.orbit_factors(pi, n))
+            cov.update(t)
     b = s.orbit_b() if n % 2 else None
     for f in cyclic.join_even(n) if b is None else cyclic.join_odd(n, b):
         counts[f] += lam
     for a in range(n):
-        loose = lam - totals.get(a, 0)
+        loose = lam - cov[a]
         if a != b and loose:
             counts[cyclic.m_factor(n, a)] += loose
-    # Every factor above is canonical already.
-    mf = MultiFactorization(n, lam, tuple(sorted(counts.items())), {"tag": "cyclic", "n": n})
-    assert sum(counts.values()) == mf.expected_factor_count()
-    return mf
+    return counts
 
 
 def orbit_multiplicity_check(pi, n: int) -> dict[int, int]:

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .core import MultiFactorization, ValidityReport, validate_factorization
-from . import cyclic
-from .starters import StarterSet, assemble, certificate_indecomposable
+from .starters import (StarterSet, _factor_counts, assemble,
+                       certificate_indecomposable)
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
@@ -258,19 +258,8 @@ def certificate_witness(s: StarterSet) -> Witness | None:
     if cert.proven:
         return None
     entry = next(e for e in cert.trace if e.status == "feasible")
-    n, lam0 = s.n, entry.lo
-    b = s.orbit_b() if n % 2 else None
-    used: Counter = Counter()
-    cov: Counter = Counter()
-    for chosen, pi, t in zip(entry.x, s.perms, s.profiles()):
-        if chosen:
-            used.update(cyclic.cross_factor(p, n) for p in cyclic.h_orbit(pi, n))
-            cov.update(t)
-    for f in cyclic.join_even(n) if b is None else cyclic.join_odd(n, b):
-        used[f] += lam0
-    for a in range(n):
-        if a != b:
-            used[cyclic.m_factor(n, a)] += lam0 - cov[a]
+    lam0 = entry.lo
+    used = _factor_counts(s, lam0, entry.x)
     mf = assemble(s)
     starts = accumulate((k for _, k in mf.runs), initial=0)
     witness = Witness(lam0, tuple(

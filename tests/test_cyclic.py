@@ -213,3 +213,47 @@ def test_profile_mass_and_displacement_sum(pi):
     t = cyclic.profile(tuple(pi), 8)
     assert sum(t.values()) == 8
     assert sum(a * v for a, v in t.items()) % 8 == 0
+
+
+def _random_perm(rng, n):
+    pi = list(range(n))
+    rng.shuffle(pi)
+    return tuple(pi)
+
+
+def test_builders_are_canonical_by_construction():
+    # Nothing in cyclic canonicalizes: each output must already be the
+    # fixed point of the canonical form.
+    def canonical(f, n):
+        return canonicalize_factor(f, 2 * n) == f and type(f) is tuple
+
+    rng = random.Random(17)
+    for n in range(2, 13):
+        pis = [_random_perm(rng, n) for _ in range(5)] + [tuple(range(n))]
+        for pi in pis:
+            assert canonical(cyclic.cross_factor(pi, n), n)
+            assert all(canonical(f, n) for f in cyclic.orbit_factors(pi, n))
+        for a in range(-n, 2 * n):
+            f = cyclic.m_factor(n, a)
+            assert canonical(f, n) and f == tuple((x, n + (x + a) % n) for x in range(n))
+        if n % 2:
+            for b in range(n):
+                assert all(canonical(f, n) for f in cyclic.join_odd(n, b))
+        else:
+            assert all(canonicalize_factor(f, n) == f
+                       for f in cyclic.lucas_factorization(n))
+            assert all(canonical(f, n) for f in cyclic.join_even(n))
+
+
+def test_orbit_factors_are_the_h_orbit_counted_per_stabilizer_element():
+    rng = random.Random(19)
+    for n in range(2, 13):
+        pis = [_random_perm(rng, n) for _ in range(30)]
+        pis += [tuple((x + a) % n for x in range(n)) for a in range(n)]
+        for pi in pis:
+            d = cyclic.h_stabilizer_order(pi, n)
+            want = Counter({cyclic.cross_factor(p, n): d for p in cyclic.h_orbit(pi, n)})
+            assert Counter(cyclic.orbit_factors(pi, n)) == want, pi
+            assert all(cyclic.same_h_orbit(pi, p, n) for p in cyclic.h_orbit(pi, n))
+    with pytest.raises(cyclic.NotAPermutation):
+        cyclic.orbit_factors((0, 0, 1), 3)

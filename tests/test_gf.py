@@ -5,7 +5,7 @@ import pytest
 
 from onefac import cyclic, docio, families, gf
 from onefac.acceptance import A4_PRIME_POWERS
-from onefac.core import is_simple, validate_factorization
+from onefac.core import canonicalize_factor, is_simple, validate_factorization
 
 
 def _add(ctx, a, b):
@@ -207,6 +207,17 @@ def test_halved_orbit_is_the_full_group_orbit(p, m):
     assert len(mf.factors) == q * (q - 1) // 2
 
 
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
+                                  (19, 1), (23, 1), (5, 2), (3, 3)])
+def test_affine_images_are_canonical_by_construction(p, m):
+    # _affine_images reorders pairs itself: each of the q(q-1) images must
+    # already be the fixed point of the canonical form.
+    ctx = gf.field_ctx(p, m)
+    images = list(gf._affine_images(ctx))
+    assert len(images) == ctx.q * (ctx.q - 1)
+    assert all(canonicalize_factor(f, ctx.q + 1) == f for f in images)
+
+
 def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
     # x -> -x maps (0,1) to (0,4): halving the maps would lose images.
     monkeypatch.setattr(gf, "base_factor", lambda ctx: ((0, 1), (2, 3), (4, 5)))
@@ -306,6 +317,25 @@ def test_catalog_pins_cover_every_served_lambda():
 def test_catalog_document_bytes_pinned(n, lam):
     text = docio.serialize(docio.document_from_mf(families.construct(n, lam)))
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DOCUMENT_SHA256[(n, lam)]
+
+
+# sha256 of the documents of every lambda served at n = 23, concatenated
+# in lambda order: the strip that the benchmark's strip workload builds.
+STRIP_N23_DOCUMENTS_SHA256 = "6847b93b34cc6745975fd49c03de831552752971438c2b967a53c472efd9383e"
+
+
+def test_strip_n23_documents_pinned_and_read_back_equal():
+    # The catalog is built canonical by construction; reading each
+    # document back canonicalizes it as outside input and must change nothing.
+    digest = hashlib.sha256()
+    lams = range(families.lambda_floor(23), 47)
+    assert lams[0] == 7
+    for lam in lams:
+        mf = families.construct(23, lam)
+        text = docio.serialize(docio.document_from_mf(mf))
+        digest.update(text.encode())
+        assert docio.mf_from_document(docio.parse(text)) == mf, lam
+    assert digest.hexdigest() == STRIP_N23_DOCUMENTS_SHA256
 
 
 def test_catalog_document_at_300_300_reads_back_equal():

@@ -410,3 +410,84 @@ def test_certificate_trace_matches_interval_system():
                 assert (entry.hi_orbit is None) == (min(slack) >= lam - 1)
                 if entry.hi_orbit is not None:
                     assert entry.hi_orbit == slack.index(entry.hi)
+
+
+def _orbit_building_conditions(s):
+    """The starter conditions as first written: every starter's whole
+    H-orbit is built, its size read as the stabilizer and its least
+    member compared as the orbit's representative."""
+    violations = []
+    orbits = []
+    for i, pi in enumerate(s.perms):
+        try:
+            orbits.append(cyclic.h_orbit(pi, s.n))
+        except cyclic.NotAPermutation as exc:
+            violations.append(f"starter {i}: {exc}")
+            orbits.append(None)
+    for i, orbit in enumerate(orbits):
+        if orbit is not None and len(orbit) != s.n:
+            violations.append(f"starter {i}: stabilizer order "
+                              f"{s.n // len(orbit)} (must be 1)")
+    reps = {}
+    for i, orbit in enumerate(orbits):
+        if orbit is None:
+            continue
+        rep = orbit[0]
+        if rep in reps:
+            violations.append(f"starters {reps[rep]} and {i} share an H-orbit")
+        else:
+            reps[rep] = i
+    for a, total in sorted(s.totals().items()):
+        if total > s.lam:
+            violations.append(f"t(M_{a}) = {total} exceeds lambda = {s.lam}")
+    if s.n % 2 and s.orbit_b() is None:
+        violations.append("odd n but no orbit M_b with t(M_b) = 0")
+    return violations
+
+
+def _outcome(check, s):
+    try:
+        return check(s)
+    except cyclic.NotAPermutation as exc:
+        return ("raises", str(exc))
+
+
+def _periodic_perm(rng, n, h):
+    """A permutation with pi + h = pi, for h dividing n."""
+    sigma = list(range(h))
+    rng.shuffle(sigma)
+    lift = [rng.randrange(n // h) for _ in range(h)]
+    return tuple((sigma[x % h] + (lift[x % h] + x // h) * h) % n for x in range(n))
+
+
+def test_starter_conditions_match_the_orbit_building_reference():
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randrange(2, 13)
+        perms = []
+        for _ in range(rng.randrange(5)):
+            kind = rng.randrange(6)
+            if kind == 0 and perms and len(perms[-1]) == n:  # a shifted copy
+                pi, h = perms[-1], rng.randrange(n)
+                perms.append(tuple((pi[(x - h) % n] + h) % n for x in range(n)))
+            elif kind == 1:  # a nontrivial stabilizer
+                h = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+                perms.append(_periodic_perm(rng, n, h))
+            elif kind == 2 and n % 2:  # every difference once: no free orbit b
+                perms.append(tuple(2 * x % n for x in range(n)))
+            elif kind == 3 and rng.random() < 0.2:  # not a permutation
+                bad = list(range(n))
+                bad[rng.randrange(n)] = rng.choice([0, n, -1])
+                perms.append(tuple(bad[:rng.randrange(n - 1, n + 2)]))
+            else:
+                perms.append(tuple(rng.sample(range(n), n)))
+        s = StarterSet(n, rng.randrange(1, 2 * n + 1), tuple(perms))
+        want = _outcome(_orbit_building_conditions, s)
+        assert _outcome(starters.check_starter_conditions, s) == want, s
+        if isinstance(want, tuple):
+            seen["raises"] += 1
+        for v in want if isinstance(want, list) else ():
+            seen[next(k for k in ("stabilizer", "share", "exceeds", "M_b") if k in v)] += 1
+    assert set(seen) == {"raises", "stabilizer", "share", "exceeds", "M_b"}
+    assert min(seen.values()) >= 50, seen
