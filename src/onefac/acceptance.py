@@ -185,8 +185,8 @@ def a8() -> str:
 def profile_golden_document() -> dict:
     """Current profile tables of every catalog case with n = 5..14.
 
-    Whole closed forms, pins and free slots alike, so the golden file pins
-    the slot rules and the small-case table as well as the text.
+    P1's whole closed form and the slot lists alike, so the golden file
+    pins the slot rules and the small-case table as well as the text.
     """
     entries = []
     for n in GOLDEN_NS:

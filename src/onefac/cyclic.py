@@ -36,11 +36,6 @@ class NotAPermutation(ValueError):
     """Sequence is not a permutation of 0..k-1."""
 
 
-def vertex_id(a: int, j: int, n: int) -> int:
-    """Id of the vertex a_j in the cyclic model."""
-    return a % n + n * (j % 2)
-
-
 def m_factor(n: int, a: int) -> OneFactor:
     """The orbit factor M_a = {[x_0, (x+a)_1] : x in Z_n}."""
     assert n >= 2
@@ -113,6 +108,15 @@ def h_stabilizer_order(pi, n: int) -> int:
     return 1
 
 
+def _fold(mod: int, i: int) -> list[Edge]:
+    """The pairs {i+a, i-a} of Z_mod for a = 1..(mod-1)//2, each ordered."""
+    out = []
+    for a in range(1, (mod - 1) // 2 + 1):
+        u, v = (i + a) % mod, (i - a) % mod
+        out.append((u, v) if u < v else (v, u))
+    return out
+
+
 def lucas_factorization(n: int) -> list[OneFactor]:
     """Round-robin 1-factorization of K_n for even n.
 
@@ -123,34 +127,18 @@ def lucas_factorization(n: int) -> list[OneFactor]:
     if n % 2:
         raise OddOrder(f"n={n} must be even")
     assert n >= 2
-    mod = n - 1
-    hub = n - 1
-    factors = []
-    for i in range(mod):
-        edges = [(i, hub)]
-        for a in range(1, (n - 2) // 2 + 1):
-            u, v = (a + i) % mod, (-a + i) % mod
-            edges.append((u, v) if u < v else (v, u))
-        edges.sort()
-        factors.append(tuple(edges))
-    return factors
+    return [tuple(sorted([(i, n - 1), *_fold(n - 1, i)])) for i in range(n - 1)]
 
 
 def near_one_factorization(n: int) -> list[tuple[Edge, ...]]:
     """Near-1-factors of K_n for odd n; factor i leaves vertex i unmatched.
 
-    Obtained from the round-robin factorization of K_{n+1} by deleting the
-    hub.  Every edge of K_n occurs in exactly one near-factor.
+    Factor i folds Z_n around i, as the round robin of K_{n+1} does
+    around its hub.  Every edge of K_n occurs in exactly one near-factor.
     """
     if n % 2 == 0:
         raise EvenOrder(f"n={n} must be odd")
-    full = lucas_factorization(n + 1)
-    near = []
-    for i, f in enumerate(full):
-        edges = tuple(e for e in f if n not in e)
-        assert all(i not in e for e in edges)
-        near.append(edges)
-    return near
+    return [tuple(sorted(_fold(n, i))) for i in range(n)]
 
 
 def join_even(n: int) -> list[OneFactor]:

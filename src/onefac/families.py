@@ -4,9 +4,11 @@ Eight cyclic-model families partition the parameter strip
 ceil((n-2)/3) <= lambda <= 2n for n >= 9 (smaller n keep the low-lambda
 families only); a ninth entry is the finite-field construction living in
 the `gf` module.  Every family's starter profiles are closed forms coded
-here: whole for P1 and P4, and otherwise closed-form pinned starters
-(`_pins`) followed by free slots given by rules affine in n (`_slots`)
-or, at twelve small cases, by the table `_SMALL_SLOTS`.  Acceptance
+here.  P1 below lambda = n - 2 is coded whole; every other case is a
+list of slots (p, q, g), given by rules affine in n (`_slots`) or, at
+seventeen small cases, by the table `_SMALL_SLOTS`, and spelled out by
+`starters.find_profiles`.  The paper's heavy-zero and companion starters
+lead most lists, named by `_heavy_zero` and `_companion`.  Acceptance
 criterion A7 pins every profile table with n <= 14 against a golden file.
 
 Both parity families P1 and P2 start at the same floor ceil((n-2)/3), so
@@ -81,130 +83,95 @@ def family_for(n: int, lam: int) -> str:
     return claims[0]
 
 
-def _profile_a(n: int, alpha: int) -> dict[int, int]:
-    """Heavy-zero starter with singletons at alpha and n-alpha."""
-    return {0: n - 2, alpha: 1, (n - alpha) % n: 1}
-
-
-def _profile_b(n: int, r: int) -> dict[int, int]:
-    """Companion starter of the lambda = n-1+r pair (r in {0, 1})."""
-    return {0: r + 1, 1: n - r - 2, r + 2: 1}
-
-
 def family_profiles(family: str, n: int, lam: int) -> list[dict[int, int]]:
     """Starter profiles for one family at (n, lambda), all in closed form.
 
-    P1 and P4 are coded whole, as are P3 at n = 11 and P6 at n = 9, 10.
-    The other cases are the family's pins followed by one profile per
-    free slot of `_slots`, or of `_SMALL_SLOTS` at the twelve small cases
-    the rules do not reproduce, built by `starters.find_profiles`.
+    P1 below lambda = n - 2 is coded whole.  Every other case is one
+    profile per slot of `_slots`, or of `_SMALL_SLOTS` at the seventeen
+    small cases the rules do not reproduce, spelled out by
+    `starters.find_profiles`.
     """
     if not family_domain(family, n, lam):
         raise OutOfDomain(f"{family} does not cover n={n}, lambda={lam}")
-    if family == "P1":
-        if lam == n - 2:
-            return [{0: lam, 1: 1, n - 1: 1}]
+    if family == "P1" and lam < n - 2:
         k = (n - lam - 2) // 2
         return [{0: lam, 1: k, n - 1: k, 2: 1, n - 2: 1}]
-    if family == "P4":
-        r = lam - (n - 1)
-        alpha = 3 if r == 0 else 2
-        return [_profile_a(n, alpha), _profile_b(n, r)]
-    if family == "P3" and n == 11:
-        return _p3_n11(lam)
-    if family == "P6" and n in (9, 10):
-        return _p6_small(n)
-    slots = _SMALL_SLOTS.get((family, n, lam)) or _slots(family, n, lam)
-    return list(find_profiles(n, _pins(family, n, lam), slots))
+    return list(find_profiles(n, _SMALL_SLOTS.get((family, n, lam))
+                              or _slots(family, n, lam)))
 
 
-def _pins(family: str, n: int, lam: int) -> list[dict[int, int]]:
-    """Closed-form pinned starters of a family completed by free slots."""
-    if family == "P2":
-        return []
-    if family in ("P3", "P7"):
-        return [_profile_a(n, 3), _profile_b(n, 0)]
-    if family == "P5":
-        r = 2 * n - lam
-        return [_profile_a(n, 4 if r == 4 else 2), _profile_b(n, 1)]
-    if family == "P6":
-        return [_profile_a(n, 2), _profile_b(n, 1)]
-    if family == "P8":
-        if lam == 2 * n - 1:
-            return [_profile_a(n, 2), _profile_a(n, 3),
-                    _profile_b(n, 1), _profile_b(n, 0)]
-        if n == 9:  # lam = 18: explicit starters except one
-            return [_profile_a(9, 4), _profile_a(9, 3), _profile_b(9, 0),
-                    {1: 6, 2: 2, 8: 1}]
-        return [_profile_a(n, 2), _profile_a(n, 3), _profile_b(n, 1)]
-    raise ValueError(f"{family} has no free slots")
+def _heavy_zero(n: int, alpha: int) -> tuple[int, int, int]:
+    """Slot of the heavy-zero starter {0: n-2, alpha: 1, n-alpha: 1}."""
+    return (n - 2, 0, alpha)
+
+
+def _companion(n: int, r: int) -> tuple[int, int, int]:
+    """Slot of the companion {0: r+1, 1: n-r-2, r+2: 1} of the lambda = n-1+r pair."""
+    return (r + 1, n - r - 2, 2)
 
 
 def _slots(family: str, n: int, lam: int) -> list[tuple[int, int, int]]:
-    """Free slots (p, q, g) completing `_pins`; g is idle when p + q = n - 1."""
+    """Every starter of a family as a slot (p, q, g); g is idle when p + q = n - 1.
+
+    P1 is served here only at lambda = n - 2.
+    """
     k, r = lam - n, 2 * n - lam
+    if family == "P1":
+        return [(n - 2, 1, 2)]
     if family == "P2":
         if 2 * lam >= n:
             return [(lam, n - lam - 1, 2)]
         return [(lam, lam, 3 if n == 3 * lam + 1 else 2)]
+    if family == "P4":
+        return [_heavy_zero(n, 3 if k == -1 else 2), _companion(n, k + 1)]
     if family == "P3":
+        head = [_heavy_zero(n, 3), _companion(n, 0)]
         if 3 * k + 5 <= n - 1:
-            return [(k + 1, k + 1, 2), (0, 1, 3)]
+            return head + [(k + 1, k + 1, 2), (0, 1, 3)]
         if n % 2 and 2 * k == n - 5:
-            return [(k + 1, 1, 3), (0, k + 1, 4)]
+            return head + [(k + 1, 1, 3), (0, k + 1, 4)]
         if n % 2 and 2 * k == n - 3:
-            return [(k + 1, k, 2), (0, 2, 2)]
+            return head + [(k + 1, k, 2), (0, 2, 2)]
         if n - 2 * k - 4 >= 0:
-            return [(k + 1, n - 2 * k - 4, 3), (0, 3 * k + 6 - n, 2)]
-        return [(k + 1, n - k - 2, 2), (0, 2 * k - n + 4, 2)]
+            return head + [(k + 1, n - 2 * k - 4, 3), (0, 3 * k + 6 - n, 2)]
+        return head + [(k + 1, n - k - 2, 2), (0, 2 * k - n + 4, 2)]
     if family == "P5":
-        return {6: [(n - 6, 5, 2), (0, n - 8, 2)],
-                5: [(n - 5, 4, 2), (0, n - 6, 3)],
-                4: [(n - 4, 3, 2), (0, n - 4, 2)],
-                3: [(n - 4, 3, 2), (1, n - 3, 4)]}[r]
+        return [_heavy_zero(n, 4 if r == 4 else 2), _companion(n, 1)] + {
+            6: [(n - 6, 5, 2), (0, n - 8, 2)],
+            5: [(n - 5, 4, 2), (0, n - 6, 3)],
+            4: [(n - 4, 3, 2), (0, n - 4, 2)],
+            3: [(n - 4, 3, 2), (1, n - 3, 4)]}[r]
     if family == "P6":
-        return [(n - 4, 3, 2), (2, n - 4, 5)]
+        return [_heavy_zero(n, 2), _companion(n, 1), (n - 4, 3, 2), (2, n - 4, 5)]
     if family == "P7":
-        return [(n - 6, 5, 2), (0, n - 10, 2)]
-    if r == 1:  # P8
-        return [(0, 4, 2)]
-    return [(2, n - 4, 5), (0, 7, 2)]
+        return [_heavy_zero(n, 3), _companion(n, 0), (n - 6, 5, 2), (0, n - 10, 2)]
+    head = [_heavy_zero(n, 2), _heavy_zero(n, 3), _companion(n, 1)]  # P8
+    if r == 1:
+        return head + [_companion(n, 0), (0, 4, 2)]
+    return head + [(2, n - 4, 5), (0, 7, 2)]
 
 
-# Free slots of the small cases whose golden profiles the rules of
+# Every slot of the small cases whose golden profiles the rules of
 # `_slots` do not reproduce.
 _SMALL_SLOTS = {
-    ("P5", 9, 12): [(3, 5, 2), (0, 1, 3)],
-    ("P5", 9, 13): [(4, 3, 2), (0, 4, 2)],
-    ("P5", 10, 15): [(5, 3, 2), (0, 5, 2)],
-    ("P5", 11, 16): [(5, 4, 2), (0, 4, 2)],
-    ("P5", 12, 19): [(7, 4, 2), (0, 6, 4)],
-    ("P7", 9, 11): [(3, 1, 3), (0, 3, 5)],
-    ("P7", 10, 13): [(4, 0, 3), (0, 5, 2)],
-    ("P7", 11, 15): [(5, 4, 2), (0, 2, 2)],
-    ("P8", 9, 17): [(0, 4, 6)],
-    ("P8", 9, 18): [(3, 5, 2)],
-    ("P8", 11, 22): [(2, 7, 5), (0, 7, 3)],
-    ("P8", 12, 24): [(2, 8, 5), (0, 7, 3)],
+    ("P3", 11, 12): [(9, 0, 2), (3, 7, 2)],
+    ("P3", 11, 13): [(9, 0, 2), (4, 6, 2)],
+    ("P3", 11, 14): [(9, 0, 3), (1, 9, 2), (4, 5, 7)],
+    ("P5", 9, 12): [(7, 0, 2), (2, 6, 2), (3, 5, 2), (0, 1, 3)],
+    ("P5", 9, 13): [(7, 0, 2), (2, 6, 2), (4, 3, 2), (0, 4, 2)],
+    ("P5", 10, 15): [(8, 0, 2), (2, 7, 2), (5, 3, 2), (0, 5, 2)],
+    ("P5", 11, 16): [(9, 0, 2), (2, 8, 2), (5, 4, 2), (0, 4, 2)],
+    ("P5", 12, 19): [(10, 0, 2), (2, 9, 2), (7, 4, 2), (0, 6, 4)],
+    ("P6", 9, 16): [(7, 0, 2), (7, 0, 4), (1, 7, 2), (1, 6, 8), (0, 3, 2)],
+    ("P6", 10, 18): [(8, 0, 2), (8, 0, 3), (1, 8, 2), (1, 7, 9), (0, 3, 2)],
+    ("P7", 9, 11): [(7, 0, 3), (1, 7, 2), (3, 1, 3), (0, 3, 5)],
+    ("P7", 10, 13): [(8, 0, 3), (1, 8, 2), (4, 0, 3), (0, 5, 2)],
+    ("P7", 11, 15): [(9, 0, 3), (1, 9, 2), (5, 4, 2), (0, 2, 2)],
+    ("P8", 9, 17): [(7, 0, 2), (7, 0, 3), (2, 6, 2), (1, 7, 2), (0, 4, 6)],
+    ("P8", 9, 18): [(7, 0, 4), (7, 0, 3), (1, 7, 2), (0, 6, 2), (3, 5, 2)],
+    ("P8", 11, 22): [(9, 0, 2), (9, 0, 3), (2, 8, 2), (2, 7, 5), (0, 7, 3)],
+    ("P8", 12, 24): [(10, 0, 2), (10, 0, 3), (2, 9, 2), (2, 8, 5), (0, 7, 3)],
 }
-
-
-def _p3_n11(lam: int) -> list[dict[int, int]]:
-    """The explicit n = 11 starters of the lambda = 12..14 family."""
-    r = lam - 9
-    if r in (3, 4):
-        return [_profile_a(11, 2), {0: r, 1: 10 - r, r + 1: 1}]
-    assert r == 5
-    return [_profile_a(11, 3), _profile_b(11, 0), {0: 4, 1: 5, 7: 1, 10: 1}]
-
-
-def _p6_small(n: int) -> list[dict[int, int]]:
-    """The explicit lambda = 2n-2 starters for n = 9, 10."""
-    second_alpha = 4 if n == 9 else 3
-    c = {1: n - 2, 2: 1, 0: 1}
-    d = {1: n - 3, n - 1: 1, 4: 1, 0: 1}
-    r = {1: 3, 2: 5, 5: 1} if n == 9 else {1: 3, 2: 6, 5: 1}
-    return [_profile_a(n, 2), _profile_a(n, second_alpha), c, d, r]
 
 
 @dataclass(frozen=True)

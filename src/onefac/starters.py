@@ -22,8 +22,8 @@ x and every 0 < lambda_0 < lambda, no subfactorization exists.  One kernel,
 traces it, and `verify.certificate_witness` builds a subfactorization from
 the first nonempty one.
 
-Starter profiles come in closed form from `families`.  Past the pinned
-ones, each is a free slot {0: p, 1: q, g: w, s: 1} that `find_profiles`
+Starter profiles come in closed form from `families`.  All but P1 below
+lambda = n - 2 are slots {0: p, 1: q, g: w, s: 1} that `find_profiles`
 spells out.  `find_starter` realizes a profile with M. Hall Jr.'s
 exchange chain (Proc. AMS 3, 1952) in polynomial time: any n elements of
 Z_n summing to 0 are the differences of two orderings of Z_n.
@@ -370,18 +370,19 @@ def _realization(n: int, items: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     return find_starter(n, dict(items))
 
 
-def find_profiles(n: int, pins, slots) -> tuple[dict[int, int], ...]:
-    """The pins followed by one starter profile per free slot (p, q, g).
+def find_profiles(n: int, slots) -> tuple[dict[int, int], ...]:
+    """One starter profile per slot (p, q, g), in order.
 
     Slot (p, q, g) is the profile {0: p, 1: q, g: w, s: 1} with
     w = n - p - q - 1, so its mass is n, and s = -(q + g*w) mod n, the
     singleton that makes its displacement sum 0 mod n.  Counts on
-    coinciding orbits add up and zero counts are dropped.  By M. Hall Jr.
+    coinciding orbits add up and zero counts are dropped, so when
+    p + q = n - 1 the slot has w = 0 and g is idle.  By M. Hall Jr.
     (Proc. AMS 3, 1952) any n elements of Z_n summing to 0 are the
     differences of two orderings of Z_n, so such a profile has a
     realization, and a singleton leaves it no nontrivial stabilizer.
     """
-    out = list(pins)
+    out = []
     for p, q, g in slots:
         w = n - p - q - 1
         t: dict[int, int] = {}

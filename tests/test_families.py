@@ -252,17 +252,20 @@ def test_searched_profiles_match_golden():
 SLOT_FAMILY_PROFILES_SHA256 = "15f375a950534a2c382c0f8c27bfb211d8f72e1c5a9445272183dfae71652d11"
 
 
-def test_closed_form_profiles_meet_every_leaf_condition():
-    # Every family with free slots at every served lambda, through
-    # family_profiles: mass n, displacement sum 0 mod n and a singleton
-    # (with Hall's theorem, a trivial-stabilizer realization), distinct
-    # profiles, T(a) <= lambda, a zero orbit for odd n, the greedy
-    # ordering, and an empty lambda_0 interval for every selection.  The
-    # digest catches a rule changed into another that passes them all.
+def _leaf_condition_sweep(ns, family_ids):
+    """Check every served (family, n, lambda) through family_profiles.
+
+    The leaf conditions: mass n, displacement sum 0 mod n and a singleton
+    (with Hall's theorem, a trivial-stabilizer realization), distinct
+    profiles, T(a) <= lambda, a zero orbit for odd n, the greedy
+    ordering, and an empty lambda_0 interval for every selection.
+    Returns the number of cases and the sha256 of their profile tables,
+    which catches a rule changed into another that passes them all.
+    """
     checked = 0
     digest = hashlib.sha256()
-    for n in [*range(9, 121), 199, 200, 299, 300]:
-        for family in ("P2", "P3", "P5", "P6", "P7", "P8"):
+    for n in ns:
+        for family in family_ids:
             for lam in range(2, 2 * n + 1):
                 if not families.family_domain(family, n, lam):
                     continue
@@ -286,5 +289,44 @@ def test_closed_form_profiles_meet_every_leaf_condition():
                 digest.update(repr((where, [sorted(t.items()) for t in profiles]))
                               .encode())
                 checked += 1
-    assert checked == 10885
-    assert digest.hexdigest() == SLOT_FAMILY_PROFILES_SHA256
+    return checked, digest.hexdigest()
+
+
+def test_closed_form_profiles_meet_every_leaf_condition():
+    # P2, P3 and P5-P8 at every served lambda.
+    assert _leaf_condition_sweep(
+        [*range(9, 121), 199, 200, 299, 300],
+        ("P2", "P3", "P5", "P6", "P7", "P8")) == (10885, SLOT_FAMILY_PROFILES_SHA256)
+
+
+def test_named_slots_spell_the_paper_starters():
+    # The heavy-zero and companion starters are slots: w = 1 with
+    # s = -alpha, and w = 0 with g idle and s = r + 2.
+    for n in range(5, 40):
+        for alpha in range(1, n):
+            assert starters.find_profiles(n, [families._heavy_zero(n, alpha)]) == (
+                Counter({0: n - 2, alpha: 1}) + Counter({n - alpha: 1}),)
+        for r in range(n - 2):
+            assert starters.find_profiles(n, [families._companion(n, r)]) == (
+                Counter({0: r + 1, 1: n - r - 2}) + Counter({r + 2: 1}),)
+
+
+def test_small_slots_are_in_domain_and_not_what_the_rules_give():
+    # Each table entry is a served case where the rules of _slots give
+    # other profiles, so no entry is dead.
+    assert len(families._SMALL_SLOTS) == 17
+    for (family, n, lam), slots in families._SMALL_SLOTS.items():
+        assert families.family_domain(family, n, lam), (family, n, lam)
+        assert family != "P1" or lam == n - 2
+        assert starters.find_profiles(n, slots) != starters.find_profiles(
+            n, families._slots(family, n, lam)), (family, n, lam)
+
+
+# sha256 over the P1 and P4 profile tables, n = 5..300.
+P1_P4_PROFILES_SHA256 = "4b99df5a2e7156fb6bf4f0dcce98ff067afcb2de45daac3747b06c9e6f30d96a"
+
+
+def test_p1_p4_profiles_meet_every_leaf_condition():
+    # The families outside the sweep above, at every served lambda.
+    assert _leaf_condition_sweep(range(5, 301), ("P1", "P4")) \
+        == (15634, P1_P4_PROFILES_SHA256)

@@ -361,11 +361,11 @@ def test_selections_match_the_dense_interval_system():
 
 def test_find_profiles_spells_out_each_slot():
     # {0: p, 1: q, g: n-p-q-1, s: 1} with s closing the displacement sum;
-    # coinciding orbits add up, zero counts drop, the pins come first.
-    pin = {0: 7, 2: 1, 7: 1}
-    assert starters.find_profiles(9, [pin], [(0, 4, 2), (3, 5, 2), (4, 3, 2)]) == (
-        pin, {1: 4, 2: 4, 6: 1}, {0: 3, 1: 5, 4: 1}, {0: 4, 1: 3, 2: 1, 4: 1})
-    assert starters.find_profiles(11, [], [(5, 4, 9)]) == ({0: 5, 1: 4, 9: 2},)
+    # coinciding orbits add up, zero counts drop, the slots keep their order.
+    assert starters.find_profiles(9, [(7, 0, 2), (0, 4, 2), (3, 5, 2), (4, 3, 2)]) == (
+        {0: 7, 2: 1, 7: 1}, {1: 4, 2: 4, 6: 1}, {0: 3, 1: 5, 4: 1},
+        {0: 4, 1: 3, 2: 1, 4: 1})
+    assert starters.find_profiles(11, [(5, 4, 9)]) == ({0: 5, 1: 4, 9: 2},)
 
 
 def test_assemble_factor_count_identity():
