@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, groupby, repeat, starmap
+from itertools import chain, groupby, repeat, starmap
 from operator import itemgetter
 
 Edge = tuple[int, int]
@@ -174,15 +174,17 @@ def edge_multiplicity_table(mf: MultiFactorization) -> Counter:
 
 def validate_factorization(mf: MultiFactorization) -> ValidityReport:
     """Check that every vertex pair is covered exactly lambda times."""
-    nv = mf.num_vertices
-    pairs, vertices = [2] * mf.n, list(range(nv))
+    n, nv = mf.n, mf.num_vertices
+    pairs = vertices = None  # O(n) each: the first run with n pairs pays
     factor_errors: list[tuple[int, str]] = []
     # A run is a perfect matching iff its n pairs have the endpoints 0..2n-1.
     # canonicalize_factor raises on exactly the runs that fail, and words
     # the error that each copy gets, at its flat index.
     start = 0
     for f, k in mf.runs:
-        if not (list(map(len, f)) == pairs
+        if len(f) == n and pairs is None:
+            pairs, vertices = [2] * n, list(range(nv))
+        if not (len(f) == n and list(map(len, f)) == pairs
                 and sorted(chain.from_iterable(f)) == vertices):
             try:
                 canonicalize_factor(f, nv)
@@ -191,7 +193,8 @@ def validate_factorization(mf: MultiFactorization) -> ValidityReport:
         start += k
     table = edge_multiplicity_table(mf)
     mult_errors: list[tuple[Edge, int, int]] = []
-    for e in combinations(range(nv), 2):
+    # combinations(range(nv), 2) would first copy all nv vertex ids.
+    for e in chain.from_iterable(zip(repeat(u), range(u + 1, nv)) for u in range(nv)):
         observed = table.get(e, 0)
         if observed != mf.lam:
             mult_errors.append((e, observed, mf.lam))

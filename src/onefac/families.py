@@ -38,7 +38,7 @@ class NoFamily(ValueError):
 
 
 class StarterSearchFailed(ValueError):
-    """Starter realization failed."""
+    """Starter realization, or the check of the realized set, failed."""
 
 
 class STooSmall(ValueError):
@@ -176,12 +176,9 @@ _SMALL_SLOTS = {
 
 @dataclass(frozen=True)
 class FamilyPlan:
-    """Resolved construction plan: family, profiles and realized starters."""
+    """Resolved construction plan: the family and its realized starters."""
 
     family: str
-    n: int
-    lam: int
-    profiles: tuple
     starter_set: StarterSet
 
     def certificate(self) -> Certificate:
@@ -189,15 +186,14 @@ class FamilyPlan:
 
 
 def plan(n: int, lam: int) -> FamilyPlan:
-    """Pick the family for (n, lambda) and realize its starters."""
+    """Pick the family for (n, lambda) and make its checked starter set."""
     family = family_for(n, lam)
     profiles = family_profiles(family, n, lam)
     try:
         s = StarterSet.from_profiles(n, lam, profiles)
     except ValueError as exc:
         raise StarterSearchFailed(f"{family} at n={n}, lambda={lam}: {exc}") from exc
-    return FamilyPlan(family, n, lam, tuple(tuple(sorted(t.items()))
-                                            for t in profiles), s)
+    return FamilyPlan(family, s)
 
 
 def construct(n: int, lam: int) -> MultiFactorization:

@@ -3,10 +3,11 @@
 A *starter set* is a list of cross-edge 1-factors with trivial shift
 stabilizer, lying in pairwise distinct H-orbits, whose aggregated
 difference profile T(a) stays <= lambda everywhere (and leaves some orbit
-untouched when n is odd).  From a starter set the assembly produces a
-1-factorization of lambda*K_2n consisting of the full H-orbit of every
-starter, the joined side-factor block, and lambda - T(a) loose copies of
-each orbit factor M_a.
+untouched when n is odd).  A `StarterSet` is checked once, when it is
+made, and derives its profiles, T and M_b once.  From a starter set the
+assembly produces a 1-factorization of lambda*K_2n consisting of the full
+H-orbit of every starter, the joined side-factor block, and lambda - T(a)
+loose copies of each orbit factor M_a.
 
 The certificate decides indecomposability by pure counting.  Any
 subfactorization of the assembled object must (a) take each starter orbit
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from operator import add
 
 from .core import MultiFactorization
@@ -73,38 +74,44 @@ class OrderingFailed(ValueError):
 
 @dataclass(frozen=True)
 class StarterSet:
-    """Starters for the assembly, stored as permutations of Z_n."""
+    """Starters for the assembly as permutations of Z_n, checked when made."""
 
     n: int
     lam: int
     perms: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        violations = check_starter_conditions(self)
+        if violations:
+            raise PreconditionFailed("starter conditions violated", violations)
+
     @classmethod
     def from_profiles(cls, n: int, lam: int, profiles) -> "StarterSet":
         """Realize every profile; an unrealizable one raises find_starter's error."""
-        return cls(n, lam, tuple(_realization(n, tuple(sorted(t.items())))
-                                 for t in profiles))
+        return cls(n, lam, tuple(find_starter(n, t) for t in profiles))
 
     @property
     def m(self) -> int:
         return len(self.perms)
 
-    def profiles(self) -> list[dict[int, int]]:
-        return [cyclic.profile(pi, self.n) for pi in self.perms]
+    @cached_property
+    def profiles(self) -> tuple[dict[int, int], ...]:
+        return tuple(cyclic.profile(pi, self.n) for pi in self.perms)
 
+    @cached_property
     def totals(self) -> dict[int, int]:
         """Aggregated profile T(a) = sum_i t_i(a), zero entries omitted."""
         tot: dict[int, int] = {}
-        for t in self.profiles():
+        for t in self.profiles:
             for a, v in t.items():
                 tot[a] = tot.get(a, 0) + v
         return tot
 
+    @cached_property
     def orbit_b(self) -> int | None:
         """Smallest a with T(a) = 0 (the joined cross orbit for odd n)."""
-        tot = self.totals()
         for a in range(self.n):
-            if tot.get(a, 0) == 0:
+            if self.totals.get(a, 0) == 0:
                 return a
         return None
 
@@ -147,12 +154,14 @@ class Certificate:
 def check_starter_conditions(s: StarterSet) -> list[str]:
     """All starter-set conditions; returns a list of violations (empty = ok).
 
-    Raises cyclic.NotAPermutation when a starter is not a permutation of
-    Z_n.  A shift keeps the difference profile, so only starters with equal
-    profiles can share an H-orbit, and only those pairs are compared.
+    StarterSet runs it when it is made.  The profiles are read first, so a
+    starter that is not a permutation of Z_n raises cyclic.NotAPermutation
+    before anything else.  A shift keeps the difference profile, so only
+    starters with equal profiles can share an H-orbit, and only those
+    pairs are compared.
     """
     n = s.n
-    profiles = s.profiles()
+    profiles = s.profiles
     violations = []
     for i, pi in enumerate(s.perms):
         order = cyclic.h_stabilizer_order(pi, n)
@@ -166,10 +175,10 @@ def check_starter_conditions(s: StarterSet) -> list[str]:
             firsts.append(i)
         else:
             violations.append(f"starters {j} and {i} share an H-orbit")
-    for a, total in sorted(s.totals().items()):
+    for a, total in sorted(s.totals.items()):
         if total > s.lam:
             violations.append(f"t(M_{a}) = {total} exceeds lambda = {s.lam}")
-    if n % 2 and s.orbit_b() is None:
+    if n % 2 and s.orbit_b is None:
         violations.append("odd n but no orbit M_b with t(M_b) = 0")
     return violations
 
@@ -181,9 +190,6 @@ def assemble(s: StarterSet) -> MultiFactorization:
     copies of each class), and lambda - T(a) copies of each M_a; except
     M_b, whose cross edges ride inside the joined block when n is odd.
     """
-    violations = check_starter_conditions(s)
-    if violations:
-        raise PreconditionFailed("starter conditions violated", violations)
     counts = _factor_counts(s, s.lam, (1,) * s.m)
     # Every factor is canonical as cyclic builds it.
     mf = MultiFactorization(s.n, s.lam, tuple(sorted(counts.items())),
@@ -203,11 +209,11 @@ def _factor_counts(s: StarterSet, lam: int, chosen) -> Counter:
     n = s.n
     counts: Counter = Counter()
     cov: Counter = Counter()
-    for bit, pi, t in zip(chosen, s.perms, s.profiles()):
+    for bit, pi, t in zip(chosen, s.perms, s.profiles):
         if bit:
             counts.update(cyclic.orbit_factors(pi, n))
             cov.update(t)
-    b = s.orbit_b() if n % 2 else None
+    b = s.orbit_b if n % 2 else None
     for f in cyclic.join_even(n) if b is None else cyclic.join_odd(n, b):
         counts[f] += lam
     for a in range(n):
@@ -249,7 +255,7 @@ def certificate_order(s: StarterSet) -> tuple[tuple[int, int], ...] | None:
     other starter touching M_a is already marked.  Ties break on lowest
     starter index, then lowest orbit.
     """
-    order = _greedy_order_profiles(s.profiles())
+    order = _greedy_order_profiles(s.profiles)
     return None if order is None else tuple(order)
 
 
@@ -292,9 +298,6 @@ def certificate_indecomposable(s: StarterSet) -> Certificate:
     """
     if s.lam < 2:
         raise ValueError("indecomposability certificate needs lambda >= 2")
-    violations = check_starter_conditions(s)
-    if violations:
-        raise PreconditionFailed("starter conditions violated", violations)
     ordering = certificate_order(s)
     if ordering is None:
         raise OrderingFailed("greedy private-orbit ordering did not close")
@@ -302,7 +305,7 @@ def certificate_indecomposable(s: StarterSet) -> Certificate:
         TraceEntry(x, "infeasible" if lo > hi else "feasible", lo, hi,
                    lo_orbit, hi_orbit)
         for x, lo, hi, lo_orbit, hi_orbit in _selections(s.n, s.lam,
-                                                          s.profiles()))
+                                                          s.profiles))
     status = UNKNOWN if any(e.status == "feasible" for e in trace) else PROVEN
     return Certificate(status=status, ordering=ordering, trace=trace)
 
@@ -362,12 +365,6 @@ def _exchange_chain(d: list[int], limit: int) -> tuple[int, ...]:
         else:
             raise ChainTooLong(f"exchange chain for d[{k}] passed {limit} steps")
     return tuple(y for _, y in sorted(zip(b, c)))
-
-
-@lru_cache(maxsize=None)
-def _realization(n: int, items: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """find_starter on a sorted profile key, memoized; its errors pass through."""
-    return find_starter(n, dict(items))
 
 
 def find_profiles(n: int, slots) -> tuple[dict[int, int], ...]:

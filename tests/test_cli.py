@@ -158,10 +158,6 @@ def test_construct_plans_once(monkeypatch, capsys):
 
 
 def test_construct_realizes_each_profile_once(monkeypatch, capsys):
-    for mod in (families, starters):
-        for fn in vars(mod).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
     calls = []
     real_find_starter = starters.find_starter
 
@@ -184,6 +180,20 @@ def test_construct_starter_search_failure_exits_3(monkeypatch, capsys):
     code, stdout, stderr = run_cli(capsys, "construct", "--n", "22", "--lambda", "44")
     assert code == 3 and stdout == ""
     assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+
+def test_construct_starter_set_violation_exits_3(monkeypatch, capsys):
+    real_profiles = families.family_profiles
+
+    def doubled(family, n, lam):
+        return [t for t in real_profiles(family, n, lam) for _ in range(2)]
+
+    # Each starter twice: the copies share an H-orbit.
+    monkeypatch.setattr(families, "family_profiles", doubled)
+    code, stdout, stderr = run_cli(capsys, "construct", "--n", "23", "--lambda", "30")
+    assert code == 3 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+    assert "share an H-orbit" in stderr
 
 
 @pytest.mark.parametrize("content", [None, b"\x80\x81"],

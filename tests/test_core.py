@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -77,13 +78,28 @@ def test_validate_reports_broken_factor():
     assert not report.valid
     assert report.factor_errors and report.factor_errors[0][0] == 0
     # A broken factor with count k gives k errors, at its copies' flat indices.
-    other = ((0, 3), (3, 1))
+    # A short factor may come before any factor with n pairs.
+    other, short = ((0, 3), (3, 1)), ((0, 1),)
     for runs, indices in [(((f0, 1), (broken, 3), (f1, 1)), [1, 2, 3]),
-                          (((broken, 2), (f0, 1), (other, 2)), [0, 1, 3, 4])]:
+                          (((broken, 2), (f0, 1), (other, 2)), [0, 1, 3, 4]),
+                          (((short, 2), (f0, 1), (broken, 1)), [0, 1, 3])]:
         mf = core.MultiFactorization(2, 1, runs)
         errors = core.validate_factorization(mf).factor_errors
         assert [i for i, _ in errors] == indices
-        assert all(mf.factors[i] in (broken, other) for i in indices)
+        assert all(mf.factors[i] in (broken, other, short) for i in indices)
+
+
+def test_validate_near_empty_factorization_costs_no_more_than_its_factors():
+    mf = core.MultiFactorization(10 ** 6, 1, ())
+    tracemalloc.start()
+    try:
+        report = core.validate_factorization(mf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert report.factor_count == 0 and not report.valid
+    assert report.multiplicity_errors == [((0, v), 0, 1) for v in range(1, 11)]
 
 
 def test_is_simple_on_doubled_matchings():

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from onefac import cyclic, families, starters
+from onefac import cyclic, families, starters, verify
 from onefac.core import validate_factorization
 from onefac.starters import StarterSet
 
@@ -19,31 +19,37 @@ def p4_starter_set(n, r, lam=None):
     return StarterSet.from_profiles(n, lam or (n - 1 + r), profiles)
 
 
+def _violations(n, lam, perms):
+    with pytest.raises(starters.PreconditionFailed) as exc:
+        StarterSet(n, lam, perms)
+    assert exc.value.args == ("starter conditions violated", exc.value.violations)
+    return exc.value.violations
+
+
 def test_starter_conditions_ok_for_p4_pair():
     assert starters.check_starter_conditions(p4_starter_set(9, 0)) == []
 
 
 def test_starter_conditions_reject_nontrivial_stabilizer():
     m0 = tuple(range(6))  # pi = identity realizes M_0
-    s = StarterSet(6, 3, (m0,))
-    violations = starters.check_starter_conditions(s)
-    assert any("stabilizer" in v for v in violations)
+    assert _violations(6, 3, (m0,)) == [
+        "starter 0: stabilizer order 6 (must be 1)", "t(M_0) = 6 exceeds lambda = 3"]
 
 
 def test_starter_conditions_reject_shared_orbit():
     pi = starters.find_starter(5, {0: 3, 2: 1, 3: 1})
     shifted = tuple((pi[(x - 1) % 5] + 1) % 5 for x in range(5))  # F + 1
-    s = StarterSet(5, 3, (pi, shifted))
-    violations = starters.check_starter_conditions(s)
-    assert any("share an H-orbit" in v for v in violations)
+    assert _violations(5, 3, (pi, shifted)) == [
+        "starters 0 and 1 share an H-orbit", "t(M_0) = 6 exceeds lambda = 3"]
 
 
 def test_starter_conditions_reject_profile_overflow_and_missing_b():
     pi = starters.find_starter(5, {0: 3, 2: 1, 3: 1})
-    s = StarterSet(5, 2, (pi,))  # t(M_0)=3 > lambda=2
-    assert any("exceeds lambda" in v for v in starters.check_starter_conditions(s))
-    full = StarterSet.from_profiles(5, 9, [{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}])
-    assert any("M_b" in v for v in starters.check_starter_conditions(full))
+    # t(M_0) = 3 > lambda = 2
+    assert _violations(5, 2, (pi,)) == ["t(M_0) = 3 exceeds lambda = 2"]
+    with pytest.raises(starters.PreconditionFailed) as exc:
+        StarterSet.from_profiles(5, 9, [{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}])
+    assert exc.value.violations == ["odd n but no orbit M_b with t(M_b) = 0"]
 
 
 def test_assemble_small_case_counts():
@@ -67,10 +73,21 @@ def test_assemble_empty_starter_set_even_n():
     assert validate_factorization(mf).valid
 
 
-def test_assemble_raises_on_violations():
-    with pytest.raises(starters.PreconditionFailed) as exc:
-        starters.assemble(StarterSet(6, 3, (tuple(range(6)),)))
-    assert exc.value.violations
+def test_a_starter_set_is_checked_and_profiled_once(monkeypatch):
+    checked, profiled = [], []
+    real_check, real_profile = starters.check_starter_conditions, cyclic.profile
+    monkeypatch.setattr(starters, "check_starter_conditions",
+                        lambda s: checked.append(s) or real_check(s))
+    monkeypatch.setattr(cyclic, "profile",
+                        lambda pi, n: profiled.append(pi) or real_profile(pi, n))
+    made = [families.plan(23, 30).starter_set,  # proven: no witness
+            StarterSet.from_profiles(6, 4, [{0: 2, 1: 1, 2: 1, 4: 1, 5: 1}])]
+    for s in made:
+        starters.assemble(s)
+        starters.certificate_indecomposable(s)
+    assert [verify.certificate_witness(s) is None for s in made] == [True, False]
+    assert list(map(id, checked)) == list(map(id, made))
+    assert len(profiled) == sum(s.m for s in made) == 5
 
 
 def test_orbit_multiplicity_heavy_zero():
@@ -151,8 +168,8 @@ def test_certificate_p4_shape_at_n5_is_proven():
 
 
 def test_certificate_refuses_lambda_one():
-    s = StarterSet.from_profiles(5, 1, [{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}])
-    with pytest.raises(ValueError):
+    s = StarterSet(4, 1, ())  # a valid set, so only the lambda check can refuse
+    with pytest.raises(ValueError, match="lambda >= 2"):
         starters.certificate_indecomposable(s)
 
 
@@ -190,7 +207,6 @@ def test_find_starter_infeasible_when_only_invariant_factor_fits():
 
 def test_from_profiles_runs_the_realizer_once_on_an_unrealizable_profile(
         monkeypatch):
-    starters._realization.cache_clear()
     calls = []
     real_find_starter = starters.find_starter
 
@@ -237,9 +253,11 @@ def test_find_starter_realizes_catalog_and_random_singleton_profiles():
     for n in range(5, 19):
         for lam in range(2, 2 * n + 1):
             try:
-                profiles.update((n, t) for t in families.plan(n, lam).profiles)
+                family = families.family_for(n, lam)
             except families.NoFamily:
                 continue
+            profiles.update((n, tuple(sorted(t.items())))
+                            for t in families.family_profiles(family, n, lam))
     rng = random.Random(11)
     while len(profiles) < 700:
         n = rng.randint(5, 12)
@@ -291,10 +309,8 @@ def test_exchange_chain_past_its_bound_raises(monkeypatch):
     # plan turns it into a construction failure, as for any realizer error.
     real_chain = starters._exchange_chain
     monkeypatch.setattr(starters, "_exchange_chain", lambda d, limit: real_chain(d, 1))
-    starters._realization.cache_clear()
     with pytest.raises(families.StarterSearchFailed):
         families.plan(9, 3)
-    starters._realization.cache_clear()
 
 
 def test_find_starter_mixed_profile_at_n35():
@@ -391,7 +407,7 @@ def test_certificate_trace_matches_interval_system():
                 s = families.plan(n, lam).starter_set
             except families.NoFamily:
                 continue
-            profiles, totals = s.profiles(), s.totals()
+            profiles, totals = s.profiles, s.totals
             trace = starters.certificate_indecomposable(s).trace
             assert len(trace) == 2 ** s.m
             for entry in trace:
@@ -412,22 +428,22 @@ def test_certificate_trace_matches_interval_system():
                     assert entry.hi_orbit == slack.index(entry.hi)
 
 
-def _orbit_building_conditions(s):
+def _orbit_building_conditions(n, lam, perms):
     """The starter conditions as first written: every starter's whole
     H-orbit is built, its size read as the stabilizer and its least
     member compared as the orbit's representative."""
     violations = []
     orbits = []
-    for i, pi in enumerate(s.perms):
+    for i, pi in enumerate(perms):
         try:
-            orbits.append(cyclic.h_orbit(pi, s.n))
+            orbits.append(cyclic.h_orbit(pi, n))
         except cyclic.NotAPermutation as exc:
             violations.append(f"starter {i}: {exc}")
             orbits.append(None)
     for i, orbit in enumerate(orbits):
-        if orbit is not None and len(orbit) != s.n:
+        if orbit is not None and len(orbit) != n:
             violations.append(f"starter {i}: stabilizer order "
-                              f"{s.n // len(orbit)} (must be 1)")
+                              f"{n // len(orbit)} (must be 1)")
     reps = {}
     for i, orbit in enumerate(orbits):
         if orbit is None:
@@ -437,19 +453,33 @@ def _orbit_building_conditions(s):
             violations.append(f"starters {reps[rep]} and {i} share an H-orbit")
         else:
             reps[rep] = i
-    for a, total in sorted(s.totals().items()):
-        if total > s.lam:
-            violations.append(f"t(M_{a}) = {total} exceeds lambda = {s.lam}")
-    if s.n % 2 and s.orbit_b() is None:
+    totals = Counter()
+    for pi in perms:
+        totals.update(cyclic.profile(pi, n))
+    for a, total in sorted(totals.items()):
+        if total > lam:
+            violations.append(f"t(M_{a}) = {total} exceeds lambda = {lam}")
+    if n % 2 and all(totals[a] for a in range(n)):
         violations.append("odd n but no orbit M_b with t(M_b) = 0")
     return violations
 
 
-def _outcome(check, s):
+def _reference_outcome(n, lam, perms):
     try:
-        return check(s)
+        return _orbit_building_conditions(n, lam, perms)
     except cyclic.NotAPermutation as exc:
         return ("raises", str(exc))
+
+
+def _made_outcome(n, lam, perms):
+    """Making the set: its violations, [] when it is made, or ("raises", msg)."""
+    try:
+        StarterSet(n, lam, perms)
+    except starters.PreconditionFailed as exc:
+        return exc.violations
+    except cyclic.NotAPermutation as exc:
+        return ("raises", str(exc))
+    return []
 
 
 def _periodic_perm(rng, n, h):
@@ -482,9 +512,9 @@ def test_starter_conditions_match_the_orbit_building_reference():
                 perms.append(tuple(bad[:rng.randrange(n - 1, n + 2)]))
             else:
                 perms.append(tuple(rng.sample(range(n), n)))
-        s = StarterSet(n, rng.randrange(1, 2 * n + 1), tuple(perms))
-        want = _outcome(_orbit_building_conditions, s)
-        assert _outcome(starters.check_starter_conditions, s) == want, s
+        args = (n, rng.randrange(1, 2 * n + 1), tuple(perms))
+        want = _reference_outcome(*args)
+        assert _made_outcome(*args) == want, args
         if isinstance(want, tuple):
             seen["raises"] += 1
         for v in want if isinstance(want, list) else ():
