@@ -24,9 +24,9 @@ from .starters import orbit_multiplicity_check
 
 A1_NS = (5, 6, 9, 10, 11, 12)
 A3_CASES = ((5, 3), (5, 2), (6, 4), (9, 8), (9, 10))
-A4_PRIME_POWERS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3),
-                   (7, 2), (3, 4))
-A4_EXHAUSTIVE = (5, 7, 9, 11, 13)
+A4_PRIME_POWERS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),
+                   (23, 1), (5, 2), (3, 3), (7, 2), (3, 4))
+A4_EXHAUSTIVE = (5, 7, 9, 11, 13, 17, 19, 23)
 GOLDEN_NS = range(5, 15)
 SEED = 20260808
 

@@ -63,6 +63,9 @@ class PreconditionFailed(ValueError):
         super().__init__(message, violations)
         self.violations = violations
 
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {'; '.join(self.violations)}"
+
 
 class StabilizerNotTrivial(ValueError):
     """Operation requires a starter with trivial shift stabilizer."""

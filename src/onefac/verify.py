@@ -9,9 +9,18 @@ reaches 0 is covered at once: every remaining candidate through it dies,
 which keeps supply exact, and a pair left short of supply prunes the
 branch.  The branching order follows the factors, not the vertex labels.
 The candidates are the distinct factors (`MultiFactorization.runs`), each
-with its count.  The search is set up once per document, each
-lambda_0 target resets only the need, and the picks are kept on an
-explicit stack, so a deep search costs no Python frames.  Outcomes are
+with its count.
+
+The slack and the need of every pair are kept packed, one W-bit field per
+pair with W = (lambda + 1).bit_length() + 1, in a single Python int each,
+and every run has a packed vector with a 1 in the field of each of its
+pairs.  A kill, its undo, the prune test and the least-slack query
+are then a few big-int operations in C instead of a Python loop over
+pairs.  The vectors take runs x pairs x W bits, so a document whose
+vectors would pass `MAX_COUNTER_BYTES` is refused with `InvalidInput`
+before anything is allocated.  The search is set up once per document,
+each lambda_0 target resets only the counters, and the picks are kept on
+an explicit stack, so a deep search costs no Python frames.  Outcomes are
 kept strictly apart: a witness, a proof of absence (full exhaustion), or
 a budget stop; the clock is read before each lambda_0 target and every
 4096 nodes, and a budget stop ends the search, with every later target
@@ -34,13 +43,19 @@ from .core import MultiFactorization, ValidityReport, validate_factorization
 from .starters import (StarterSet, _factor_counts, assemble,
                        certificate_indecomposable)
 
+# Above this size of packed run vectors the search is refused.  It admits
+# the catalog's (300, 300) at about 269 MB and refuses (1000, 998), which
+# would need about 8.2 GB.
+MAX_COUNTER_BYTES = 2 ** 30
+
 FOUND = "found"
 PROVEN_NONE = "proven_none"
 EXHAUSTED = "exhausted"
 
 
 class InvalidInput(ValueError):
-    """Input factorization fails validation (or lambda < 2, or a bad budget)."""
+    """Input factorization fails validation (or lambda < 2, a bad budget,
+    or packed counters past MAX_COUNTER_BYTES)."""
 
 
 @dataclass(frozen=True)
@@ -106,10 +121,15 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
     Returns the first witness in deterministic order, PROVEN_NONE after
     full exhaustion of every target, or EXHAUSTED on budget stop.
     `validity` is `validate_factorization(mf)` when the caller already
-    has it; otherwise it is computed here.
+    has it; otherwise it is computed here.  Raises InvalidInput, before
+    validating, when the packed run vectors would pass MAX_COUNTER_BYTES.
     """
     if mf.lam < 2:
         raise InvalidInput("decomposability needs lambda >= 2")
+    size = len(mf.runs) * mf.n * (2 * mf.n - 1) * _field_width(mf.lam) // 8
+    if size > MAX_COUNTER_BYTES:
+        raise InvalidInput(f"the search's packed counters need {size} bytes, "
+                           f"more than MAX_COUNTER_BYTES = {MAX_COUNTER_BYTES}")
     if validity is None:
         validity = validate_factorization(mf)
     if not validity.valid:
@@ -134,11 +154,21 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
     return SearchResult(PROVEN_NONE, None, searcher.nodes, time.monotonic() - start)
 
 
+def _field_width(lam: int) -> int:
+    """Bits per packed pair counter: B = 2^(W-1) exceeds lambda + 1; bit W-1 is the sign."""
+    return (lam + 1).bit_length() + 1
+
+
 class _MulticoverSearch:
     """Depth-first exact multicover over one document, run once per lambda_0 target.
 
-    A search that finds nothing undoes all its picks, so the next target
-    only resets `need`.
+    Vertex pairs u < v have dense ids in row-major order, and every
+    per-pair counter of `run` is a W-bit field of one int, at bit W * id.
+    `vecs[r]` has a 1 in the field of every pair of run r, so a pick, a
+    kill, their undo, the prune test and the least-slack query each cost a
+    few big-int operations, not a Python loop over pairs.  A search that
+    finds nothing undoes all its picks, so the next target starts from the
+    same counts.
     """
 
     def __init__(self, mf, budget, start):
@@ -146,100 +176,124 @@ class _MulticoverSearch:
         self.start = start
         self.nodes = 0
         nv = 2 * mf.n
+        self.lam = mf.lam
+        self.npairs = mf.n * (nv - 1)
+        self.width = _field_width(mf.lam)
         self.counts = [k for _, k in mf.runs]
         self.firsts = list(accumulate(self.counts, initial=0))
-        self.edge_ids = [tuple(u * nv + v for u, v in f) for f, _ in mf.runs]
-        self.pairs = [u * nv + v for u in range(nv) for v in range(u + 1, nv)]
-        self.by_pair: list[list[int]] = [[] for _ in range(nv * nv)]
-        self.need = [0] * (nv * nv)
-        self.supply = [0] * (nv * nv)
-        for i, ids in enumerate(self.edge_ids):
+        # Pair (u, v), u < v, has id row[u] + v.
+        row = [u * (2 * nv - u - 3) // 2 - 1 for u in range(nv)]
+        self.pair_ids = [tuple(row[u] + v for u, v in f) for f, _ in mf.runs]
+        self.by_pair: list[list[int]] = [[] for _ in range(self.npairs)]
+        for r, ids in enumerate(self.pair_ids):
             for e in ids:
-                self.by_pair[e].append(i)
-                self.supply[e] += self.counts[i]
+                self.by_pair[e].append(r)
+        self.vecs = [self._packed(ids) for ids in self.pair_ids]
+        self.ones = self._packed(range(self.npairs))
+
+    def _packed(self, ids) -> int:
+        """The int with a 1 in the field of every pair in ids.
+
+        Built in a bytearray: a sum of shifted bits would cost the int's
+        size per pair.
+        """
+        w = self.width
+        buf = bytearray((self.npairs * w + 7) // 8)
+        for e in ids:
+            bit = e * w
+            buf[bit >> 3] |= 1 << (bit & 7)
+        return int.from_bytes(buf, "little")
 
     def _out_of_time(self) -> bool:
         return time.monotonic() - self.start >= self.budget.max_seconds
 
-    def _least_slack_pair(self) -> int:
-        """The uncovered pair with the least slack supply - need, or -1."""
-        need, supply = self.need, self.supply
-        best, best_slack = -1, 0
-        for e in self.pairs:
-            if need[e]:
-                slack = supply[e] - need[e]
-                if best < 0 or slack < best_slack:
-                    best, best_slack = e, slack
-                    if slack == 0:
-                        break
-        return best
-
     def run(self, lambda0: int) -> Witness | None:
         """The first witness at lambda0 in branching order, or None.
 
-        Picks factors through the least-slack pair, non-decreasing in run
-        id, until that pair is covered, then branches again.  The stack
-        holds one (pair, position in by_pair[pair], killed) entry per pick,
-        where killed lists the (run, count) candidates the pick covered
-        away.  Raises _BudgetStop on the node or time budget.
+        Branches on the uncovered pair with the least slack, supply - need
+        (ties to the lowest pair id), and picks factors through it,
+        non-decreasing in run id, until that pair is covered, then branches
+        again.  The stack holds one (pair, position in by_pair[pair],
+        killed) entry per pick, where killed lists the (run, count)
+        candidates the pick covered away.  Raises _BudgetStop on the node
+        or time budget.
+
+        With B = 2^(W-1), above every slack and need, S holds slack + B and
+        N holds need + B - 1 in each field, so no field borrows from the
+        next.  The top bit of a field (mask `top`) is set in S exactly when
+        its slack is >= 0, in N exactly when its need is > 0, and in
+        S - t * ones (0 < t <= B) exactly when its slack is >= t, given
+        that no slack is negative, which the prune test keeps at every
+        query.  The plain list `need` finds the pairs a pick finishes
+        without walking N's bits.
         """
         if self._out_of_time():
             raise _BudgetStop()
-        need, supply, counts = self.need, self.supply, self.counts
-        by_pair, edge_ids, budget = self.by_pair, self.edge_ids, self.budget
-        for e in self.pairs:
-            need[e] = lambda0
+        counts, vecs = self.counts, self.vecs
+        by_pair, pair_ids = self.by_pair, self.pair_ids
+        nodes, max_nodes = self.nodes, self.budget.max_nodes
+        w, ones = self.width, self.ones
+        bias = 1 << (w - 1)
+        top = bias * ones
+        S = (self.lam - lambda0 + bias) * ones
+        N = (lambda0 + bias - 1) * ones
+        need = [lambda0] * self.npairs
         stack: list[tuple[int, int, list]] = []
-        e, i = self._least_slack_pair(), 0
-        while e >= 0:
+        e = -1  # branch anew on the least-slack pair
+        while True:
+            if e < 0:
+                uncovered = N & top
+                if not uncovered:
+                    break
+                s = S - ones
+                while not (hit := uncovered ^ (uncovered & s)):
+                    s -= ones
+                e, i = ((hit & -hit).bit_length() - 1) // w, 0
             cands = by_pair[e]
             while i < len(cands) and not counts[cands[i]]:
                 i += 1
             if i < len(cands):
-                self.nodes += 1
-                if self.nodes > budget.max_nodes or (
-                        self.nodes % 4096 == 0 and self._out_of_time()):
+                nodes += 1
+                if nodes > max_nodes or (nodes % 4096 == 0 and self._out_of_time()):
+                    self.nodes = nodes
                     raise _BudgetStop()
                 u = cands[i]
-                ids = edge_ids[u]
                 counts[u] -= 1
-                for f in ids:
-                    need[f] -= 1
-                    supply[f] -= 1
+                N -= vecs[u]  # supply drops with need: no slack changes
                 # Cover every pair the pick finished: its other candidates die.
                 killed = []
-                ok = True
-                for f in ids:
-                    if need[f] == 0:
-                        for w in by_pair[f]:
-                            c = counts[w]
+                for f in pair_ids[u]:
+                    left = need[f] - 1
+                    need[f] = left
+                    if not left:
+                        for v in by_pair[f]:
+                            c = counts[v]
                             if c:
-                                killed.append((w, c))
-                                counts[w] = 0
-                                for g in edge_ids[w]:
-                                    supply[g] -= c
-                                    if supply[g] < need[g]:
-                                        ok = False
+                                killed.append((v, c))
+                                counts[v] = 0
+                                # Most counts are 1, and c * vecs[v] would copy the vector.
+                                S -= vecs[v] if c == 1 else c * vecs[v]
                 stack.append((e, i, killed))
-                if ok:
+                if not killed or S & top == top:
                     # Pick again through e from this candidate on, or branch anew.
                     if not need[e]:
-                        e, i = self._least_slack_pair(), 0
+                        e = -1
                     continue
             elif not stack:
+                self.nodes = nodes
                 return None
             # Undo the latest pick and move past it.
             e, i, killed = stack.pop()
             u = by_pair[e][i]
-            for w, c in reversed(killed):
-                counts[w] = c
-                for g in edge_ids[w]:
-                    supply[g] += c
-            for f in edge_ids[u]:
+            for v, c in killed:
+                counts[v] = c
+                S += vecs[v] if c == 1 else c * vecs[v]
+            for f in pair_ids[u]:
                 need[f] += 1
-                supply[f] += 1
+            N += vecs[u]
             counts[u] += 1
             i += 1
+        self.nodes = nodes
         chosen = Counter(by_pair[p][j] for p, j, _ in stack)
         return Witness(lambda0, tuple(sorted(
             j for u, k in chosen.items() for j in range(self.firsts[u], self.firsts[u] + k))))

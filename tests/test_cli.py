@@ -142,6 +142,16 @@ def test_verify_budget_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
     assert report["lambda0_exhausted"] == [1, 2]  # both targets of lambda = 4
 
 
+def test_verify_search_past_the_counter_limit_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gk4x2.json"
+    docio.write_mf(MultiFactorization.make(2, 2, cyclic.lucas_factorization(4) * 2), path)
+    monkeypatch.setattr(verify, "MAX_COUNTER_BYTES", 5)  # the search needs 6
+    code, stdout, stderr = run_cli(capsys, "verify", str(path), "--checks", "indecomposable")
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+    assert "MAX_COUNTER_BYTES" in stderr and "Traceback" not in stderr
+
+
 def test_construct_plans_once(monkeypatch, capsys):
     calls = []
     real_plan = families.plan
@@ -194,6 +204,7 @@ def test_construct_starter_set_violation_exits_3(monkeypatch, capsys):
     assert code == 3 and stdout == ""
     assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
     assert "share an H-orbit" in stderr
+    assert "('" not in stderr and "[" not in stderr  # no repr of the exception's args
 
 
 @pytest.mark.parametrize("content", [None, b"\x80\x81"],

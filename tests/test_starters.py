@@ -23,6 +23,7 @@ def _violations(n, lam, perms):
     with pytest.raises(starters.PreconditionFailed) as exc:
         StarterSet(n, lam, perms)
     assert exc.value.args == ("starter conditions violated", exc.value.violations)
+    assert str(exc.value) == "starter conditions violated: " + "; ".join(exc.value.violations)
     return exc.value.violations
 
 

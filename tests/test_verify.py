@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import random
@@ -170,6 +171,21 @@ def test_invalid_inputs_rejected():
         verify.find_subfactorization(single)
 
 
+def test_search_refuses_counters_past_the_size_limit(monkeypatch):
+    mf = gk4_doubled()  # 3 runs x 6 pairs x 3-bit fields: 6 bytes
+    monkeypatch.setattr(verify, "MAX_COUNTER_BYTES", 6)
+    assert verify.find_subfactorization(mf).outcome == verify.FOUND
+    monkeypatch.setattr(verify, "MAX_COUNTER_BYTES", 5)
+
+    def not_reached(mf):
+        raise AssertionError("validated a document the search refuses")
+
+    # The size is checked first, in O(1): nothing is validated or allocated.
+    monkeypatch.setattr(verify, "validate_factorization", not_reached)
+    with pytest.raises(verify.InvalidInput, match="need 6 bytes"):
+        verify.find_subfactorization(mf)
+
+
 def test_every_valid_lambda_k4_factorization_decomposes():
     matchings = cyclic.lucas_factorization(4)
     for lam in (2, 3, 4):
@@ -288,3 +304,72 @@ def test_catalog_9_10_settles_within_budget():
     res = verify.find_subfactorization(
         families.construct(9, 10), budget=verify.SearchBudget(max_nodes=100_000))
     assert res.outcome == verify.PROVEN_NONE
+
+
+def _gf(p, m):
+    return gf.agl_orbit_factorization(gf.field_ctx(p, m))
+
+
+def _relabeled_mf(mf, seed):
+    perm = list(range(2 * mf.n))
+    random.Random(seed).shuffle(perm)
+    return MultiFactorization.make(mf.n, mf.lam, relabeled(mf.factors, perm))
+
+
+def _pinned_inputs():
+    """Name -> (factorization, node budget or None) for the pinned search."""
+    cases = {}
+    for p, m in ((3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1)):
+        cases[f"gf{p ** m}"] = (_gf(p, m), None)
+        cases[f"gf{p ** m}~"] = (_relabeled_mf(_gf(p, m), p ** m), None)
+    for lam in (8, 9, 10):
+        cases[f"catalog-9-{lam}"] = (families.construct(9, lam), None)
+    union = families.construct(8, 4).factors + families.construct(8, 5).factors
+    cases["catalog-8-4+8-5"] = (MultiFactorization.make(8, 9, union), None)
+    cases["round-robin-60x2"] = (
+        MultiFactorization.make(30, 2, cyclic.lucas_factorization(60) * 2), None)
+    cases["catalog-6-4@5"] = (families.construct(6, 4), 5)
+    cases["gf25@20000"] = (_gf(5, 2), 20_000)
+    return cases
+
+
+# outcome, nodes, lambda0_exhausted, sha256 of the witness indices joined by ",".
+PINNED_SEARCHES = {
+    "gf9": ("proven_none", 61, [], None),
+    "gf9~": ("proven_none", 68, [], None),
+    "gf11": ("proven_none", 52, [], None),
+    "gf11~": ("proven_none", 51, [], None),
+    "gf13": ("proven_none", 210, [], None),
+    "gf13~": ("proven_none", 221, [], None),
+    "gf17": ("proven_none", 1123, [], None),
+    "gf17~": ("proven_none", 1117, [], None),
+    "gf19": ("proven_none", 1759, [], None),
+    "gf19~": ("proven_none", 112852, [], None),
+    "gf23": ("proven_none", 8718, [], None),
+    "gf23~": ("proven_none", 8217, [], None),
+    "catalog-9-8": ("proven_none", 714, [], None),
+    "catalog-9-9": ("proven_none", 1094, [], None),
+    "catalog-9-10": ("proven_none", 18098, [], None),
+    "catalog-8-4+8-5": ("found", 1433, [],
+                        "5277ddd3ddc3e6643b4f23a2fc0d2b9698077b95ccd79afb5162731f4c7b68a9"),
+    "round-robin-60x2": ("found", 59, [],
+                         "6b57692f7aebd3a427ec6ebb57873d8f50c2406178c1fdce91daa45a1e784c85"),
+    "catalog-6-4@5": ("exhausted", 6, [1, 2], None),
+    "gf25@20000": ("exhausted", 20001, [3, 4, 5, 6], None),
+}
+
+
+def test_search_is_pinned():
+    """Outcome, node count, unsettled targets and witness of a fixed input set.
+
+    The branching order decides all four, so any change to the search's
+    bookkeeping must leave them byte-identical.
+    """
+    got = {}
+    for name, (mf, max_nodes) in _pinned_inputs().items():
+        budget = verify.SearchBudget(max_nodes=max_nodes) if max_nodes else None
+        res = verify.find_subfactorization(mf, budget=budget)
+        digest = (hashlib.sha256(",".join(map(str, res.witness.indices)).encode()).hexdigest()
+                  if res.witness else None)
+        got[name] = (res.outcome, res.nodes, res.lambda0_exhausted, digest)
+    assert got == PINNED_SEARCHES
