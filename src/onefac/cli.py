@@ -152,6 +152,8 @@ def cmd_verify(args) -> int:
     except ValueError as exc:  # a malformed variable, or verify.InvalidInput
         print(f"error: search budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if "indecomposable" in checks:
+        verify.check_searchable(mf)  # O(1): a refused search costs no validation
     # One validation serves the validity check and the search's input check.
     validity = (validate_factorization(mf)
                 if {"validity", "indecomposable"} & set(checks) else None)

@@ -19,7 +19,12 @@ factor; only witness indices count through the flat view of every copy.
 
 Every factor the package builds (cyclic orbit factors and joins, field
 images) is canonical by construction.  `canonicalize_factor` checks and
-sorts only input from outside.
+sorts only input from outside that is not canonical already.
+
+A vertex pair (u, v), u < v, has the dense id row[u] + v, with the row
+offsets of `pair_rows`.  Validation counts coverage in a flat list
+indexed by these ids, and the multicover search numbers its packed
+fields by them.
 """
 
 from __future__ import annotations
@@ -61,8 +66,9 @@ def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
     Raises WrongSize, NotAMatching or VertexOutOfRange when the input is
     not a perfect matching on the implied vertex set.  Idempotent.
 
-    This is the boundary for input from outside: `MultiFactorization.make`,
-    the error path of `validate_factorization` and `gf.base_factor` call
+    This is the boundary for input from outside: `MultiFactorization.make`
+    calls it on each distinct factor that is not canonical already, and
+    the report path of `validate_factorization` and `gf.base_factor` call
     it.  Factors the package builds are canonical by construction and do
     not pass through it.
     """
@@ -92,6 +98,36 @@ def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
     return tuple(canon)
 
 
+def pair_rows(num_vertices: int) -> list[int]:
+    """Row offsets of the dense pair ids: pair (u, v), u < v, has id row[u] + v.
+
+    The ids run 0..C(num_vertices, 2) - 1 in lexicographic pair order.
+    """
+    nv = num_vertices
+    return [u * (2 * nv - u - 3) // 2 - 1 for u in range(nv)]
+
+
+def _is_canonical_matching(f, nv: int, stamps: list[int], r: int) -> bool:
+    """True iff the pairs of f have strictly increasing first endpoints
+    prev < u < v < nv and no vertex twice.
+
+    With len(f) = nv / 2 that makes f a perfect matching in canonical form.
+    `stamps` is a per-vertex list shared by the calls, and r must differ
+    from every stamp an earlier call left, so nothing is cleared between
+    calls.  An edge that is not two integers gives False.
+    """
+    prev = -1
+    try:
+        for u, v in f:
+            if not prev < u < v < nv or stamps[u] == r or stamps[v] == r:
+                return False
+            stamps[u] = stamps[v] = r
+            prev = u
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class MultiFactorization:
     """A multiset of 1-factors of lambda*K_2n plus its model tag.
@@ -112,13 +148,22 @@ class MultiFactorization:
     def make(cls, n: int, lam: int, factors, model=None) -> "MultiFactorization":
         """Canonicalize, count and sort a flat list of factors with repeats.
 
-        Each group of adjacent equal factors is canonicalized once; copies
-        of one object are told equal by identity, without walking their
-        edges.  Only the distinct factors are sorted.
+        Each group of adjacent equal factors is read once; copies of one
+        object are told equal by identity, without walking their edges.  A
+        factor that `_is_canonical_matching` passes is kept as it is, and
+        any other goes through `canonicalize_factor`, which sorts it or
+        raises.  Only the distinct factors are sorted.
         """
+        nv = 2 * n
+        stamps = None  # O(n): the first factor with n pairs pays
         counts: Counter = Counter()
-        for f, copies in groupby(factors):
-            counts[canonicalize_factor(f, 2 * n)] += len(list(copies))
+        for r, (f, copies) in enumerate(groupby(factors)):
+            f = tuple(map(tuple, f))
+            if len(f) == n:
+                stamps = stamps or [-1] * nv
+            if len(f) != n or not _is_canonical_matching(f, nv, stamps, r):
+                f = canonicalize_factor(f, nv)
+            counts[f] += len(list(copies))
         return cls(n, lam, tuple(sorted(counts.items())),
                    dict(model) if model else {"tag": "plain"})
 
@@ -173,7 +218,49 @@ def edge_multiplicity_table(mf: MultiFactorization) -> Counter:
 
 
 def validate_factorization(mf: MultiFactorization) -> ValidityReport:
-    """Check that every vertex pair is covered exactly lambda times."""
+    """Check that every vertex pair is covered exactly lambda times.
+
+    A valid factorization is accepted by `_covers_exactly`, one pass over
+    the edges of the runs.  Any other input gets its report, errors and
+    all, from `_validity_report`.
+    """
+    count, expected = sum(k for _, k in mf.runs), mf.expected_factor_count()
+    if count == expected and _covers_exactly(mf):
+        return ValidityReport(True, [], [], count, expected)
+    return _validity_report(mf)
+
+
+def _covers_exactly(mf: MultiFactorization) -> bool:
+    """True iff every run is a perfect matching whose pairs are u < v, and
+    every vertex pair is covered exactly lambda times.
+
+    Each run's count is added into a flat list indexed by pair id
+    (`pair_rows`), and a per-vertex stamp list catches a vertex met twice
+    in one run.  The O(n^2) list is made only once the runs hold at least
+    one edge per pair, which a valid input has, so memory stays in
+    proportion to the input.
+    """
+    n, nv, runs = mf.n, mf.num_vertices, mf.runs
+    npairs = n * (nv - 1)
+    if sum(len(f) for f, _ in runs) < npairs:
+        return False
+    row, cnt, stamps = pair_rows(nv), [0] * npairs, [-1] * nv
+    try:
+        for r, (f, k) in enumerate(runs):
+            if len(f) != n:
+                return False
+            for u, v in f:
+                if not 0 <= u < v < nv or stamps[u] == r or stamps[v] == r:
+                    return False
+                stamps[u] = stamps[v] = r
+                cnt[row[u] + v] += k
+    except (TypeError, ValueError):  # an edge that is not two integers
+        return False
+    return cnt.count(mf.lam) == npairs
+
+
+def _validity_report(mf: MultiFactorization) -> ValidityReport:
+    """The full report: every broken factor, and the first pairs whose coverage is off."""
     n, nv = mf.n, mf.num_vertices
     pairs = vertices = None  # O(n) each: the first run with n pairs pays
     factor_errors: list[tuple[int, str]] = []

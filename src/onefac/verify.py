@@ -22,9 +22,11 @@ before anything is allocated.  The search is set up once per document,
 each lambda_0 target resets only the counters, and the picks are kept on
 an explicit stack, so a deep search costs no Python frames.  Outcomes are
 kept strictly apart: a witness, a proof of absence (full exhaustion), or
-a budget stop; the clock is read before each lambda_0 target and every
-4096 nodes, and a budget stop ends the search, with every later target
-reported exhausted unsearched.
+a budget stop; the clock is read before each lambda_0 target and then
+by work done, picks and kills weighted by the size of a packed vector,
+so a budget is kept as closely on a (300, 300) document, where a node
+costs tens of milliseconds, as on a small one.  A budget stop ends the
+search, with every later target reported exhausted unsearched.
 
 For a starter-set assembly, `certificate_witness` reads a witness straight
 off the counting certificate's first feasible orbit selection, or returns
@@ -39,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .core import MultiFactorization, ValidityReport, validate_factorization
+from .core import MultiFactorization, ValidityReport, pair_rows, validate_factorization
 from .starters import (StarterSet, _factor_counts, assemble,
                        certificate_indecomposable)
 
@@ -47,6 +49,12 @@ from .starters import (StarterSet, _factor_counts, assemble,
 # the catalog's (300, 300) at about 269 MB and refuses (1000, 998), which
 # would need about 8.2 GB.
 MAX_COUNTER_BYTES = 2 ** 30
+
+# The search reads the clock after about this much work: each pick or
+# kill counts the packed vector's size in bytes plus 1 KiB for the
+# interpreter's share.  At the 1-2 ns a byte measured on a 2-CPU x86-64
+# VM that is 17-34 ms, whether the vectors are 100 bytes or 200 KB.
+CLOCK_BYTES = 2 ** 24
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
@@ -124,12 +132,7 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
     has it; otherwise it is computed here.  Raises InvalidInput, before
     validating, when the packed run vectors would pass MAX_COUNTER_BYTES.
     """
-    if mf.lam < 2:
-        raise InvalidInput("decomposability needs lambda >= 2")
-    size = len(mf.runs) * mf.n * (2 * mf.n - 1) * _field_width(mf.lam) // 8
-    if size > MAX_COUNTER_BYTES:
-        raise InvalidInput(f"the search's packed counters need {size} bytes, "
-                           f"more than MAX_COUNTER_BYTES = {MAX_COUNTER_BYTES}")
+    check_searchable(mf)
     if validity is None:
         validity = validate_factorization(mf)
     if not validity.valid:
@@ -152,6 +155,18 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
             return SearchResult(FOUND, witness, searcher.nodes,
                                 time.monotonic() - start)
     return SearchResult(PROVEN_NONE, None, searcher.nodes, time.monotonic() - start)
+
+
+def check_searchable(mf: MultiFactorization) -> None:
+    """Raise InvalidInput when the search cannot take mf: lambda < 2, or
+    packed run vectors past MAX_COUNTER_BYTES.  O(1), and nothing is
+    allocated, so callers run it before validating."""
+    if mf.lam < 2:
+        raise InvalidInput("decomposability needs lambda >= 2")
+    size = len(mf.runs) * mf.n * (2 * mf.n - 1) * _field_width(mf.lam) // 8
+    if size > MAX_COUNTER_BYTES:
+        raise InvalidInput(f"the search's packed counters need {size} bytes, "
+                           f"more than MAX_COUNTER_BYTES = {MAX_COUNTER_BYTES}")
 
 
 def _field_width(lam: int) -> int:
@@ -181,8 +196,7 @@ class _MulticoverSearch:
         self.width = _field_width(mf.lam)
         self.counts = [k for _, k in mf.runs]
         self.firsts = list(accumulate(self.counts, initial=0))
-        # Pair (u, v), u < v, has id row[u] + v.
-        row = [u * (2 * nv - u - 3) // 2 - 1 for u in range(nv)]
+        row = pair_rows(nv)
         self.pair_ids = [tuple(row[u] + v for u, v in f) for f, _ in mf.runs]
         self.by_pair: list[list[int]] = [[] for _ in range(self.npairs)]
         for r, ids in enumerate(self.pair_ids):
@@ -190,6 +204,7 @@ class _MulticoverSearch:
                 self.by_pair[e].append(r)
         self.vecs = [self._packed(ids) for ids in self.pair_ids]
         self.ones = self._packed(range(self.npairs))
+        self.clock_ops = max(1, CLOCK_BYTES // ((self.npairs * self.width + 7) // 8 + 1024))
 
     def _packed(self, ids) -> int:
         """The int with a 1 in the field of every pair in ids.
@@ -216,7 +231,8 @@ class _MulticoverSearch:
         again.  The stack holds one (pair, position in by_pair[pair],
         killed) entry per pick, where killed lists the (run, count)
         candidates the pick covered away.  Raises _BudgetStop on the node
-        or time budget.
+        or time budget; the clock is read at the start and then every
+        `clock_ops` picks and kills.
 
         With B = 2^(W-1), above every slack and need, S holds slack + B and
         N holds need + B - 1 in each field, so no field borrows from the
@@ -232,6 +248,7 @@ class _MulticoverSearch:
         counts, vecs = self.counts, self.vecs
         by_pair, pair_ids = self.by_pair, self.pair_ids
         nodes, max_nodes = self.nodes, self.budget.max_nodes
+        ops, clock_at = 0, self.clock_ops  # picks and kills; the next clock read
         w, ones = self.width, self.ones
         bias = 1 << (w - 1)
         top = bias * ones
@@ -254,9 +271,11 @@ class _MulticoverSearch:
                 i += 1
             if i < len(cands):
                 nodes += 1
-                if nodes > max_nodes or (nodes % 4096 == 0 and self._out_of_time()):
-                    self.nodes = nodes
-                    raise _BudgetStop()
+                if nodes > max_nodes or ops >= clock_at:
+                    if nodes > max_nodes or self._out_of_time():
+                        self.nodes = nodes
+                        raise _BudgetStop()
+                    clock_at = ops + self.clock_ops
                 u = cands[i]
                 counts[u] -= 1
                 N -= vecs[u]  # supply drops with need: no slack changes
@@ -274,6 +293,7 @@ class _MulticoverSearch:
                                 # Most counts are 1, and c * vecs[v] would copy the vector.
                                 S -= vecs[v] if c == 1 else c * vecs[v]
                 stack.append((e, i, killed))
+                ops += 1 + len(killed)
                 if not killed or S & top == top:
                     # Pick again through e from this candidate on, or branch anew.
                     if not need[e]:

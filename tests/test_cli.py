@@ -146,10 +146,18 @@ def test_verify_search_past_the_counter_limit_exits_2(tmp_path, capsys, monkeypa
     path = tmp_path / "gk4x2.json"
     docio.write_mf(MultiFactorization.make(2, 2, cyclic.lucas_factorization(4) * 2), path)
     monkeypatch.setattr(verify, "MAX_COUNTER_BYTES", 5)  # the search needs 6
-    code, stdout, stderr = run_cli(capsys, "verify", str(path), "--checks", "indecomposable")
-    assert code == 2 and stdout == ""
-    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
-    assert "MAX_COUNTER_BYTES" in stderr and "Traceback" not in stderr
+
+    def not_reached(mf):
+        raise AssertionError("validated a document the search refuses")
+
+    # The size is checked first, in O(1), also with validity asked for.
+    monkeypatch.setattr(cli, "validate_factorization", not_reached)
+    monkeypatch.setattr(verify, "validate_factorization", not_reached)
+    for checks in ("indecomposable", "validity,indecomposable"):
+        code, stdout, stderr = run_cli(capsys, "verify", str(path), "--checks", checks)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+        assert "MAX_COUNTER_BYTES" in stderr and "Traceback" not in stderr
 
 
 def test_construct_plans_once(monkeypatch, capsys):
@@ -259,8 +267,8 @@ def test_verify_zero_max_nodes_is_honoured(tmp_path, capsys):
 
 
 def test_verify_zero_max_seconds_is_honoured(tmp_path, capsys):
-    # The clock is read before the first node of every lambda_0 target and
-    # then every 4096 nodes; (9, 8) finishes in 714 nodes, (5, 3) in 7.
+    # The clock is read before the first node of every lambda_0 target;
+    # (9, 8) finishes in 714 nodes, (5, 3) in 7.
     for n, lam in [(9, 8), (5, 3)]:
         path = tmp_path / f"doc{n}_{lam}.json"
         docio.write_mf(families.construct(n, lam), path)

@@ -90,9 +90,9 @@ def test_validate_reports_broken_factor():
 
 
 def test_validate_near_empty_factorization_costs_no_more_than_its_factors():
-    mf = core.MultiFactorization(10 ** 6, 1, ())
     tracemalloc.start()
     try:
+        mf = core.MultiFactorization.make(10 ** 6, 1, ())
         report = core.validate_factorization(mf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -192,3 +192,99 @@ def test_make_counts_and_sorts_the_canonical_forms(groups, shuffle, rng):
     canon = [core.canonicalize_factor(f, 6) for f in xs]
     assert mf.runs == tuple(sorted(Counter(canon).items()))
     assert mf.factors == tuple(sorted(canon))
+
+
+def test_validate_one_matching_at_large_n_costs_no_more_than_its_factors():
+    # The count makes the factor count right, but one matching holds n of
+    # the n(2n-1) pairs: no pair counter of 2 * 10^10 entries is made.
+    n = 10 ** 5
+    f = tuple((2 * i, 2 * i + 1) for i in range(n))
+    tracemalloc.start()
+    try:
+        mf = core.MultiFactorization.make(n, 1, [f] * (2 * n - 1))
+        report = core.validate_factorization(mf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    assert not report.valid and report.factor_errors == []
+    assert report.factor_count == report.expected_factor_count == 2 * n - 1
+    assert report.multiplicity_errors[:2] == [((0, 1), 2 * n - 1, 1), ((0, 2), 0, 1)]
+
+
+def _valid_inputs():
+    return [core.MultiFactorization.make(2, 3, k4_matchings() * 3),
+            families.construct(5, 3),
+            gf.agl_orbit_factorization(gf.field_ctx(5, 1)),
+            families.construct(9, 10)]
+
+
+# Each takes a factor as a list of edge tuples and the vertex count.
+_BREAKS = {
+    "swapped": lambda f, nv: [f[0][::-1], *f[1:]],
+    "unsorted": lambda f, nv: f[::-1],
+    "negative": lambda f, nv: [(-1, f[0][1]), *f[1:]],
+    "out_of_range": lambda f, nv: [*f[:-1], (f[-1][0], nv)],
+    "repeated": lambda f, nv: [(f[0][0], f[1][0]), *f[1:]],
+    "loop": lambda f, nv: [(f[0][0], f[0][0]), *f[1:]],
+    "short_edge": lambda f, nv: [f[0][:1], *f[1:]],
+    "long_edge": lambda f, nv: [(*f[0], f[1][0]), *f[1:]],
+    "missing_edge": lambda f, nv: f[1:],
+    # Still a perfect matching: two pairs lose a cover and two gain one.
+    "exchanged": lambda f, nv: [(f[0][0], f[1][0]), (f[0][1], f[1][1]), *f[2:]],
+    "float": lambda f, nv: [(float(u), float(v)) for u, v in f],
+    "bool": lambda f, nv: [tuple(bool(x) if x < 2 else x for x in e) for e in f],
+}
+
+
+def _broken_runs(mf):
+    """Runs with one run broken by each of _BREAKS, or its count off by one."""
+    runs = list(mf.runs)
+    for j in (0, len(runs) - 1):
+        f, k = runs[j]
+        for name, brk in _BREAKS.items():
+            yield name, tuple(runs[:j] + [(tuple(brk(list(f), mf.num_vertices)), k)] + runs[j + 1:])
+        yield "count_up", tuple(runs[:j] + [(f, k + 1)] + runs[j + 1:])
+        yield "count_down", tuple(runs[:j] + ([(f, k - 1)] if k > 1 else []) + runs[j + 1:])
+
+
+def test_validate_agrees_with_the_report_path_on_broken_inputs():
+    for mf in _valid_inputs():
+        assert core.validate_factorization(mf) == core._validity_report(mf)
+        assert core.validate_factorization(mf).valid
+        for name, runs in _broken_runs(mf):
+            broken = core.MultiFactorization(mf.n, mf.lam, runs)
+            report = core.validate_factorization(broken)
+            assert report == core._validity_report(broken), name
+            assert repr(report) == repr(core._validity_report(broken)), name
+            # Edge order and vertices equal to the originals do not matter.
+            assert report.valid == (name in ("unsorted", "float", "bool")), name
+
+
+def _make_by_canonicalize(n, lam, factors):
+    """The reference for `make`: every copy through canonicalize_factor."""
+    counts: Counter = Counter()
+    for f in factors:
+        counts[core.canonicalize_factor(f, 2 * n)] += 1
+    return core.MultiFactorization(n, lam, tuple(sorted(counts.items())))
+
+
+def _outcome(build, *args):
+    try:
+        mf = build(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return mf, repr(mf.runs)
+
+
+def test_make_agrees_with_canonicalize_factor_on_broken_inputs():
+    for mf in _valid_inputs():
+        # Documents hold factors as lists of [u, v] lists.
+        flat = [[list(e) for e in f] for f in mf.factors]
+        variants = [("as read", flat), ("tuples", list(mf.factors))]
+        for name, runs in _broken_runs(mf):
+            variants.append((name, [[list(e) for e in f]
+                                    for f, k in runs for _ in range(k)]))
+        for name, factors in variants:
+            assert (_outcome(core.MultiFactorization.make, mf.n, mf.lam, factors)
+                    == _outcome(_make_by_canonicalize, mf.n, mf.lam, factors)), name

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -184,6 +185,19 @@ def test_search_refuses_counters_past_the_size_limit(monkeypatch):
     monkeypatch.setattr(verify, "validate_factorization", not_reached)
     with pytest.raises(verify.InvalidInput, match="need 6 bytes"):
         verify.find_subfactorization(mf)
+
+
+def test_search_reads_the_clock_by_work(monkeypatch):
+    # Unbounded, the search finds a witness in 599 nodes of 67 KB vectors.
+    # Each clock read advances a fake clock by one second, against a 3 s
+    # budget: the reads at the start and before the first target pass, so
+    # the search stops at its second read by work, long before 4096 nodes.
+    mf = MultiFactorization.make(300, 2, cyclic.lucas_factorization(600) * 2)
+    ticks = itertools.count()
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    res = verify.find_subfactorization(mf, budget=verify.SearchBudget(max_seconds=3))
+    assert res.outcome == verify.EXHAUSTED and res.lambda0_exhausted == [1]
+    assert 0 < res.nodes < 599
 
 
 def test_every_valid_lambda_k4_factorization_decomposes():
