@@ -23,8 +23,8 @@ sorts only input from outside that is not canonical already.
 
 A vertex pair (u, v), u < v, has the dense id row[u] + v, with the row
 offsets of `pair_rows`.  Validation counts coverage in a flat list
-indexed by these ids, and the multicover search numbers its packed
-fields by them.
+indexed by these ids, the multicover search numbers its packed fields
+by them, and the field orbit builds its images as sorted tuples of them.
 """
 
 from __future__ import annotations

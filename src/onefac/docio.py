@@ -75,8 +75,13 @@ def mf_from_document(doc: dict) -> MultiFactorization:
 
 
 def serialize(doc: dict) -> str:
-    """Bit-exact canonical serialization."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Bit-exact canonical serialization.
+
+    The documents the package writes (`document_from_mf`, the profile
+    tables) are built of fresh lists and dicts and cannot hold a cycle, so
+    the encoder keeps no circular-reference markers.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def parse(text: str) -> dict:

@@ -9,14 +9,22 @@ extra vertex "infinity" with id q.  The affine maps x -> x*b + a (b != 0)
 fix infinity and act on edges and factors vertexwise.  The base factor's
 stabilizer is {x, -x}, so the orbit runs over AGL(1, q)/{+-1} and each of
 its q(q-1)/2 factors is built once.
+
+The orbit is built on the dense pair ids of `core.pair_rows`: an image is
+the sorted tuple of its edges' ids, read from one table indexed by
+ordered vertex pairs, so mapping a factor costs a few lookups in C per
+edge and makes no edge tuples.  Id order is pair order, so the sorted ids
+are the canonical factor.  Only the kept factors are turned into edges,
+and all of them share one (u, v) tuple per vertex pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product, repeat
+from operator import add, mul
 
-from .core import MultiFactorization, OneFactor, canonicalize_factor
+from .core import Edge, MultiFactorization, OneFactor, canonicalize_factor, pair_rows
 
 
 class NotPrime(ValueError):
@@ -137,37 +145,70 @@ def _scaling(ctx: FieldCtx, log_b: int) -> list[int]:
     return [0] + [exp[(log[x] + log_b) % (q - 1)] for x in range(1, q)] + [q]
 
 
-def _affine_images(ctx: FieldCtx, log_bs: range | None = None):
-    """The base factor's image under x -> x*b + a for every a and b = v^k.
+def _translations(p: int, m: int) -> list[list[int]]:
+    """table[a][x] is the id of x + a, for ids a, x in 0..p^m - 1.
 
-    k runs over `log_bs`, by default all of 0..q-2: then these are the
-    images under all q(q-1) affine maps.
+    Built one digit at a time, lowest first: on ids below w = p^j the
+    table is known, and the digit of weight w adds mod p on its own.
     """
-    p, m, q = ctx.p, ctx.m, ctx.q
-    places = [p ** i for i in range(m)]
-    digits = [[x // w % p for w in places] for x in range(q)]
-    # shifted[a] maps each vertex x to x + a, and fixes infinity (id q).
-    shifted = [[sum((da + dx) % p * w for da, dx, w in zip(ds, xs, places))
-                for xs in digits] + [q] for ds in digits]
+    table = [[0]]
+    for w in (p ** j for j in range(m)):
+        table = [[s + (d + e) % p * w for e in range(p) for s in low]
+                 for d in range(p) for low in table]
+    return table
+
+
+def _pair_tables(nv: int) -> tuple[list[int], list[Edge]]:
+    """`cid[a * nv + b]` is the dense pair id of {a, b} (a != b) and
+    `edge[id]` is its one shared (u, v) tuple, u < v.
+
+    Ids follow `pair_rows`, so their order is the lexicographic pair order.
+    """
+    row = pair_rows(nv)
+    cid: list[int] = []
+    for a in range(nv):
+        cid += [row[b] + a for b in range(a)]
+        cid += range(row[a] + a, row[a] + nv)  # a < b, and a placeholder at b = a
+    return cid, list(combinations(range(nv), 2))
+
+
+def _affine_image_ids(ctx: FieldCtx, cid: list[int], log_bs):
+    """The base factor's image under x -> x*b + a for every a (a = 0
+    first) and, for each a, every b = v^k with k in `log_bs`, as a sorted
+    tuple of pair ids.
+
+    The one image kernel.  The base factor is scaled by every b once; for
+    each a, one pass in C maps every edge {u, v} of the scaled factors to
+    the id cid[(u + a) * nv + (v + a)], and each image's slice of ids,
+    sorted, is its canonical form.  The ints are the objects `cid` holds,
+    so images share them.
+    """
+    q = ctx.q
+    nv = q + 1
     f = base_factor(ctx)
-    for log_b in range(q - 1) if log_bs is None else log_bs:
-        pairs = _image(f, _scaling(ctx, log_b))
-        for shift in shifted:
-            yield _image(pairs, shift)
+    scales = [_scaling(ctx, log_b) for log_b in log_bs]
+    us = [scale[u] for scale in scales for u, _ in f]
+    vs = [scale[v] for scale in scales for _, v in f]
+    for shift in _translations(ctx.p, ctx.m):
+        shift.append(q)  # x -> x + a fixes infinity
+        row = list(map(mul, shift, repeat(nv)))  # (x + a) * nv, the row of cid
+        ids = list(map(cid.__getitem__, map(add, map(row.__getitem__, us),
+                                            map(shift.__getitem__, vs))))
+        for i in range(0, len(ids), len(f)):
+            image = ids[i:i + len(f)]
+            image.sort()
+            yield tuple(image)
 
 
-def _image(f: OneFactor, vmap: list[int]) -> OneFactor:
-    """The factor f with every vertex x moved to vmap[x], in canonical form.
+def _affine_images(ctx: FieldCtx):
+    """The images of the base factor under all q(q-1) affine maps, as factors.
 
-    A vertex bijection maps a perfect matching to a perfect matching, so
-    only the order of each pair and of the edges needs restoring.
+    A view of `_affine_image_ids`: each id tuple is mapped to its shared
+    edge tuples, which gives the canonical factor.
     """
-    image = []
-    for u, v in f:
-        u, v = vmap[u], vmap[v]
-        image.append((u, v) if u < v else (v, u))
-    image.sort()
-    return tuple(image)
+    cid, edge = _pair_tables(ctx.q + 1)
+    for ids in _affine_image_ids(ctx, cid, range(ctx.q - 1)):
+        yield tuple(map(edge.__getitem__, ids))
 
 
 def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
@@ -194,10 +235,14 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     """
     q = ctx.q
     half = (q - 1) // 2
+    cid, edge = _pair_tables(q + 1)
     f = base_factor(ctx)
-    if _image(f, _scaling(ctx, half)) != f:
+    base = tuple(cid[u * (q + 1) + v] for u, v in f)  # f is canonical: ids ascend
+    if next(_affine_image_ids(ctx, cid, [half])) != base:
         raise AssertionError(f"x -> -x does not fix the base factor of GF({q})")
-    orbit = set(_affine_images(ctx, range(half)))
+    orbit = set(_affine_image_ids(ctx, cid, range(half)))
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
-    # Every image is canonical as _image builds it.
-    return MultiFactorization((q + 1) // 2, half, tuple((f, 1) for f in sorted(orbit)), model)
+    # Id order is pair order, so the sorted id tuples are the sorted factors,
+    # each already canonical; all of them share the edge tuples of `edge`.
+    return MultiFactorization((q + 1) // 2, half, tuple(
+        (tuple(map(edge.__getitem__, ids)), 1) for ids in sorted(orbit)), model)

@@ -25,8 +25,10 @@ kept strictly apart: a witness, a proof of absence (full exhaustion), or
 a budget stop; the clock is read before each lambda_0 target and then
 by work done, picks and kills weighted by the size of a packed vector,
 so a budget is kept as closely on a (300, 300) document, where a node
-costs tens of milliseconds, as on a small one.  A budget stop ends the
-search, with every later target reported exhausted unsearched.
+costs tens of milliseconds, as on a small one.  Building a vector in
+the set-up counts as a pick.  A budget stop ends the search, with every
+later target reported exhausted unsearched (every target, when it comes
+in the set-up).
 
 For a starter-set assembly, `certificate_witness` reads a witness straight
 off the counting certificate's first feasible orbit selection, or returns
@@ -142,7 +144,10 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
     if lambda0 is not None and not 0 < lambda0 < mf.lam:
         raise InvalidInput(f"lambda0 = {lambda0} out of range")
     start = time.monotonic()
-    searcher = _MulticoverSearch(mf, budget, start)
+    try:
+        searcher = _MulticoverSearch(mf, budget, start)
+    except _BudgetStop:  # out of time while building the vectors: nothing searched
+        return SearchResult(EXHAUSTED, None, 0, time.monotonic() - start, targets)
     for k, target in enumerate(targets):
         try:
             witness = searcher.run(target)
@@ -202,9 +207,15 @@ class _MulticoverSearch:
         for r, ids in enumerate(self.pair_ids):
             for e in ids:
                 self.by_pair[e].append(r)
-        self.vecs = [self._packed(ids) for ids in self.pair_ids]
-        self.ones = self._packed(range(self.npairs))
         self.clock_ops = max(1, CLOCK_BYTES // ((self.npairs * self.width + 7) // 8 + 1024))
+        # Building a vector counts as one pick: the clock is read every
+        # clock_ops vectors, so a budget bounds the set-up too.
+        self.vecs = []
+        for k, ids in enumerate(self.pair_ids, 1):
+            self.vecs.append(self._packed(ids))
+            if not k % self.clock_ops and self._out_of_time():
+                raise _BudgetStop()
+        self.ones = self._packed(range(self.npairs))
 
     def _packed(self, ids) -> int:
         """The int with a 1 in the field of every pair in ids.

@@ -218,6 +218,29 @@ def test_affine_images_are_canonical_by_construction(p, m):
     assert all(canonicalize_factor(f, ctx.q + 1) == f for f in images)
 
 
+def _reference_images(ctx):
+    """Every image of the base factor under x -> x*v^k + a, a = 0..q-1 and,
+    for each a, k = 0..q-2, built edge by edge with this file's field
+    arithmetic: map both endpoints, order the pair, sort the edges."""
+    q = ctx.q
+    f = gf.base_factor(ctx)
+    for a in range(q):
+        for k in range(q - 1):
+            vmap = [_add(ctx, _mul(ctx, x, ctx.exp[k]), a) for x in range(q)] + [q]
+            image = []
+            for u, v in f:
+                u, v = vmap[u], vmap[v]
+                image.append((u, v) if u < v else (v, u))
+            image.sort()
+            yield tuple(image)
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)])
+def test_affine_images_match_the_edgewise_reference(p, m):
+    ctx = gf.field_ctx(p, m)
+    assert list(gf._affine_images(ctx)) == list(_reference_images(ctx))
+
+
 def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
     # x -> -x maps (0,1) to (0,4): halving the maps would lose images.
     monkeypatch.setattr(gf, "base_factor", lambda ctx: ((0, 1), (2, 3), (4, 5)))
@@ -225,9 +248,14 @@ def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
         gf.agl_orbit_factorization(gf.field_ctx(5, 1))
 
 
-# sha256 of the serialized field documents with m > 1; the affine orbit,
-# the modulus and the vertex labelling all enter these bytes.
+# sha256 of the serialized field documents, with m = 1 and m > 1; the
+# affine orbit, the modulus and the vertex labelling all enter these bytes.
 FIELD_DOCUMENT_SHA256 = {
+    (11, 1): "fcdeee79509f21cbc8e3da7ae2720251d42bd3a039f9f438dd58a7103c6779b1",
+    (13, 1): "0f6bd74c006da93b4d253644b2a19d99c4bae606dd56ddcb2d5cc17ff1c344af",
+    (19, 1): "ee75102e1ca06a135bffc6ac77d41de2666423ac9e12786bced9f47884831ced",
+    (23, 1): "1122c60d314daa6db5b84b3721b0f5d047fb6472a3b2ca1caac1e76f65d4ddc5",
+    (43, 1): "81448af5ee302bb98a8d2823c8f4a475008559e59da7a82333dfbbef12a5d1ae",
     (3, 2): "7bda0a6ba11393960c67f0231e6d2642faee538db4aebc3db6d9cb7ab54e67ca",
     (5, 2): "d92cfeed85a0627b6183bc5437e49c3f6248344d7c8a302df76397584717cc3b",
     (3, 3): "132e93a557ebb20b19ce56aed496572d89ef6baec835db57d174e55b3d41148d",
