@@ -6,7 +6,7 @@ exact-multicover verifier.
 """
 
 from .core import (MultiFactorization, ValidityReport, canonicalize_factor,
-                   edge_multiplicity_table, is_simple, validate_factorization)
+                   is_simple, validate_factorization)
 from .families import (construct, coverage_table, family_domain,
                        family_profiles, plan, upper_bound)
 from .gf import agl_orbit_factorization, base_factor, field_ctx
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiFactorization", "ValidityReport", "canonicalize_factor",
-    "edge_multiplicity_table", "is_simple", "validate_factorization",
+    "is_simple", "validate_factorization",
     "construct", "coverage_table", "family_domain", "family_profiles",
     "plan", "upper_bound",
     "agl_orbit_factorization", "base_factor", "field_ctx",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import acceptance, docio, gf, verify
@@ -64,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: validity,simple,indecomposable")
     v.add_argument("--lambda0", type=int, default=None,
                    help="restrict the decomposability search to one target")
-    v.add_argument("--max-nodes", type=int, default=None)
-    v.add_argument("--max-seconds", type=float, default=None)
+    v.add_argument("--max-nodes", type=int, default=verify.SearchBudget.max_nodes)
+    v.add_argument("--max-seconds", type=float, default=verify.SearchBudget.max_seconds)
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("coverage", help="embedding provenance table")
@@ -142,14 +141,9 @@ def cmd_verify(args) -> int:
     if unknown:
         print(f"error: unknown checks {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
-    default = verify.SearchBudget()
     try:
-        budget = verify.SearchBudget(
-            max_nodes=(int(os.environ.get("ONEFAC_MAX_NODES", default.max_nodes))
-                       if args.max_nodes is None else args.max_nodes),
-            max_seconds=(float(os.environ.get("ONEFAC_MAX_SECONDS", default.max_seconds))
-                         if args.max_seconds is None else args.max_seconds))
-    except ValueError as exc:  # a malformed variable, or verify.InvalidInput
+        budget = verify.SearchBudget(args.max_nodes, args.max_seconds)
+    except verify.InvalidInput as exc:
         print(f"error: search budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if "indecomposable" in checks:

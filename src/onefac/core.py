@@ -13,9 +13,10 @@ in the package:
 
 Factor equality is syntactic equality of canonical forms, which makes all
 multiset bookkeeping cheap and deterministic.  Catalog factorizations
-repeat most factors, so construction, validation, edge counting, the
-document writer and the multicover search each work once per distinct
-factor; only witness indices count through the flat view of every copy.
+repeat most factors, so construction, validation (the accept and the
+report path), the document writer and the multicover search each work
+once per distinct factor; only witness indices count through the flat
+view of every copy.
 
 Every factor the package builds (cyclic orbit factors and joins, field
 images) is canonical by construction.  `canonicalize_factor` checks and
@@ -33,7 +34,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby, repeat, starmap
-from operator import itemgetter
 
 Edge = tuple[int, int]
 OneFactor = tuple[Edge, ...]
@@ -67,10 +67,10 @@ def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
     not a perfect matching on the implied vertex set.  Idempotent.
 
     This is the boundary for input from outside: `MultiFactorization.make`
-    calls it on each distinct factor that is not canonical already, and
-    the report path of `validate_factorization` and `gf.base_factor` call
-    it.  Factors the package builds are canonical by construction and do
-    not pass through it.
+    and the report path of `validate_factorization` call it on each
+    distinct factor that is not canonical already, and `gf.base_factor`
+    calls it.  Factors the package builds are canonical by construction
+    and do not pass through it.
     """
     pairs = [tuple(e) for e in edges]
     if num_vertices is None:
@@ -202,21 +202,6 @@ class ValidityReport:
     expected_factor_count: int
 
 
-def edge_multiplicity_table(mf: MultiFactorization) -> Counter:
-    """Exact multiplicity of every edge over the factor multiset.
-
-    Each distinct factor adds its edges once, weighted by its count.  One
-    copy of every factor is counted in C, so only the extra copies cost a
-    Python loop.
-    """
-    table = Counter(chain.from_iterable(map(itemgetter(0), mf.runs)))
-    for f, k in mf.runs:
-        if k > 1:
-            for e in f:
-                table[e] += k - 1
-    return table
-
-
 def validate_factorization(mf: MultiFactorization) -> ValidityReport:
     """Check that every vertex pair is covered exactly lambda times.
 
@@ -260,25 +245,30 @@ def _covers_exactly(mf: MultiFactorization) -> bool:
 
 
 def _validity_report(mf: MultiFactorization) -> ValidityReport:
-    """The full report: every broken factor, and the first pairs whose coverage is off."""
+    """The full report: every broken factor, and the first pairs whose coverage is off.
+
+    One pass over the runs: a run that `_is_canonical_matching` does not
+    pass goes through `canonicalize_factor`, which raises on exactly the
+    runs that are not perfect matchings and words the error each copy
+    gets, at its flat index; and every edge adds the run's count to a
+    Counter.
+    """
     n, nv = mf.n, mf.num_vertices
-    pairs = vertices = None  # O(n) each: the first run with n pairs pays
+    stamps = None  # O(n): the first run with n pairs pays
+    table: Counter = Counter()
     factor_errors: list[tuple[int, str]] = []
-    # A run is a perfect matching iff its n pairs have the endpoints 0..2n-1.
-    # canonicalize_factor raises on exactly the runs that fail, and words
-    # the error that each copy gets, at its flat index.
     start = 0
-    for f, k in mf.runs:
-        if len(f) == n and pairs is None:
-            pairs, vertices = [2] * n, list(range(nv))
-        if not (len(f) == n and list(map(len, f)) == pairs
-                and sorted(chain.from_iterable(f)) == vertices):
+    for r, (f, k) in enumerate(mf.runs):
+        if len(f) == n:
+            stamps = stamps or [-1] * nv
+        if len(f) != n or not _is_canonical_matching(f, nv, stamps, r):
             try:
                 canonicalize_factor(f, nv)
             except FactorError as exc:
                 factor_errors += [(i, str(exc)) for i in range(start, start + k)]
+        for e in f:
+            table[e] += k
         start += k
-    table = edge_multiplicity_table(mf)
     mult_errors: list[tuple[Edge, int, int]] = []
     # combinations(range(nv), 2) would first copy all nv vertex ids.
     for e in chain.from_iterable(zip(repeat(u), range(u + 1, nv)) for u in range(nv)):

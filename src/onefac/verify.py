@@ -33,7 +33,8 @@ in the set-up).
 For a starter-set assembly, `certificate_witness` reads a witness straight
 off the counting certificate's first feasible orbit selection, or returns
 None when the certificate is proven.  Every witness, from either path, is
-re-checked by `decomposability_witness_check`.
+re-checked by `decomposability_witness_check`, which validates the
+chosen copies as a 1-factorization of lambda_0 K_2n.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .core import MultiFactorization, ValidityReport, pair_rows, validate_factorization
 from .starters import (StarterSet, _factor_counts, assemble,
@@ -100,25 +101,21 @@ class _BudgetStop(Exception):
 
 
 def decomposability_witness_check(mf: MultiFactorization, w: Witness) -> bool:
-    """Re-validate a witness by direct counting, independent of the search."""
-    if not 0 < w.lambda0 < mf.lam:
+    """True iff w is a proper subfactorization: the copies at its distinct
+    indices form a valid 1-factorization of lambda_0 K_2n.
+
+    The indices are sorted and so is the flat view, so equal copies are
+    adjacent and group into runs.  `validate_factorization` shares nothing
+    with the search's packed counters, so this check is independent of it.
+    """
+    factors = mf.factors
+    if not 0 < w.lambda0 < mf.lam or len(set(w.indices)) != len(w.indices):
         return False
-    if len(w.indices) != w.lambda0 * (2 * mf.n - 1):
+    if not all(0 <= i < len(factors) for i in w.indices):
         return False
-    if len(set(w.indices)) != len(w.indices):
-        return False
-    counts: dict[tuple[int, int], int] = {}
-    for i in w.indices:
-        if not 0 <= i < len(mf.factors):
-            return False
-        for e in mf.factors[i]:
-            counts[e] = counts.get(e, 0) + 1
-    nv = 2 * mf.n
-    for u in range(nv):
-        for v in range(u + 1, nv):
-            if counts.get((u, v), 0) != w.lambda0:
-                return False
-    return True
+    runs = tuple((f, len(list(copies)))
+                 for f, copies in groupby(factors[i] for i in sorted(w.indices)))
+    return validate_factorization(MultiFactorization(mf.n, w.lambda0, runs)).valid
 
 
 def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
@@ -336,7 +333,7 @@ def certificate_witness(s: StarterSet) -> Witness | None:
     None when the certificate is proven.  Otherwise the first feasible
     selection x at lambda_0 = lo gives the witness: the starter orbits in
     x, lambda_0 copies of each joined factor and lambda_0 - cov_x(a) copies
-    of each loose M_a.  It is re-checked by direct counting.  Raises
+    of each loose M_a.  It is re-checked by validation.  Raises
     OrderingFailed, like the certificate, when the ordering does not close.
     """
     cert = certificate_indecomposable(s)

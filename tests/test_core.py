@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 
@@ -126,49 +127,6 @@ def test_is_simple_on_catalog_output_lists_loose_copies():
     assert (cyclic.m_factor(5, 3), 3) in repeated
 
 
-def test_edge_multiplicity_table_lucas():
-    mf = core.MultiFactorization.make(2, 1, k4_matchings())
-    table = core.edge_multiplicity_table(mf)
-    assert set(table.values()) == {1} and len(table) == 6
-
-
-def test_edge_multiplicity_table_two_copies_of_one_factor():
-    f = k4_matchings()[0]
-    mf = core.MultiFactorization(2, 2, ((f, 2),))
-    table = core.edge_multiplicity_table(mf)
-    assert all(table[e] == 2 for e in f)
-    assert table.get((0, 2), 0) == 0 or (0, 2) in f
-
-
-def test_edge_multiplicity_table_catalog():
-    mf = families.construct(5, 3)
-    table = core.edge_multiplicity_table(mf)
-    assert set(table.values()) == {3}
-    assert sum(table.values()) == 3 * 5 * 9  # lam * n * (2n-1) edge slots
-
-
-def _plain_edge_count(factors) -> Counter:
-    table: Counter = Counter()
-    for f in factors:
-        table.update(f)
-    return table
-
-
-def test_edge_multiplicity_table_matches_plain_count():
-    mfs = [families.construct(n, lam) for n, lam in [(5, 2), (9, 13), (14, 28)]]
-    mfs.append(gf.agl_orbit_factorization(gf.field_ctx(3, 2)))
-    for mf in mfs:
-        assert core.edge_multiplicity_table(mf) == _plain_edge_count(mf.factors)
-
-
-def test_edge_multiplicity_table_on_unsorted_factors():
-    f0, f1, f2 = sorted(k4_matchings())
-    for factors in [(f1, f0, f0, f2, f1, f0, f1, f1),  # unsorted, repeats apart
-                    (f2, f2, f2, f0), (f0,) * 5, (f1,), ()]:
-        mf = core.MultiFactorization.make(2, 3, factors)
-        assert core.edge_multiplicity_table(mf) == _plain_edge_count(factors)
-
-
 _FORMS = {
     "shared": lambda f: f,
     "copy": lambda f: tuple(list(f)),
@@ -288,3 +246,23 @@ def test_make_agrees_with_canonicalize_factor_on_broken_inputs():
         for name, factors in variants:
             assert (_outcome(core.MultiFactorization.make, mf.n, mf.lam, factors)
                     == _outcome(_make_by_canonicalize, mf.n, mf.lam, factors)), name
+
+
+def _report_inputs():
+    """Valid, broken, near-empty and one-matching inputs, in a fixed order."""
+    for mf in _valid_inputs():
+        yield mf
+        for _, runs in _broken_runs(mf):
+            yield core.MultiFactorization(mf.n, mf.lam, runs)
+    yield core.MultiFactorization.make(10 ** 6, 1, ())
+    n = 10 ** 4
+    f = tuple((2 * i, 2 * i + 1) for i in range(n))
+    yield core.MultiFactorization.make(n, 1, [f] * (2 * n - 1))
+
+
+def test_validity_reports_are_pinned():
+    digest = hashlib.sha256()
+    for mf in _report_inputs():
+        digest.update(repr(core.validate_factorization(mf)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "b8b1694ae303627bf49516457525905f960e59d58010b20ce357c76d6d9e5561")

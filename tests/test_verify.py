@@ -49,6 +49,75 @@ def test_witness_check_rejects_broken_witnesses():
         mf, verify.Witness(2, tuple(range(6))))  # lambda0 = lambda is improper
     assert not verify.decomposability_witness_check(
         mf, verify.Witness(1, (0, 1, 2)))
+    # Index -1 would wrap to the last copy, and len(mf.factors) is one past it.
+    assert not verify.decomposability_witness_check(mf, verify.Witness(1, (-1, 0, 2)))
+    assert not verify.decomposability_witness_check(
+        mf, verify.Witness(1, (0, 2, len(mf.factors))))
+    # Counted twice, copy 0, 3 and 6 would cover every pair of 3K4 twice.
+    triple = MultiFactorization.make(2, 3, cyclic.lucas_factorization(4) * 3)
+    assert verify.decomposability_witness_check(triple, verify.Witness(1, (0, 3, 6)))
+    assert not verify.decomposability_witness_check(
+        triple, verify.Witness(2, (0, 0, 3, 3, 6, 6)))
+    # Every pair of K4 once, but two of the chosen copies are not matchings.
+    paths = MultiFactorization(2, 2, ((((0, 1), (0, 2)), 1), (((0, 3), (1, 2)), 1),
+                                      (((1, 3), (2, 3)), 1)))
+    assert not verify.decomposability_witness_check(paths, verify.Witness(1, (0, 1, 2)))
+
+
+def edge_counting_witness_check(mf, w):
+    """Reference: the witness check that counted the chosen copies' edges
+    itself instead of validating them."""
+    if not 0 < w.lambda0 < mf.lam:
+        return False
+    if len(w.indices) != w.lambda0 * (2 * mf.n - 1):
+        return False
+    if len(set(w.indices)) != len(w.indices):
+        return False
+    counts = {}
+    for i in w.indices:
+        if not 0 <= i < len(mf.factors):
+            return False
+        for e in mf.factors[i]:
+            counts[e] = counts.get(e, 0) + 1
+    nv = 2 * mf.n
+    return all(counts.get((u, v), 0) == w.lambda0
+               for u in range(nv) for v in range(u + 1, nv))
+
+
+def _witness_variants(w):
+    """w, and w with one index dropped or moved to the next copy, each way."""
+    yield w
+    for j, i in enumerate(w.indices):
+        yield verify.Witness(w.lambda0, w.indices[:j] + w.indices[j + 1:])
+        yield verify.Witness(w.lambda0, w.indices[:j] + (i + 1,) + w.indices[j + 1:])
+
+
+@pytest.fixture(autouse=True)
+def witness_check_agrees_with_edge_counting(monkeypatch):
+    """Differential test of every witness a test here obtains, from the
+    search or from the certificate: the witness check and the
+    edge-counting reference agree on it and on each of its variants."""
+    search, from_certificate = verify.find_subfactorization, verify.certificate_witness
+
+    def agree(mf, w):
+        for v in _witness_variants(w):
+            assert (verify.decomposability_witness_check(mf, v)
+                    == edge_counting_witness_check(mf, v)), v
+
+    def find(mf, *args, **kwargs):
+        res = search(mf, *args, **kwargs)
+        if res.witness is not None:
+            agree(mf, res.witness)
+        return res
+
+    def certificate(s):
+        w = from_certificate(s)
+        if w is not None:
+            agree(starters.assemble(s), w)
+        return w
+
+    monkeypatch.setattr(verify, "find_subfactorization", find)
+    monkeypatch.setattr(verify, "certificate_witness", certificate)
 
 
 def test_complement_of_witness_is_witness():
