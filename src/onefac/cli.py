@@ -3,7 +3,8 @@
 Subcommands: `construct` writes a factorization document and prints a
 summary line, `verify` runs requested checks on a document and emits a
 JSON report, `coverage` prints the embedding provenance table, and
-`selftest` runs the acceptance suite.  Exit codes: 0 success, 1 some
+`selftest` runs the acceptance suite (and refuses to under `python -O`,
+which strips its asserts).  Exit codes: 0 success, 1 some
 requested check failed, 2 usage/parse/domain errors, 3 construction
 failure, 4 decomposability search budget exhausted (`verify`).
 """
@@ -193,6 +194,10 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if not __debug__:  # python -O strips the assert statements that state each criterion
+        print("error: selftest checks nothing under python -O; run it without -O",
+              file=sys.stderr)
+        return EXIT_USAGE
     names = acceptance.QUICK if args.scale == "quick" else acceptance.FULL
     results = acceptance.run(names)
     for r in results:

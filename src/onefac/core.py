@@ -14,9 +14,9 @@ in the package:
 Factor equality is syntactic equality of canonical forms, which makes all
 multiset bookkeeping cheap and deterministic.  Catalog factorizations
 repeat most factors, so construction, validation (the accept and the
-report path), the document writer and the multicover search each work
-once per distinct factor; only witness indices count through the flat
-view of every copy.
+report path), the document writer, the reader of a written document and
+the multicover search each work once per distinct factor; only witness
+indices count through the flat view of every copy.
 
 Every factor the package builds (cyclic orbit factors and joins, field
 images) is canonical by construction.  `canonicalize_factor` checks and

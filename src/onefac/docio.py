@@ -10,18 +10,28 @@ distinct factors in canonical sorted order as arrays of [u, v] pairs
 Catalog factorizations repeat most factors, so a document costs time and
 bytes per distinct factor.  Format 1 listed every copy and
 had no `counts`; it is still read, as a document whose counts are all 1.
+
+A format 2 document as the package writes it is read as its runs: each
+factor passes the canonical-matching stamp test, the factors are strictly
+increasing, and `factors` zipped with `counts` are the runs as they are,
+with no pass over the copies and no re-count or re-sort.  Any other
+document (format 1, factors out of order or repeated, edges not in
+canonical form, a vertex that is not an integer) takes the general path:
+every vertex's type is tested, then `MultiFactorization.make` expands,
+canonicalizes, counts and sorts the copies, or raises.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, repeat
+from operator import lt
 
-from .core import FactorError, MultiFactorization
+from .core import FactorError, MultiFactorization, _is_canonical_matching
 
 FORMAT_VERSION = 2
 
-# Reading a document walks every copy once, and the flat view
+# The general read walks every copy once, and the flat view
 # MultiFactorization.factors holds them all, so without this bound a short
 # document with a count of 10**12 would ask for terabytes.  The catalog's
 # (n, lambda) = (1000, 998) has 1,995,002 factors.
@@ -64,6 +74,10 @@ def mf_from_document(doc: dict) -> MultiFactorization:
             raise ParseError("every count must be an integer >= 1")
         if sum(counts) > MAX_FACTORS:
             raise ParseError(f"counts total {sum(counts)} factors, more than {MAX_FACTORS}")
+        if fmt == FORMAT_VERSION:
+            runs = _written_runs(n, factors, counts)
+            if runs is not None:
+                return MultiFactorization(n, lam, runs, dict(model))
         if {*map(type, chain.from_iterable(chain.from_iterable(factors)))} - {int}:
             raise ParseError("every vertex id must be an integer")
         return MultiFactorization.make(n, lam, chain.from_iterable(map(repeat, factors, counts)),
@@ -72,6 +86,34 @@ def mf_from_document(doc: dict) -> MultiFactorization:
         raise
     except (KeyError, TypeError, FactorError) as exc:
         raise ParseError(f"malformed document: {exc}") from exc
+
+
+def _written_runs(n: int, factors: list, counts: list) -> tuple | None:
+    """The runs of a format 2 document in the form `document_from_mf` writes,
+    or None for any other document.
+
+    Every factor must be n pairs that pass `_is_canonical_matching` (one
+    stamp list shared by the runs) and the factors must be strictly
+    increasing.  A JSON float, string or null fails the stamp test; a bool
+    passes it only as vertex 0 or 1, which in a canonical perfect matching
+    sit at f[0][0], f[0][1] or f[1][0], so those three are type-tested.
+    """
+    nv, stamps, fs = 2 * n, None, []
+    try:
+        for r, f in enumerate(factors):
+            f = tuple(map(tuple, f))
+            if len(f) != n:
+                return None
+            stamps = stamps or [-1] * nv  # O(n): the first factor with n pairs pays
+            if (not _is_canonical_matching(f, nv, stamps, r)
+                    or bool in (type(f[0][0]), type(f[0][1]), type(f[1][0]))):
+                return None
+            fs.append(f)
+    except TypeError:  # a factor or an edge that is not iterable
+        return None
+    if not all(map(lt, fs, fs[1:])):
+        return None
+    return tuple(zip(fs, counts))
 
 
 def serialize(doc: dict) -> str:

@@ -153,7 +153,7 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
             return SearchResult(EXHAUSTED, None, searcher.nodes,
                                 time.monotonic() - start, targets[k:])
         if witness is not None:
-            assert decomposability_witness_check(mf, witness)
+            _recheck(mf, witness)
             return SearchResult(FOUND, witness, searcher.nodes,
                                 time.monotonic() - start)
     return SearchResult(PROVEN_NONE, None, searcher.nodes, time.monotonic() - start)
@@ -346,5 +346,11 @@ def certificate_witness(s: StarterSet) -> Witness | None:
     starts = accumulate((k for _, k in mf.runs), initial=0)
     witness = Witness(lam0, tuple(
         i for (f, _), start in zip(mf.runs, starts) for i in range(start, start + used[f])))
-    assert decomposability_witness_check(mf, witness)
+    _recheck(mf, witness)
     return witness
+
+
+def _recheck(mf: MultiFactorization, witness: Witness) -> None:
+    """Re-check a witness independently; an explicit raise, so `python -O` keeps it."""
+    if not decomposability_witness_check(mf, witness):
+        raise AssertionError(f"witness at lambda0 = {witness.lambda0} fails its re-check")

@@ -281,6 +281,15 @@ def test_selftest_quick(capsys):
     assert all("PASS" in line for line in lines)
 
 
+def test_selftest_refuses_to_run_without_asserts():
+    # Under python -O every criterion's assert is stripped, so a PASS would mean nothing.
+    env = dict(os.environ, PYTHONPATH=str(Path(onefac.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-m", "onefac", "selftest", "--scale", "quick"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "-O" in done.stderr
+
+
 @pytest.fixture
 def unrealizable_p3_n9_l10(monkeypatch):
     real_family_profiles = families.family_profiles

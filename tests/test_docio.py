@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from onefac import cyclic, docio, families, gf
+from onefac import core, cyclic, docio, families, gf
 from onefac.core import MultiFactorization
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -153,3 +153,99 @@ def test_serialize_matches_plain_json_on_catalog_documents():
 @pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (7, 2)])
 def test_serialize_matches_plain_json_on_field_documents(p, m):
     _check_document(docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m))))
+
+
+def _general_read(doc: dict) -> MultiFactorization:
+    """Reference: the reader before written documents were read as their runs,
+    which tests every vertex's type and then hands every copy to `make`."""
+    try:
+        fmt = doc["format"]
+        if type(fmt) is not int or fmt not in (1, docio.FORMAT_VERSION):
+            raise docio.ParseError(f"unsupported format {fmt!r}")
+        n = doc["n"]
+        lam = doc["lambda"]
+        model = doc["model"]
+        factors = doc["factors"]
+        counts = doc["counts"] if fmt == docio.FORMAT_VERSION else [1] * len(factors)
+        if not (type(n) is int and type(lam) is int and n >= 2 and lam >= 1):
+            raise docio.ParseError("n and lambda must be integers with n >= 2, lambda >= 1")
+        if not isinstance(model, dict) or "tag" not in model:
+            raise docio.ParseError("model block must carry a tag")
+        if not (type(counts) is list and len(counts) == len(factors)):
+            raise docio.ParseError("counts must be a list as long as factors")
+        if not all(type(c) is int and c >= 1 for c in counts):
+            raise docio.ParseError("every count must be an integer >= 1")
+        if sum(counts) > docio.MAX_FACTORS:
+            raise docio.ParseError(
+                f"counts total {sum(counts)} factors, more than {docio.MAX_FACTORS}")
+        if {type(x) for f in factors for e in f for x in e} - {int}:
+            raise docio.ParseError("every vertex id must be an integer")
+        return MultiFactorization.make(
+            n, lam, [f for f, c in zip(factors, counts) for _ in range(c)], model)
+    except docio.ParseError:
+        raise
+    except (KeyError, TypeError, core.FactorError) as exc:
+        raise docio.ParseError(f"malformed document: {exc}") from exc
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _with_vertex(f: list, i: int, j: int, value) -> list:
+    edge = list(f[i])
+    edge[j] = value
+    return f[:i] + [edge] + f[i + 1:]
+
+
+def _variants(doc: dict):
+    """doc with one change each: out of order, repeated, mis-typed, malformed.
+
+    The first factor of a written document starts with the edge (0, 1) and
+    the last with (0, 2n - 1), so between them a bool replaces vertex 0 at
+    f[0][0], vertex 1 at f[0][1] and vertex 1 at f[1][0], in the second edge.
+    """
+    fs, cs = doc["factors"], doc["counts"]
+
+    def with_factor(r, f):
+        return dict(doc, factors=fs[:r] + [f] + fs[r + 1:])
+
+    for r in (0, len(fs) - 1):
+        f, last = fs[r], len(fs[r]) - 1
+        yield with_factor(r, [f[0][::-1]] + f[1:])  # an edge written (v, u)
+        yield with_factor(r, [f[1], f[0]] + f[2:])  # two edges exchanged
+        for i, j in ((0, 0), (0, 1), (1, 0)):
+            if f[i][j] in (0, 1):
+                yield with_factor(r, _with_vertex(f, i, j, bool(f[i][j])))
+        for bad in (1.0, "0", None):
+            yield with_factor(r, _with_vertex(f, 0, 0, bad))
+            yield with_factor(r, _with_vertex(f, last, 1, bad))
+        yield with_factor(r, [f[0][:1]] + f[1:])  # a 1-element edge
+        yield with_factor(r, [f[0] + [f[0][1]]] + f[1:])  # a 3-element edge
+        yield with_factor(r, f[:last] + [f[last][0]])  # an edge that is an int
+        yield with_factor(r, f[:last])  # one edge short
+        yield with_factor(r, f + [[0, 1]])  # one edge long
+    if len(fs) >= 2:
+        yield dict(doc, factors=[fs[1], fs[0]] + fs[2:], counts=[cs[1], cs[0]] + cs[2:])
+        yield dict(doc, factors=fs[:1] + fs, counts=cs[:1] + cs)  # adjacent duplicate
+        yield dict(doc, factors=fs + fs[:1], counts=cs + cs[:1])  # non-adjacent duplicate
+    yield _format1(doc)
+
+
+def _differential_documents():
+    yield from _catalog_documents()
+    for p, m in ((3, 2), (11, 1), (3, 3)):
+        yield docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m)))
+
+
+def test_written_documents_read_as_runs_like_the_general_read():
+    for doc in _differential_documents():
+        key = (doc["model"], doc["n"], doc["lambda"])
+        assert docio._written_runs(doc["n"], doc["factors"], doc["counts"]) is not None, key
+        assert docio.mf_from_document(doc) == _general_read(doc), key
+        for new in _variants(doc):
+            assert _outcome(docio.mf_from_document, new) == _outcome(_general_read, new), \
+                (key, new["factors"])

@@ -318,6 +318,15 @@ def test_certificate_witness_rejects_failed_ordering():
         verify.certificate_witness(s)
 
 
+def test_witness_that_fails_its_recheck_raises(monkeypatch):
+    # An explicit raise, not an assert statement, so it holds under python -O too.
+    monkeypatch.setattr(verify, "decomposability_witness_check", lambda mf, w: False)
+    with pytest.raises(AssertionError, match="fails its re-check"):
+        verify.find_subfactorization(gk4_doubled())
+    with pytest.raises(AssertionError, match="fails its re-check"):
+        verify.certificate_witness(StarterSet(4, 2, ()))
+
+
 @pytest.mark.parametrize("n,lam,profile", [
     (6, 4, {0: 2, 1: 1, 2: 1, 4: 1, 5: 1}),
     (5, 3, {2: 2, 3: 1, 4: 2}),  # odd n: M_b rides in the joined block
