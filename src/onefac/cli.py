@@ -129,16 +129,13 @@ def _cert_status(p: FamilyPlan) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.path) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    mf = docio.mf_from_document(docio.parse(text))
+    # The arguments are checked before the document is read: a bad one
+    # costs no read of a large file and is not hidden by a parse error.
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    known = {"validity", "simple", "indecomposable"}
-    unknown = set(checks) - known
+    if not checks:
+        print("error: --checks names no check", file=sys.stderr)
+        return EXIT_USAGE
+    unknown = set(checks) - {"validity", "simple", "indecomposable"}
     if unknown:
         print(f"error: unknown checks {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
@@ -147,6 +144,13 @@ def cmd_verify(args) -> int:
     except verify.InvalidInput as exc:
         print(f"error: search budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        with open(args.path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    mf = docio.mf_from_document(docio.parse(text))
     if "indecomposable" in checks:
         verify.check_searchable(mf)  # O(1): a refused search costs no validation
     # One validation serves the validity check and the search's input check.

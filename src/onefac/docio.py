@@ -3,22 +3,27 @@
 Both are JSON with a `format` version field, serialized canonically
 (sorted keys, compact separators, trailing newline) so golden tests can
 compare bytes; a profile is written as sorted [orbit, count] pairs.  A
-factorization document (format 2) stores the model block, n, lambda, the
-distinct factors in canonical sorted order as arrays of [u, v] pairs
-(`factors`) and, in a parallel array, how often each one occurs
-(`counts`): the runs of `MultiFactorization`, written as they are held.
-Catalog factorizations repeat most factors, so a document costs time and
-bytes per distinct factor.  Format 1 listed every copy and
-had no `counts`; it is still read, as a document whose counts are all 1.
+factorization document (format 3) stores the model block, n, lambda, the
+distinct factors in canonical sorted order (`factors`) and, in a parallel
+array, how often each one occurs (`counts`): the runs of
+`MultiFactorization`, written as they are held.  Each factor is one flat
+array [u0, v0, u1, v1, ...] of its n canonical edges.  Catalog
+factorizations repeat most factors, so a document costs time and bytes
+per distinct factor.  Format 2 wrote each factor as n [u, v] arrays, and
+format 1 listed every copy as format 2 does and had no `counts`; both
+are still read, format 1 as a document whose counts are all 1.
 
-A format 2 document as the package writes it is read as its runs: each
-factor passes the canonical-matching stamp test, the factors are strictly
-increasing, and `factors` zipped with `counts` are the runs as they are,
-with no pass over the copies and no re-count or re-sort.  Any other
-document (format 1, factors out of order or repeated, edges not in
-canonical form, a vertex that is not an integer) takes the general path:
-every vertex's type is tested, then `MultiFactorization.make` expands,
-canonicalizes, counts and sorts the copies, or raises.
+A format 3 or format 2 document as the package writes it is read as its
+runs: each factor is paired into n edges (a format 3 factor must be a
+list of exactly 2n vertices), each passes the canonical-matching stamp
+test, the factors are strictly increasing, and `factors` zipped with
+`counts` are the runs as they are, with no pass over the copies and no
+re-count or re-sort.  Any other document (format 1, factors out of order
+or repeated, edges not in canonical form, a vertex that is not an
+integer) takes the general path: a format 3 factor is cut into pairs (an
+odd trailing vertex becomes a one-element edge), every vertex's type is
+tested, then `MultiFactorization.make` expands, canonicalizes, counts and
+sorts the copies, or raises.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from operator import lt
 
 from .core import FactorError, MultiFactorization, _is_canonical_matching
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # The general read walks every copy once, and the flat view
 # MultiFactorization.factors holds them all, so without this bound a short
@@ -48,7 +53,7 @@ def document_from_mf(mf: MultiFactorization) -> dict:
         "model": dict(mf.model),
         "n": mf.n,
         "lambda": mf.lam,
-        "factors": [[[u, v] for u, v in f] for f, _ in mf.runs],
+        "factors": [list(chain.from_iterable(f)) for f, _ in mf.runs],
         "counts": [k for _, k in mf.runs],
     }
 
@@ -57,13 +62,13 @@ def mf_from_document(doc: dict) -> MultiFactorization:
     try:
         fmt = doc["format"]
         # JSON true and false load as bool, a subclass of int: test the type.
-        if type(fmt) is not int or fmt not in (1, FORMAT_VERSION):
+        if type(fmt) is not int or fmt not in (1, 2, FORMAT_VERSION):
             raise ParseError(f"unsupported format {fmt!r}")
         n = doc["n"]
         lam = doc["lambda"]
         model = doc["model"]
         factors = doc["factors"]
-        counts = doc["counts"] if fmt == FORMAT_VERSION else [1] * len(factors)
+        counts = doc["counts"] if fmt > 1 else [1] * len(factors)
         if not (type(n) is int and type(lam) is int and n >= 2 and lam >= 1):
             raise ParseError("n and lambda must be integers with n >= 2, lambda >= 1")
         if not isinstance(model, dict) or "tag" not in model:
@@ -74,10 +79,12 @@ def mf_from_document(doc: dict) -> MultiFactorization:
             raise ParseError("every count must be an integer >= 1")
         if sum(counts) > MAX_FACTORS:
             raise ParseError(f"counts total {sum(counts)} factors, more than {MAX_FACTORS}")
-        if fmt == FORMAT_VERSION:
-            runs = _written_runs(n, factors, counts)
+        if fmt > 1:
+            runs = _written_runs(n, factors, counts, fmt == FORMAT_VERSION)
             if runs is not None:
                 return MultiFactorization(n, lam, runs, dict(model))
+        if fmt == FORMAT_VERSION:
+            factors = [[f[i:i + 2] for i in range(0, len(f), 2)] for f in factors]
         if {*map(type, chain.from_iterable(chain.from_iterable(factors)))} - {int}:
             raise ParseError("every vertex id must be an integer")
         return MultiFactorization.make(n, lam, chain.from_iterable(map(repeat, factors, counts)),
@@ -88,23 +95,31 @@ def mf_from_document(doc: dict) -> MultiFactorization:
         raise ParseError(f"malformed document: {exc}") from exc
 
 
-def _written_runs(n: int, factors: list, counts: list) -> tuple | None:
-    """The runs of a format 2 document in the form `document_from_mf` writes,
-    or None for any other document.
+def _written_runs(n: int, factors: list, counts: list, flat: bool) -> tuple | None:
+    """The runs of a document in the form `document_from_mf` writes, or None
+    for any other document.
 
-    Every factor must be n pairs that pass `_is_canonical_matching` (one
-    stamp list shared by the runs) and the factors must be strictly
-    increasing.  A JSON float, string or null fails the stamp test; a bool
-    passes it only as vertex 0 or 1, which in a canonical perfect matching
-    sit at f[0][0], f[0][1] or f[1][0], so those three are type-tested.
+    A flat (format 3) factor must be a list of exactly 2n vertices, read as
+    n consecutive pairs; a format 2 factor is a list of n pairs.  Every
+    factor's pairs must pass `_is_canonical_matching` (one stamp list
+    shared by the runs) and the factors must be strictly increasing.  A
+    JSON float, string, null or array fails the stamp test; a bool passes
+    it only as vertex 0 or 1, which in a canonical perfect matching sit at
+    f[0][0], f[0][1] or f[1][0], so those three are type-tested.
     """
     nv, stamps, fs = 2 * n, None, []
     try:
         for r, f in enumerate(factors):
-            f = tuple(map(tuple, f))
-            if len(f) != n:
-                return None
-            stamps = stamps or [-1] * nv  # O(n): the first factor with n pairs pays
+            if flat:
+                if type(f) is not list or len(f) != nv:
+                    return None
+                it = iter(f)
+                f = tuple(zip(it, it))
+            else:
+                f = tuple(map(tuple, f))
+                if len(f) != n:
+                    return None
+            stamps = stamps or [-1] * nv  # O(n): the first factor of the right size pays
             if (not _is_canonical_matching(f, nv, stamps, r)
                     or bool in (type(f[0][0]), type(f[0][1]), type(f[1][0]))):
                 return None

@@ -130,6 +130,25 @@ def test_verify_unknown_check_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--checks", "bogus"], "unknown checks"),
+    (["--checks", ","], "names no check"),
+    (["--checks", " "], "names no check"),
+    (["--max-nodes", "-1"], "search budget"),
+])
+def test_verify_checks_its_arguments_before_the_document(argv, message, tmp_path, capsys):
+    # Before the document is read, so a broken file reports the bad
+    # argument, not its parse error; an empty --checks used to print {}
+    # and exit 0 having checked nothing.
+    good, broken = tmp_path / "doc.json", tmp_path / "broken.json"
+    docio.write_mf(MultiFactorization.make(2, 1, cyclic.lucas_factorization(4)), good)
+    broken.write_text('{"format": 3, "model"')
+    for path in (good, broken):
+        code, stdout, stderr = run_cli(capsys, "verify", str(path), *argv)
+        assert code == 2 and stdout == "", path
+        assert stderr.startswith("error:") and message in stderr, path
+
+
 def test_verify_budget_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
     path = tmp_path / "doc.json"
     from onefac import families

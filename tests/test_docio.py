@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -93,18 +94,31 @@ def test_make_rejects_malformed_factor():
         MultiFactorization.make(2, 1, [((0, 1), (1, 2))])
 
 
+def _format2(doc: dict) -> dict:
+    """The format-2 form of a format-3 document: each factor as [u, v] arrays."""
+    return dict(doc, format=2, factors=[[f[i:i + 2] for i in range(0, len(f), 2)]
+                                        for f in doc["factors"]])
+
+
 def _format1(doc: dict) -> dict:
-    """The format-1 form of a document: every copy listed, no counts."""
-    factors = [f for f, c in zip(doc["factors"], doc["counts"]) for _ in range(c)]
+    """The format-1 form of a document: every copy listed as [u, v] arrays, no counts."""
+    factors = [f for f, c in zip(_format2(doc)["factors"], doc["counts"]) for _ in range(c)]
     return {"format": 1, "model": doc["model"], "n": doc["n"], "lambda": doc["lambda"],
             "factors": factors}
 
 
-def test_format1_golden_reads_like_format2():
-    old = docio.parse((GOLDEN / "t3_p3m1_format1.json").read_text())
-    new = docio.parse((GOLDEN / "t3_p3m1.json").read_text())
-    assert (old["format"], new["format"]) == (1, 2)
-    assert docio.mf_from_document(old) == docio.mf_from_document(new)
+def _refuse_make(*args, **kwargs):
+    raise AssertionError("MultiFactorization.make called on a written document")
+
+
+def test_format1_golden_reads_like_format2(monkeypatch):
+    # Goldens written by each format's version of document_from_mf.
+    docs = [docio.parse((GOLDEN / name).read_text())
+            for name in ("t3_p3m1_format1.json", "t3_p3m1_format2.json", "t3_p3m1.json")]
+    assert [doc["format"] for doc in docs] == [1, 2, 3]
+    mf = docio.mf_from_document(docs[0])
+    monkeypatch.setattr(MultiFactorization, "make", _refuse_make)
+    assert docio.mf_from_document(docs[1]) == docio.mf_from_document(docs[2]) == mf
 
 
 def _catalog_documents():
@@ -117,12 +131,25 @@ def _catalog_documents():
             yield docio.document_from_mf(families.construct(n, lam))
 
 
-def test_format1_catalog_documents_read_like_format2():
-    for doc in _catalog_documents():
+def _differential_documents():
+    yield from _catalog_documents()
+    for p, m in ((3, 2), (11, 1), (3, 3)):
+        yield docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m)))
+
+
+def test_format1_catalog_documents_read_like_format2(monkeypatch):
+    # Formats 1, 2 and 3 of every catalog document for n = 5..14 and of
+    # GF q = 9, 11, 27 read to one factorization; formats 2 and 3 as written
+    # read as their runs, without MultiFactorization.make.
+    for doc in _differential_documents():
+        key = (doc["model"], doc["n"], doc["lambda"])
         old = _format1(doc)
         assert len(old["factors"]) == doc["lambda"] * (2 * doc["n"] - 1)
-        assert docio.mf_from_document(old) == docio.mf_from_document(doc), \
-            (doc["n"], doc["lambda"])
+        mf = docio.mf_from_document(old)
+        with monkeypatch.context() as m:
+            m.setattr(MultiFactorization, "make", _refuse_make)
+            assert docio.mf_from_document(_format2(doc)) == mf, key
+            assert docio.mf_from_document(doc) == mf, key
 
 
 def _plain(doc: dict) -> str:
@@ -133,8 +160,9 @@ def _check_document(doc: dict) -> None:
     """One entry per distinct factor, counts summing to lambda(2n - 1), plain
     sorted-key JSON bytes and a byte-identical round trip."""
     key = (doc["model"], doc["n"], doc["lambda"])
-    factors = [tuple(map(tuple, f)) for f in doc["factors"]]
+    factors = [tuple(f) for f in doc["factors"]]
     assert factors == sorted(set(factors)), key
+    assert {len(f) for f in factors} == {2 * doc["n"]}, key
     assert sum(doc["counts"]) == doc["lambda"] * (2 * doc["n"] - 1), key
     text = docio.serialize(doc)
     assert text == _plain(doc), key
@@ -157,16 +185,17 @@ def test_serialize_matches_plain_json_on_field_documents(p, m):
 
 def _general_read(doc: dict) -> MultiFactorization:
     """Reference: the reader before written documents were read as their runs,
-    which tests every vertex's type and then hands every copy to `make`."""
+    which cuts a format 3 factor into pairs, tests every vertex's type and
+    then hands every copy to `make`."""
     try:
         fmt = doc["format"]
-        if type(fmt) is not int or fmt not in (1, docio.FORMAT_VERSION):
+        if type(fmt) is not int or fmt not in (1, 2, 3):
             raise docio.ParseError(f"unsupported format {fmt!r}")
         n = doc["n"]
         lam = doc["lambda"]
         model = doc["model"]
         factors = doc["factors"]
-        counts = doc["counts"] if fmt == docio.FORMAT_VERSION else [1] * len(factors)
+        counts = doc["counts"] if fmt > 1 else [1] * len(factors)
         if not (type(n) is int and type(lam) is int and n >= 2 and lam >= 1):
             raise docio.ParseError("n and lambda must be integers with n >= 2, lambda >= 1")
         if not isinstance(model, dict) or "tag" not in model:
@@ -178,6 +207,8 @@ def _general_read(doc: dict) -> MultiFactorization:
         if sum(counts) > docio.MAX_FACTORS:
             raise docio.ParseError(
                 f"counts total {sum(counts)} factors, more than {docio.MAX_FACTORS}")
+        if fmt == 3:
+            factors = [[f[i:i + 2] for i in range(0, len(f), 2)] for f in factors]
         if {type(x) for f in factors for e in f for x in e} - {int}:
             raise docio.ParseError("every vertex id must be an integer")
         return MultiFactorization.make(
@@ -201,14 +232,24 @@ def _with_vertex(f: list, i: int, j: int, value) -> list:
     return f[:i] + [edge] + f[i + 1:]
 
 
+def _exchanged_and_repeated(doc: dict):
+    fs, cs = doc["factors"], doc["counts"]
+    if len(fs) >= 2:
+        # two factors exchanged
+        yield dict(doc, factors=[fs[1], fs[0]] + fs[2:], counts=[cs[1], cs[0]] + cs[2:])
+        yield dict(doc, factors=fs[:1] + fs, counts=cs[:1] + cs)  # adjacent duplicate
+        yield dict(doc, factors=fs + fs[:1], counts=cs + cs[:1])  # non-adjacent duplicate
+        yield dict(doc, factors=fs[::-1], counts=cs[::-1])  # factors reversed
+
+
 def _variants(doc: dict):
-    """doc with one change each: out of order, repeated, mis-typed, malformed.
+    """A format 2 doc with one change each: out of order, repeated, mis-typed, malformed.
 
     The first factor of a written document starts with the edge (0, 1) and
     the last with (0, 2n - 1), so between them a bool replaces vertex 0 at
     f[0][0], vertex 1 at f[0][1] and vertex 1 at f[1][0], in the second edge.
     """
-    fs, cs = doc["factors"], doc["counts"]
+    fs = doc["factors"]
 
     def with_factor(r, f):
         return dict(doc, factors=fs[:r] + [f] + fs[r + 1:])
@@ -228,24 +269,55 @@ def _variants(doc: dict):
         yield with_factor(r, f[:last] + [f[last][0]])  # an edge that is an int
         yield with_factor(r, f[:last])  # one edge short
         yield with_factor(r, f + [[0, 1]])  # one edge long
-    if len(fs) >= 2:
-        yield dict(doc, factors=[fs[1], fs[0]] + fs[2:], counts=[cs[1], cs[0]] + cs[2:])
-        yield dict(doc, factors=fs[:1] + fs, counts=cs[:1] + cs)  # adjacent duplicate
-        yield dict(doc, factors=fs + fs[:1], counts=cs + cs[:1])  # non-adjacent duplicate
+    yield from _exchanged_and_repeated(doc)
     yield _format1(doc)
 
 
-def _differential_documents():
-    yield from _catalog_documents()
-    for p, m in ((3, 2), (11, 1), (3, 3)):
-        yield docio.document_from_mf(gf.agl_orbit_factorization(gf.field_ctx(p, m)))
+def _flat_variants(doc: dict):
+    """A format 3 doc with one change each, as `_variants` makes them.
+
+    A bool replaces vertex 0 or 1 at each of the first three places of the
+    first and the last factor, where a canonical factor holds them.
+    """
+    fs = doc["factors"]
+
+    def with_factor(r, f):
+        return dict(doc, factors=fs[:r] + [f] + fs[r + 1:])
+
+    for r in (0, len(fs) - 1):
+        f = fs[r]
+        yield with_factor(r, f[1::-1] + f[2:])  # an edge written (v, u)
+        yield with_factor(r, f[2:4] + f[:2] + f[4:])  # two edges exchanged
+        yield with_factor(r, f[:2] + f[:2] + f[4:])  # an edge repeated
+        # the edges in reverse order
+        yield with_factor(r, [x for i in range(len(f) - 2, -1, -2) for x in f[i:i + 2]])
+        for i in range(3):
+            if f[i] in (0, 1):
+                yield with_factor(r, f[:i] + [bool(f[i])] + f[i + 1:])
+        for bad in (1.0, "0", None):
+            yield with_factor(r, [bad] + f[1:])
+            yield with_factor(r, f[:-1] + [bad])
+        yield with_factor(r, f[:-1])  # odd length: the last vertex has no partner
+        yield with_factor(r, f + f[-1:])  # odd length: pairing in order would drop it
+        yield with_factor(r, [f[:2]] + f[1:])  # a nested [u, v] in place of a vertex
+        yield with_factor(r, f[:-2])  # one edge short
+        yield with_factor(r, f + [0, 1])  # one edge long
+        # A factor that is not a flat list; the dict, which no JSON text
+        # gives, iterates as the vertices 0..2n-1 in order.
+        for other in (f[0], "0123", dict(enumerate(f)), _format2(doc)["factors"][r]):
+            yield with_factor(r, other)
+    yield from _exchanged_and_repeated(doc)
 
 
 def test_written_documents_read_as_runs_like_the_general_read():
     for doc in _differential_documents():
         key = (doc["model"], doc["n"], doc["lambda"])
-        assert docio._written_runs(doc["n"], doc["factors"], doc["counts"]) is not None, key
-        assert docio.mf_from_document(doc) == _general_read(doc), key
-        for new in _variants(doc):
+        old = _format2(doc)
+        assert docio._written_runs(doc["n"], doc["factors"], doc["counts"], True) \
+            == docio._written_runs(doc["n"], old["factors"], doc["counts"], False) \
+            is not None, key
+        for d in (doc, old):
+            assert docio.mf_from_document(d) == _general_read(d), key
+        for new in chain(_flat_variants(doc), _variants(old)):
             assert _outcome(docio.mf_from_document, new) == _outcome(_general_read, new), \
-                (key, new["factors"])
+                (key, new["format"], new["factors"])

@@ -248,7 +248,31 @@ def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
         gf.agl_orbit_factorization(gf.field_ctx(5, 1))
 
 
-# sha256 of the serialized field documents, with m = 1 and m > 1; the
+def _format2_text(mf) -> str:
+    """The document of mf as format 2 wrote it: each factor as n [u, v] arrays.
+
+    The content pins below hash this rendering, so they keep proving that
+    no factorization changed whatever format the package writes.
+    """
+    return docio.serialize({
+        "format": 2,
+        "model": dict(mf.model),
+        "n": mf.n,
+        "lambda": mf.lam,
+        "factors": [[[u, v] for u, v in f] for f, _ in mf.runs],
+        "counts": [k for _, k in mf.runs],
+    })
+
+
+def _format3_digest(mfs) -> str:
+    """sha256 of the package's documents of mfs, concatenated in order."""
+    digest = hashlib.sha256()
+    for mf in mfs:
+        digest.update(docio.serialize(docio.document_from_mf(mf)).encode())
+    return digest.hexdigest()
+
+
+# sha256 of the format 2 field documents, with m = 1 and m > 1; the
 # affine orbit, the modulus and the vertex labelling all enter these bytes.
 FIELD_DOCUMENT_SHA256 = {
     (11, 1): "fcdeee79509f21cbc8e3da7ae2720251d42bd3a039f9f438dd58a7103c6779b1",
@@ -267,11 +291,22 @@ FIELD_DOCUMENT_SHA256 = {
 @pytest.mark.parametrize("p, m", sorted(FIELD_DOCUMENT_SHA256))
 def test_field_document_bytes_pinned(p, m):
     mf = gf.agl_orbit_factorization(gf.field_ctx(p, m))
-    text = docio.serialize(docio.document_from_mf(mf))
+    text = _format2_text(mf)
     assert hashlib.sha256(text.encode()).hexdigest() == FIELD_DOCUMENT_SHA256[(p, m)]
 
 
-# sha256 of the serialized catalog documents for every lambda served at
+# sha256 of the package's (format 3) documents of FIELD_DOCUMENT_SHA256,
+# concatenated in key order.
+FIELD_DOCUMENTS_FORMAT3_SHA256 = "4647f4678a9f887ecae73611f2747fec83eb14592cf16031252ca6c71602c37c"
+
+
+def test_field_documents_format3_bytes_pinned():
+    assert _format3_digest(gf.agl_orbit_factorization(gf.field_ctx(p, m))
+                           for p, m in sorted(FIELD_DOCUMENT_SHA256)) \
+        == FIELD_DOCUMENTS_FORMAT3_SHA256
+
+
+# sha256 of the format 2 catalog documents for every lambda served at
 # n = 9 and n = 23; the profiles, the realized starters and the orbit
 # assembly all enter these bytes.  A realizer that returns other
 # permutations changes them.
@@ -343,36 +378,55 @@ def test_catalog_pins_cover_every_served_lambda():
 
 @pytest.mark.parametrize("n, lam", sorted(CATALOG_DOCUMENT_SHA256))
 def test_catalog_document_bytes_pinned(n, lam):
-    text = docio.serialize(docio.document_from_mf(families.construct(n, lam)))
+    text = _format2_text(families.construct(n, lam))
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DOCUMENT_SHA256[(n, lam)]
+
+
+# sha256 of the package's (format 3) documents of CATALOG_DOCUMENT_SHA256,
+# concatenated in key order.
+CATALOG_DOCUMENTS_FORMAT3_SHA256 = "49e5e5fc2c7be0c05f9d248b872034ac2d35d3cfbceb765339ad8e7fb6e59679"
+
+
+def test_catalog_documents_format3_bytes_pinned():
+    assert _format3_digest(families.construct(n, lam)
+                           for n, lam in sorted(CATALOG_DOCUMENT_SHA256)) \
+        == CATALOG_DOCUMENTS_FORMAT3_SHA256
 
 
 # sha256 of the documents of every lambda served at n = 23, concatenated
 # in lambda order: the strip that the benchmark's strip workload builds.
+# The first pin hashes the format 2 rendering, the second the package's bytes.
 STRIP_N23_DOCUMENTS_SHA256 = "6847b93b34cc6745975fd49c03de831552752971438c2b967a53c472efd9383e"
+STRIP_N23_FORMAT3_SHA256 = "590093e496d4a43bcd0d662937b837d6d68476b499456fbaf340de0e2a6c0f4c"
 
 
 def test_strip_n23_documents_pinned_and_read_back_equal():
     # The catalog is built canonical by construction; reading each
     # document back canonicalizes it as outside input and must change nothing.
-    digest = hashlib.sha256()
+    digest, digest3 = hashlib.sha256(), hashlib.sha256()
     lams = range(families.lambda_floor(23), 47)
     assert lams[0] == 7
     for lam in lams:
         mf = families.construct(23, lam)
+        digest.update(_format2_text(mf).encode())
         text = docio.serialize(docio.document_from_mf(mf))
-        digest.update(text.encode())
+        digest3.update(text.encode())
         assert docio.mf_from_document(docio.parse(text)) == mf, lam
     assert digest.hexdigest() == STRIP_N23_DOCUMENTS_SHA256
+    assert digest3.hexdigest() == STRIP_N23_FORMAT3_SHA256
 
 
 def test_catalog_document_at_300_300_reads_back_equal():
     # Far past the pinned strips: 1,198 distinct factors carry all 179,700.
     mf = families.construct(300, 300)
-    text = docio.serialize(docio.document_from_mf(mf))
-    assert len(text) == 3_468_296
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    old = _format2_text(mf)
+    assert len(old) == 3_468_296
+    assert hashlib.sha256(old.encode()).hexdigest() == \
         "9b6de596408f71f930c8420c20ef714d2f2cf7cda2f704156df5d982344cb423"
+    text = docio.serialize(docio.document_from_mf(mf))
+    assert len(text) == 2_749_496
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a8d3e655ba317c539e8a8a2ccf2749e411e27df80ff8f86a36d4e151c19c086a"
     doc = docio.parse(text)
     assert len(doc["counts"]) == 1_198 and sum(doc["counts"]) == 179_700
     assert docio.mf_from_document(doc) == mf
