@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from importlib import resources
 from itertools import product
@@ -207,13 +207,10 @@ QUICK = ("A1", "A2", "A3", "A4", "A5")
 FULL = QUICK + ("A6", "A7", "A8")
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    elapsed: float
-    budget: float
-    detail: str
+class CriterionResult(namedtuple("CriterionResult", "name passed elapsed budget detail")):
+    """One criterion's name, passed (bool), elapsed and budget seconds, and detail."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

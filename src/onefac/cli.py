@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import acceptance, docio, gf, verify
+from . import docio, gf, verify
 from .core import is_simple, validate_factorization
 from .families import (FAMILY_IDS, FamilyPlan, NoFamily, OutOfDomain,
                        STooSmall, StarterSearchFailed, coverage_table,
@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: validity,simple,indecomposable")
     v.add_argument("--lambda0", type=int, default=None,
                    help="restrict the decomposability search to one target")
-    v.add_argument("--max-nodes", type=int, default=verify.SearchBudget.max_nodes)
-    v.add_argument("--max-seconds", type=float, default=verify.SearchBudget.max_seconds)
+    budget = verify.SearchBudget()
+    v.add_argument("--max-nodes", type=int, default=budget.max_nodes)
+    v.add_argument("--max-seconds", type=float, default=budget.max_seconds)
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("coverage", help="embedding provenance table")
@@ -202,6 +203,7 @@ def cmd_selftest(args) -> int:
         print("error: selftest checks nothing under python -O; run it without -O",
               file=sys.stderr)
         return EXIT_USAGE
+    from . import acceptance  # only here: it loads importlib.resources and typing
     names = acceptance.QUICK if args.scale == "quick" else acceptance.FULL
     results = acceptance.run(names)
     for r in results:

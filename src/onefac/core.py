@@ -30,8 +30,7 @@ by them, and the field orbit builds its images as sorted tuples of them.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, groupby, repeat, starmap
 
@@ -128,7 +127,6 @@ def _is_canonical_matching(f, nv: int, stamps: list[int], r: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class MultiFactorization:
     """A multiset of 1-factors of lambda*K_2n plus its model tag.
 
@@ -136,13 +134,30 @@ class MultiFactorization:
     paired with its count >= 1.  The constructor trusts its caller to
     keep that form; `make` builds one from outside input.  `model` records
     how vertex ids were produced, e.g. {"tag": "cyclic", "n": 5} or
-    {"tag": "field", "p": 5, "m": 1, "modulus": [3, 1]} or {"tag": "plain"}.
+    {"tag": "field", "p": 5, "m": 1, "modulus": [3, 1]} or, by default, a
+    fresh {"tag": "plain"}.  Immutable; not a tuple, so that `len` and
+    iteration do not read as its factors.
     """
 
-    n: int
-    lam: int
-    runs: tuple[tuple[OneFactor, int], ...]
-    model: dict = field(default_factory=lambda: {"tag": "plain"})
+    def __init__(self, n: int, lam: int, runs: tuple[tuple[OneFactor, int], ...],
+                 model: dict | None = None):
+        vars(self).update(n=n, lam=lam, runs=runs,
+                          model={"tag": "plain"} if model is None else model)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not MultiFactorization:
+            return NotImplemented
+        return ((self.n, self.lam, self.runs, self.model)
+                == (other.n, other.lam, other.runs, other.model))
+
+    def __repr__(self):
+        return (f"MultiFactorization(n={self.n!r}, lam={self.lam!r}, "
+                f"runs={self.runs!r}, model={self.model!r})")
 
     @classmethod
     def make(cls, n: int, lam: int, factors, model=None) -> "MultiFactorization":
@@ -183,8 +198,8 @@ class MultiFactorization:
 MULTIPLICITY_ERRORS = 10
 
 
-@dataclass
-class ValidityReport:
+class ValidityReport(namedtuple("ValidityReport", "valid multiplicity_errors "
+                                "factor_errors factor_count expected_factor_count")):
     """Outcome of validate_factorization.
 
     `multiplicity_errors` lists (edge, observed, expected) for the first
@@ -192,14 +207,11 @@ class ValidityReport:
     differs from lambda: the scan stops there, so a near-empty document
     with a huge n costs no more than its factors.  `factor_errors` lists
     (index, reason) for every structurally broken factor.  `valid` is True
-    iff both lists are empty and the factor count is lambda*(2n-1).
+    iff both lists are empty and the int factor_count is the
+    expected_factor_count lambda*(2n-1).
     """
 
-    valid: bool
-    multiplicity_errors: list[tuple[Edge, int, int]]
-    factor_errors: list[tuple[int, str]]
-    factor_count: int
-    expected_factor_count: int
+    __slots__ = ()
 
 
 def validate_factorization(mf: MultiFactorization) -> ValidityReport:

@@ -19,7 +19,7 @@ certificate covers the whole range (e.g. (n, lambda) = (10, 3) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import ceil, comb
 
 from .core import MultiFactorization
@@ -174,12 +174,10 @@ _SMALL_SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyPlan:
-    """Resolved construction plan: the family and its realized starters."""
+class FamilyPlan(namedtuple("FamilyPlan", "family starter_set")):
+    """Resolved construction plan: the family (str) and its realized StarterSet."""
 
-    family: str
-    starter_set: StarterSet
+    __slots__ = ()
 
     def certificate(self) -> Certificate:
         return certificate_indecomposable(self.starter_set)
@@ -201,11 +199,10 @@ def construct(n: int, lam: int) -> MultiFactorization:
     return assemble(plan(n, lam).starter_set)
 
 
-@dataclass(frozen=True)
-class CoverageEntry:
-    lam: int
-    n: int
-    family: str
+class CoverageEntry(namedtuple("CoverageEntry", "lam n family")):
+    """A coverage_table row: ints lam and base n, and the family (str) serving them."""
+
+    __slots__ = ()
 
 
 def coverage_table(s: int) -> list[CoverageEntry]:

@@ -20,7 +20,6 @@ and all of them share one (u, v) tuple per vertex pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product, repeat
 from operator import add, mul
 
@@ -39,21 +38,35 @@ class BadDegree(ValueError):
     """m must be >= 1."""
 
 
-@dataclass(frozen=True)
 class FieldCtx:
     """Odd prime p, degree m, monic primitive modulus and its power tables.
 
     `modulus` stores the m+1 coefficients constant-term first; the residue
     class v of x generates the multiplicative group.  `exp[k]` is the id
     of v^k for k = 0..q-2 and `log` is its inverse on the ids 1..q-1
-    (`log[0]` is None).
+    (`log[0]` is None).  Immutable; the tables follow from (p, m, modulus),
+    so equality, hashing and repr leave them out.
     """
 
-    p: int
-    m: int
-    modulus: tuple[int, ...]
-    exp: tuple[int, ...] = field(repr=False, compare=False)
-    log: tuple[int | None, ...] = field(repr=False, compare=False)
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...],
+                 exp: tuple[int, ...], log: tuple[int | None, ...]):
+        vars(self).update(p=p, m=m, modulus=modulus, exp=exp, log=log)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not FieldCtx:
+            return NotImplemented
+        return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.m, self.modulus))
+
+    def __repr__(self):
+        return f"FieldCtx(p={self.p!r}, m={self.m!r}, modulus={self.modulus!r})"
 
     @property
     def q(self) -> int:

@@ -32,8 +32,7 @@ Z_n summing to 0 are the differences of two orderings of Z_n.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from operator import add
 
@@ -75,18 +74,30 @@ class OrderingFailed(ValueError):
     """The greedy private-orbit ordering could not mark every starter."""
 
 
-@dataclass(frozen=True)
 class StarterSet:
     """Starters for the assembly as permutations of Z_n, checked when made."""
 
-    n: int
-    lam: int
-    perms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, n: int, lam: int, perms: tuple[tuple[int, ...], ...]):
+        vars(self).update(n=n, lam=lam, perms=perms)
         violations = check_starter_conditions(self)
         if violations:
             raise PreconditionFailed("starter conditions violated", violations)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not StarterSet:
+            return NotImplemented
+        return (self.n, self.lam, self.perms) == (other.n, other.lam, other.perms)
+
+    def __hash__(self):
+        return hash((self.n, self.lam, self.perms))
+
+    def __repr__(self):
+        return f"StarterSet(n={self.n!r}, lam={self.lam!r}, perms={self.perms!r})"
 
     @classmethod
     def from_profiles(cls, n: int, lam: int, profiles) -> "StarterSet":
@@ -119,25 +130,19 @@ class StarterSet:
         return None
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(namedtuple("TraceEntry", "x status lo hi lo_orbit hi_orbit")):
     """lambda_0 interval of one orbit selection x, with the binding orbits.
 
     Every lambda_0 below `lo` violates the coverage lower bound on orbit
     `lo_orbit`; every lambda_0 above `hi` exceeds the loose-copy stock of
-    orbit `hi_orbit`.  The selection is infeasible iff lo > hi.
+    orbit `hi_orbit` (None where no orbit binds).  `status` is "infeasible"
+    iff lo > hi, else "feasible".
     """
 
-    x: tuple[int, ...]
-    status: str  # "infeasible" | "feasible"
-    lo: int
-    hi: int
-    lo_orbit: int | None
-    hi_orbit: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "status ordering trace")):
     """Outcome of the counting certificate.
 
     status is "proven" or "unknown".  `ordering` is the greedy marking
@@ -145,9 +150,7 @@ class Certificate:
     TraceEntry per orbit-selection vector x.
     """
 
-    status: str
-    ordering: tuple[tuple[int, int], ...]
-    trace: tuple[TraceEntry, ...]
+    __slots__ = ()
 
     @property
     def proven(self) -> bool:

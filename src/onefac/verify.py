@@ -40,8 +40,7 @@ chosen copies as a 1-factorization of lambda_0 K_2n.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import accumulate, groupby
 
 from .core import MultiFactorization, ValidityReport, pair_rows, validate_factorization
@@ -69,31 +68,35 @@ class InvalidInput(ValueError):
     or packed counters past MAX_COUNTER_BYTES)."""
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A proper subfactorization: lambda_0 and the chosen factor indices."""
+class Witness(namedtuple("Witness", "lambda0 indices")):
+    """A proper subfactorization: lambda_0 and the chosen factor indices (ints)."""
 
-    lambda0: int
-    indices: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass
-class SearchBudget:
-    max_nodes: int = 100_000_000
-    max_seconds: float = 300.0
+class SearchBudget(namedtuple("SearchBudget", "max_nodes max_seconds",
+                              defaults=(100_000_000, 300.0))):
+    """Bounds on one search: max_nodes (int) and max_seconds (float)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.max_nodes >= 0 and self.max_seconds >= 0):  # NaN fails too
             raise InvalidInput(f"{self} has a negative or NaN bound")
+        return self
 
 
-@dataclass
-class SearchResult:
-    outcome: str  # "found" | "proven_none" | "exhausted"
-    witness: Witness | None = None
-    nodes: int = 0
-    elapsed: float = 0.0
-    lambda0_exhausted: list[int] = field(default_factory=list)
+class SearchResult(namedtuple("SearchResult",
+                              "outcome witness nodes elapsed lambda0_exhausted")):
+    """A search's outcome ("found", "proven_none" or "exhausted"), Witness or None,
+    nodes, seconds elapsed and a list of the lambda_0 the budget cut short."""
+
+    __slots__ = ()
+
+    def __new__(cls, outcome, witness=None, nodes=0, elapsed=0.0, lambda0_exhausted=None):
+        return super().__new__(cls, outcome, witness, nodes, elapsed,
+                               [] if lambda0_exhausted is None else lambda0_exhausted)
 
 
 class _BudgetStop(Exception):

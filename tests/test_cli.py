@@ -366,6 +366,24 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert done.stdout == run_cli(capsys, "coverage", "--s", "18")[1]
 
 
+# Start-up cost no command needs: `dataclasses` pulls in `inspect`, `ast`
+# and `tokenize`, and `acceptance`, which only `selftest` runs, pulls in
+# `importlib.resources` and `typing`.
+NOT_AT_START_UP = {"dataclasses", "inspect", "typing", "ast",
+                   "importlib.resources", "onefac.acceptance"}
+
+
+def test_cli_start_up_imports_only_what_it_needs():
+    env = dict(os.environ, PYTHONPATH=str(Path(onefac.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "onefac",
+                           "coverage", "--s", "18"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "onefac.families" in loaded
+    assert not loaded & NOT_AT_START_UP
+
+
 _K4 = '"model":{"tag":"plain"},"n":2,"lambda":2'
 
 
