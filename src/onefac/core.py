@@ -14,9 +14,10 @@ in the package:
 Factor equality is syntactic equality of canonical forms, which makes all
 multiset bookkeeping cheap and deterministic.  Catalog factorizations
 repeat most factors, so construction, validation (the accept and the
-report path), the document writer, the reader of a written document and
-the multicover search each work once per distinct factor; only witness
-indices count through the flat view of every copy.
+report path), the document writer, the reader of a written document, the
+multicover search and the witness check each work once per distinct
+factor.  A witness's positions count each run's copies in run order, and
+no code in the package builds the flat view of every copy.
 
 Every factor the package builds (cyclic orbit factors and joins, field
 images) is canonical by construction.  `canonicalize_factor` checks and
@@ -184,7 +185,7 @@ class MultiFactorization:
 
     @cached_property
     def factors(self) -> tuple[OneFactor, ...]:
-        """Every copy in sorted order, the view that witness indices count through."""
+        """Every copy in sorted order, for outside callers; witness positions index it."""
         return tuple(chain.from_iterable(starmap(repeat, self.runs)))
 
     @property

@@ -13,17 +13,16 @@ per distinct factor.  Format 2 wrote each factor as n [u, v] arrays, and
 format 1 listed every copy as format 2 does and had no `counts`; both
 are still read, format 1 as a document whose counts are all 1.
 
-A format 3 or format 2 document as the package writes it is read as its
-runs: each factor is paired into n edges (a format 3 factor must be a
-list of exactly 2n vertices), each passes the canonical-matching stamp
-test, the factors are strictly increasing, and `factors` zipped with
-`counts` are the runs as they are, with no pass over the copies and no
-re-count or re-sort.  Any other document (format 1, factors out of order
-or repeated, edges not in canonical form, a vertex that is not an
-integer) takes the general path: a format 3 factor is cut into pairs (an
-odd trailing vertex becomes a one-element edge), every vertex's type is
-tested, then `MultiFactorization.make` expands, canonicalizes, counts and
-sorts the copies, or raises.
+A format 3 document as the package writes it is read as its runs: each
+factor, a list of exactly 2n vertices, is paired into n edges that pass
+the canonical-matching stamp test, the factors are strictly increasing,
+and `factors` zipped with `counts` are the runs as they are, with no
+pass over the copies and no re-count or re-sort.  Any other document
+(format 1 or 2, factors out of order or repeated, edges not in canonical
+form, a vertex that is not an integer) takes the general path: a format
+3 factor is cut into pairs (an odd trailing vertex becomes a one-element
+edge), every vertex's type is tested, then `MultiFactorization.make`
+expands, canonicalizes, counts and sorts the copies, or raises.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ from .core import FactorError, MultiFactorization, _is_canonical_matching
 
 FORMAT_VERSION = 3
 
-# The general read walks every copy once, and the flat view
-# MultiFactorization.factors holds them all, so without this bound a short
-# document with a count of 10**12 would ask for terabytes.  The catalog's
-# (n, lambda) = (1000, 998) has 1,995,002 factors.
+# The general read lists the copies of each factor, so without this bound
+# a short document with a count of 10**12 would ask for terabytes.  The
+# catalog's (n, lambda) = (1000, 998) has 1,995,002 factors.
 MAX_FACTORS = 10_000_000
 
 
@@ -79,11 +77,10 @@ def mf_from_document(doc: dict) -> MultiFactorization:
             raise ParseError("every count must be an integer >= 1")
         if sum(counts) > MAX_FACTORS:
             raise ParseError(f"counts total {sum(counts)} factors, more than {MAX_FACTORS}")
-        if fmt > 1:
-            runs = _written_runs(n, factors, counts, fmt == FORMAT_VERSION)
+        if fmt == FORMAT_VERSION:
+            runs = _written_runs(n, factors, counts)
             if runs is not None:
                 return MultiFactorization(n, lam, runs, dict(model))
-        if fmt == FORMAT_VERSION:
             factors = [[f[i:i + 2] for i in range(0, len(f), 2)] for f in factors]
         if {*map(type, chain.from_iterable(chain.from_iterable(factors)))} - {int}:
             raise ParseError("every vertex id must be an integer")
@@ -95,37 +92,28 @@ def mf_from_document(doc: dict) -> MultiFactorization:
         raise ParseError(f"malformed document: {exc}") from exc
 
 
-def _written_runs(n: int, factors: list, counts: list, flat: bool) -> tuple | None:
-    """The runs of a document in the form `document_from_mf` writes, or None
-    for any other document.
+def _written_runs(n: int, factors: list, counts: list) -> tuple | None:
+    """The runs of a format 3 document in the form `document_from_mf`
+    writes, or None for any other format 3 document.
 
-    A flat (format 3) factor must be a list of exactly 2n vertices, read as
-    n consecutive pairs; a format 2 factor is a list of n pairs.  Every
-    factor's pairs must pass `_is_canonical_matching` (one stamp list
-    shared by the runs) and the factors must be strictly increasing.  A
+    Each factor must be a list of exactly 2n vertices, read as n
+    consecutive pairs that pass `_is_canonical_matching` (one stamp list
+    shared by the runs), and the factors must be strictly increasing.  A
     JSON float, string, null or array fails the stamp test; a bool passes
     it only as vertex 0 or 1, which in a canonical perfect matching sit at
     f[0][0], f[0][1] or f[1][0], so those three are type-tested.
     """
     nv, stamps, fs = 2 * n, None, []
-    try:
-        for r, f in enumerate(factors):
-            if flat:
-                if type(f) is not list or len(f) != nv:
-                    return None
-                it = iter(f)
-                f = tuple(zip(it, it))
-            else:
-                f = tuple(map(tuple, f))
-                if len(f) != n:
-                    return None
-            stamps = stamps or [-1] * nv  # O(n): the first factor of the right size pays
-            if (not _is_canonical_matching(f, nv, stamps, r)
-                    or bool in (type(f[0][0]), type(f[0][1]), type(f[1][0]))):
-                return None
-            fs.append(f)
-    except TypeError:  # a factor or an edge that is not iterable
-        return None
+    for r, f in enumerate(factors):
+        if type(f) is not list or len(f) != nv:
+            return None
+        it = iter(f)
+        f = tuple(zip(it, it))
+        stamps = stamps or [-1] * nv  # O(n): the first factor of the right size pays
+        if (not _is_canonical_matching(f, nv, stamps, r)
+                or bool in (type(f[0][0]), type(f[0][1]), type(f[1][0]))):
+            return None
+        fs.append(f)
     if not all(map(lt, fs, fs[1:])):
         return None
     return tuple(zip(fs, counts))

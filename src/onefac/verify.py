@@ -32,16 +32,19 @@ in the set-up).
 
 For a starter-set assembly, `certificate_witness` reads a witness straight
 off the counting certificate's first feasible orbit selection, or returns
-None when the certificate is proven.  Every witness, from either path, is
+None when the certificate is proven.  Both paths count the copies they
+take of each run, and every witness, the first copies of each run, is
 re-checked by `decomposability_witness_check`, which validates the
-chosen copies as a 1-factorization of lambda_0 K_2n.
+chosen runs at those counts as a 1-factorization of lambda_0 K_2n.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from collections import Counter, namedtuple
-from itertools import accumulate, groupby
+from itertools import accumulate
+from operator import index
 
 from .core import MultiFactorization, ValidityReport, pair_rows, validate_factorization
 from .starters import (StarterSet, _factor_counts, assemble,
@@ -69,7 +72,8 @@ class InvalidInput(ValueError):
 
 
 class Witness(namedtuple("Witness", "lambda0 indices")):
-    """A proper subfactorization: lambda_0 and the chosen factor indices (ints)."""
+    """A proper subfactorization: lambda_0 and the positions (ints) of the
+    chosen copies, where positions count each run's copies, in run order."""
 
     __slots__ = ()
 
@@ -105,19 +109,19 @@ class _BudgetStop(Exception):
 
 def decomposability_witness_check(mf: MultiFactorization, w: Witness) -> bool:
     """True iff w is a proper subfactorization: the copies at its distinct
-    indices form a valid 1-factorization of lambda_0 K_2n.
+    positions form a valid 1-factorization of lambda_0 K_2n.
 
-    The indices are sorted and so is the flat view, so equal copies are
-    adjacent and group into runs.  `validate_factorization` shares nothing
-    with the search's packed counters, so this check is independent of it.
+    Positions map to runs by the run starts, and the chosen runs are
+    validated at their chosen counts by `validate_factorization`, which
+    shares nothing with the search's packed counters.
     """
-    factors = mf.factors
+    starts = list(accumulate((k for _, k in mf.runs), initial=0))
     if not 0 < w.lambda0 < mf.lam or len(set(w.indices)) != len(w.indices):
         return False
-    if not all(0 <= i < len(factors) for i in w.indices):
+    if not all(0 <= index(i) < starts[-1] for i in w.indices):  # 2.5 raises, as in indexing
         return False
-    runs = tuple((f, len(list(copies)))
-                 for f, copies in groupby(factors[i] for i in sorted(w.indices)))
+    chosen = Counter(bisect_right(starts, i) - 1 for i in w.indices)
+    runs = tuple((mf.runs[r][0], k) for r, k in sorted(chosen.items()))
     return validate_factorization(MultiFactorization(mf.n, w.lambda0, runs)).valid
 
 
@@ -150,14 +154,13 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
         return SearchResult(EXHAUSTED, None, 0, time.monotonic() - start, targets)
     for k, target in enumerate(targets):
         try:
-            witness = searcher.run(target)
+            taken = searcher.run(target)
         except _BudgetStop:
             # Every later target would stop on its first node: none is searched.
             return SearchResult(EXHAUSTED, None, searcher.nodes,
                                 time.monotonic() - start, targets[k:])
-        if witness is not None:
-            _recheck(mf, witness)
-            return SearchResult(FOUND, witness, searcher.nodes,
+        if taken is not None:
+            return SearchResult(FOUND, _checked_witness(mf, target, taken), searcher.nodes,
                                 time.monotonic() - start)
     return SearchResult(PROVEN_NONE, None, searcher.nodes, time.monotonic() - start)
 
@@ -200,7 +203,6 @@ class _MulticoverSearch:
         self.npairs = mf.n * (nv - 1)
         self.width = _field_width(mf.lam)
         self.counts = [k for _, k in mf.runs]
-        self.firsts = list(accumulate(self.counts, initial=0))
         row = pair_rows(nv)
         self.pair_ids = [tuple(row[u] + v for u, v in f) for f, _ in mf.runs]
         self.by_pair: list[list[int]] = [[] for _ in range(self.npairs)]
@@ -233,8 +235,8 @@ class _MulticoverSearch:
     def _out_of_time(self) -> bool:
         return time.monotonic() - self.start >= self.budget.max_seconds
 
-    def run(self, lambda0: int) -> Witness | None:
-        """The first witness at lambda0 in branching order, or None.
+    def run(self, lambda0: int) -> list[int] | None:
+        """Copies per run of the first witness at lambda0 in branching order, or None.
 
         Branches on the uncovered pair with the least slack, supply - need
         (ties to the lowest pair id), and picks factors through it,
@@ -326,8 +328,7 @@ class _MulticoverSearch:
             i += 1
         self.nodes = nodes
         chosen = Counter(by_pair[p][j] for p, j, _ in stack)
-        return Witness(lambda0, tuple(sorted(
-            j for u, k in chosen.items() for j in range(self.firsts[u], self.firsts[u] + k))))
+        return [chosen[r] for r in range(len(counts))]
 
 
 def certificate_witness(s: StarterSet) -> Witness | None:
@@ -346,14 +347,15 @@ def certificate_witness(s: StarterSet) -> Witness | None:
     lam0 = entry.lo
     used = _factor_counts(s, lam0, entry.x)
     mf = assemble(s)
+    return _checked_witness(mf, lam0, [used[f] for f, _ in mf.runs])
+
+
+def _checked_witness(mf: MultiFactorization, lambda0: int, taken: list[int]) -> Witness:
+    """The Witness of the first taken[r] copies of each run r, re-checked
+    independently; an explicit raise, so `python -O` keeps the check."""
     starts = accumulate((k for _, k in mf.runs), initial=0)
-    witness = Witness(lam0, tuple(
-        i for (f, _), start in zip(mf.runs, starts) for i in range(start, start + used[f])))
-    _recheck(mf, witness)
-    return witness
-
-
-def _recheck(mf: MultiFactorization, witness: Witness) -> None:
-    """Re-check a witness independently; an explicit raise, so `python -O` keeps it."""
+    witness = Witness(lambda0, tuple(
+        i for start, t in zip(starts, taken) for i in range(start, start + t)))
     if not decomposability_witness_check(mf, witness):
-        raise AssertionError(f"witness at lambda0 = {witness.lambda0} fails its re-check")
+        raise AssertionError(f"witness at lambda0 = {lambda0} fails its re-check")
+    return witness

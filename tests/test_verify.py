@@ -53,6 +53,9 @@ def test_witness_check_rejects_broken_witnesses():
     assert not verify.decomposability_witness_check(mf, verify.Witness(1, (-1, 0, 2)))
     assert not verify.decomposability_witness_check(
         mf, verify.Witness(1, (0, 2, len(mf.factors))))
+    # A position is an index: 2.5 would fall inside the second run's copies.
+    with pytest.raises(TypeError):
+        verify.decomposability_witness_check(mf, verify.Witness(1, (0, 2.5, 4)))
     # Counted twice, copy 0, 3 and 6 would cover every pair of 3K4 twice.
     triple = MultiFactorization.make(2, 3, cyclic.lucas_factorization(4) * 3)
     assert verify.decomposability_witness_check(triple, verify.Witness(1, (0, 3, 6)))
@@ -306,7 +309,7 @@ def test_certificate_witness_on_decomposable_assembly():
     s = StarterSet(4, 2, ())
     mf = starters.assemble(s)
     witness = verify.certificate_witness(s)
-    assert witness is not None
+    assert witness == verify.Witness(1, (0, 2, 4, 6, 8, 10, 12))
     assert verify.decomposability_witness_check(mf, witness)
     exhaustive = verify.find_subfactorization(mf)
     assert exhaustive.outcome == verify.FOUND
@@ -327,6 +330,13 @@ def test_witness_that_fails_its_recheck_raises(monkeypatch):
         verify.certificate_witness(StarterSet(4, 2, ()))
 
 
+# The witness positions of the first feasible selection, by (n, lambda).
+PINNED_CERTIFICATE_WITNESSES = {
+    (6, 4): (0, 4, 8, 12, 16, 20, 24, 28, 32, 37, 40),
+    (5, 3): (0, 3, 6, 9, 12, 15, 19, 22, 24),
+}
+
+
 @pytest.mark.parametrize("n,lam,profile", [
     (6, 4, {0: 2, 1: 1, 2: 1, 4: 1, 5: 1}),
     (5, 3, {2: 2, 3: 1, 4: 2}),  # odd n: M_b rides in the joined block
@@ -335,6 +345,7 @@ def test_certificate_witness_when_certificate_is_unknown(n, lam, profile):
     s = StarterSet.from_profiles(n, lam, [profile])
     assert not starters.certificate_indecomposable(s).proven
     witness = verify.certificate_witness(s)
+    assert witness == verify.Witness(1, PINNED_CERTIFICATE_WITNESSES[n, lam])
     assert verify.decomposability_witness_check(starters.assemble(s), witness)
 
 
