@@ -1,10 +1,13 @@
 """Data model for 1-factorizations of the complete multigraph lambda*K_2n.
 
 Vertices are the dense integers 0..2n-1.  An edge is a pair (u, v) with
-u < v, a 1-factor is a perfect matching stored as a lexicographically
-sorted tuple of edges, and a factorization is a multiset of 1-factors
-stored as runs: each distinct factor once, in sorted order, with how
-often it occurs.  Two labelled models map onto these integers elsewhere
+u < v, a 1-factor is a perfect matching stored flat: the tuple
+(u0, v0, u1, v1, ...) of its 2n vertex ids, edge after edge, with the
+edges in lexicographic order.  For such factors the order of the flat
+tuples is the order of their edge lists, so sorting either gives the
+same sequence.  A factorization is a multiset of 1-factors stored as
+runs: each distinct factor once, in sorted order, with how often it
+occurs.  Two labelled models map onto these integers elsewhere
 in the package:
 
 * cyclic model: the vertex a_j (a mod n, j mod 2) gets id a + n*j;
@@ -16,12 +19,17 @@ multiset bookkeeping cheap and deterministic.  Catalog factorizations
 repeat most factors, so construction, validation (the accept and the
 report path), the document writer, the reader of a written document, the
 multicover search and the witness check each work once per distinct
-factor.  A witness's positions count each run's copies in run order, and
-no code in the package builds the flat view of every copy.
+factor.  A witness's positions count each run's copies in run order.
+`MultiFactorization.factors`, the view of every copy for outside
+callers, is the one place the package hands out edge pairs: each copy
+there is a tuple of (u, v) tuples.  No code in the package reads it.
 
 Every factor the package builds (cyclic orbit factors and joins, field
-images) is canonical by construction.  `canonicalize_factor` checks and
-sorts only input from outside that is not canonical already.
+images) is canonical by construction, and draws its vertex ids from
+`vertex_ids`, so the factors of a factorization share one int object
+per vertex.  `canonicalize_factor` checks and sorts only input from
+outside that is not canonical already; `MultiFactorization.make` takes
+such input as flat factors or as edge lists.
 
 A vertex pair (u, v), u < v, has the dense id row[u] + v, with the row
 offsets of `pair_rows`.  Validation counts coverage in a flat list
@@ -33,10 +41,10 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import chain, groupby, repeat, starmap
+from itertools import chain, groupby, repeat
 
 Edge = tuple[int, int]
-OneFactor = tuple[Edge, ...]
+OneFactor = tuple[int, ...]
 
 
 class FactorError(ValueError):
@@ -56,12 +64,14 @@ class VertexOutOfRange(FactorError):
 
 
 def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
-    """Return the canonical sorted form of a perfect matching.
+    """Return the canonical flat form of a perfect matching.
 
-    `edges` is any iterable of vertex pairs.  The endpoints of every edge
-    are put in increasing order and the edge list is sorted; the result is
-    a tuple of tuples.  If `num_vertices` is omitted it defaults to twice
-    the number of edges (a spanning matching).
+    `edges` is an iterable of vertex pairs, or a flat sequence of vertex
+    ids u0, v0, u1, v1, ..., read as such when its first item is not
+    iterable (an odd trailing vertex is then an edge with one endpoint).  The
+    endpoints of every edge are put in increasing order and the edges are
+    sorted; the result is their flat tuple.  If `num_vertices` is omitted
+    it defaults to twice the number of edges (a spanning matching).
 
     Raises WrongSize, NotAMatching or VertexOutOfRange when the input is
     not a perfect matching on the implied vertex set.  Idempotent.
@@ -72,7 +82,11 @@ def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
     calls it.  Factors the package builds are canonical by construction
     and do not pass through it.
     """
-    pairs = [tuple(e) for e in edges]
+    items = list(edges)
+    if items and not hasattr(items[0], "__iter__"):
+        pairs = [tuple(items[i:i + 2]) for i in range(0, len(items), 2)]
+    else:
+        pairs = [tuple(e) for e in items]
     if num_vertices is None:
         num_vertices = 2 * len(pairs)
     if 2 * len(pairs) != num_vertices:
@@ -95,7 +109,24 @@ def canonicalize_factor(edges, num_vertices: int | None = None) -> OneFactor:
         seen.add(v)
         canon.append((u, v))
     canon.sort()
-    return tuple(canon)
+    return tuple(chain.from_iterable(canon))
+
+
+_VERTICES: list[int] = []
+
+
+def vertex_ids(num_vertices: int) -> list[int]:
+    """The ids 0..num_vertices-1, drawn from one list kept for the process.
+
+    Above 256 each int the interpreter computes is a new 28-byte object.
+    Factors built from slices and lookups of this list share one object
+    per vertex id, so a stored factor costs one pointer per vertex.  The
+    list only grows and entry i is always i, so sharing it across callers
+    changes no result; each caller gets its own slice.
+    """
+    if len(_VERTICES) < num_vertices:
+        _VERTICES.extend(range(len(_VERTICES), num_vertices))
+    return _VERTICES[:num_vertices]
 
 
 def pair_rows(num_vertices: int) -> list[int]:
@@ -108,17 +139,19 @@ def pair_rows(num_vertices: int) -> list[int]:
 
 
 def _is_canonical_matching(f, nv: int, stamps: list[int], r: int) -> bool:
-    """True iff the pairs of f have strictly increasing first endpoints
-    prev < u < v < nv and no vertex twice.
+    """True iff the consecutive pairs (u, v) of the flat factor f have
+    strictly increasing first endpoints prev < u < v < nv and no vertex
+    twice.
 
-    With len(f) = nv / 2 that makes f a perfect matching in canonical form.
+    With len(f) = nv that makes f a perfect matching in canonical form.
     `stamps` is a per-vertex list shared by the calls, and r must differ
     from every stamp an earlier call left, so nothing is cleared between
-    calls.  An edge that is not two integers gives False.
+    calls.  A vertex that is not an integer gives False.
     """
     prev = -1
+    it = iter(f)
     try:
-        for u, v in f:
+        for u, v in zip(it, it):
             if not prev < u < v < nv or stamps[u] == r or stamps[v] == r:
                 return False
             stamps[u] = stamps[v] = r
@@ -162,31 +195,44 @@ class MultiFactorization:
 
     @classmethod
     def make(cls, n: int, lam: int, factors, model=None) -> "MultiFactorization":
-        """Canonicalize, count and sort a flat list of factors with repeats.
+        """Canonicalize, count and sort a list of factors with repeats.
 
-        Each group of adjacent equal factors is read once; copies of one
-        object are told equal by identity, without walking their edges.  A
-        factor that `_is_canonical_matching` passes is kept as it is, and
-        any other goes through `canonicalize_factor`, which sorts it or
+        A factor is a flat sequence of vertex ids or a list of edges.  Each
+        group of adjacent equal factors is read once; copies of one object
+        are told equal by identity, without walking their vertices.  A
+        flat factor that `_is_canonical_matching` passes is kept as it is,
+        and any other goes through `canonicalize_factor`, which sorts it or
         raises.  Only the distinct factors are sorted.
         """
         nv = 2 * n
-        stamps = None  # O(n): the first factor with n pairs pays
+        stamps = None  # O(n): the first factor with 2n vertices pays
         counts: Counter = Counter()
         for r, (f, copies) in enumerate(groupby(factors)):
-            f = tuple(map(tuple, f))
-            if len(f) == n:
+            f = tuple(f)
+            if len(f) == nv:
                 stamps = stamps or [-1] * nv
-            if len(f) != n or not _is_canonical_matching(f, nv, stamps, r):
+            if len(f) != nv or not _is_canonical_matching(f, nv, stamps, r):
                 f = canonicalize_factor(f, nv)
             counts[f] += len(list(copies))
         return cls(n, lam, tuple(sorted(counts.items())),
                    dict(model) if model else {"tag": "plain"})
 
     @cached_property
-    def factors(self) -> tuple[OneFactor, ...]:
-        """Every copy in sorted order, for outside callers; witness positions index it."""
-        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
+    def factors(self) -> tuple[tuple[Edge, ...], ...]:
+        """Every copy in sorted order as a tuple of (u, v) pairs, for outside
+        callers; witness positions index it.
+
+        The copies of a run are one object, and each vertex pair is one
+        shared tuple, so the view costs a pointer per edge of each run.
+        """
+        shared: dict[Edge, Edge] = {}
+
+        def pairs(f):
+            it = iter(f)
+            edges = list(zip(it, it))
+            return tuple(map(shared.setdefault, edges, edges))
+
+        return tuple(chain.from_iterable(repeat(pairs(f), k) for f, k in self.runs))
 
     @property
     def num_vertices(self) -> int:
@@ -229,8 +275,8 @@ def validate_factorization(mf: MultiFactorization) -> ValidityReport:
 
 
 def _covers_exactly(mf: MultiFactorization) -> bool:
-    """True iff every run is a perfect matching whose pairs are u < v, and
-    every vertex pair is covered exactly lambda times.
+    """True iff every run is a perfect matching whose consecutive pairs are
+    u < v, and every vertex pair is covered exactly lambda times.
 
     Each run's count is added into a flat list indexed by pair id
     (`pair_rows`), and a per-vertex stamp list catches a vertex met twice
@@ -240,14 +286,15 @@ def _covers_exactly(mf: MultiFactorization) -> bool:
     """
     n, nv, runs = mf.n, mf.num_vertices, mf.runs
     npairs = n * (nv - 1)
-    if sum(len(f) for f, _ in runs) < npairs:
+    if sum(len(f) for f, _ in runs) < 2 * npairs:
         return False
     row, cnt, stamps = pair_rows(nv), [0] * npairs, [-1] * nv
     try:
         for r, (f, k) in enumerate(runs):
-            if len(f) != n:
+            if len(f) != nv:
                 return False
-            for u, v in f:
+            it = iter(f)
+            for u, v in zip(it, it):
                 if not 0 <= u < v < nv or stamps[u] == r or stamps[v] == r:
                     return False
                 stamps[u] = stamps[v] = r
@@ -266,20 +313,21 @@ def _validity_report(mf: MultiFactorization) -> ValidityReport:
     gets, at its flat index; and every edge adds the run's count to a
     Counter.
     """
-    n, nv = mf.n, mf.num_vertices
-    stamps = None  # O(n): the first run with n pairs pays
+    nv = mf.num_vertices
+    stamps = None  # O(n): the first run with 2n vertices pays
     table: Counter = Counter()
     factor_errors: list[tuple[int, str]] = []
     start = 0
     for r, (f, k) in enumerate(mf.runs):
-        if len(f) == n:
+        if len(f) == nv:
             stamps = stamps or [-1] * nv
-        if len(f) != n or not _is_canonical_matching(f, nv, stamps, r):
+        if len(f) != nv or not _is_canonical_matching(f, nv, stamps, r):
             try:
                 canonicalize_factor(f, nv)
             except FactorError as exc:
                 factor_errors += [(i, str(exc)) for i in range(start, start + k)]
-        for e in f:
+        it = iter(f)
+        for e in zip(it, it):
             table[e] += k
         start += k
     mult_errors: list[tuple[Edge, int, int]] = []

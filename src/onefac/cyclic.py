@@ -12,16 +12,18 @@ A cross-edge 1-factor is conveniently a permutation pi of Z_n: the factor
 = #{x : pi(x) - x = a (mod n)} is the fingerprint all the starter machinery
 works with.
 
-Every factor built here is canonical by construction, without
-`core.canonicalize_factor`: a cross factor lists its edges by x, a
-round-robin factor orders each pair and sorts once, and a joined factor
-puts its V_0 edges, which all precede its V_1 edges, first (the odd join
-sorts once more to place its cross edge).
+Every factor built here is flat and canonical by construction, without
+`core.canonicalize_factor` or a sort: a cross factor lists its edges by
+x, a (near-)round-robin factor is two blocks of pairs in closed form
+(`_fold`), and a joined factor puts its V_0 edges, which all precede its
+V_1 edges, first, with the odd join's cross edge where its V_0 end
+falls.  Ids are drawn from `core.vertex_ids`, and the factors are built
+by slicing, not per edge.
 """
 
 from __future__ import annotations
 
-from .core import Edge, OneFactor
+from .core import OneFactor, vertex_ids
 
 
 class OddOrder(ValueError):
@@ -40,13 +42,22 @@ def m_factor(n: int, a: int) -> OneFactor:
     """The orbit factor M_a = {[x_0, (x+a)_1] : x in Z_n}."""
     assert n >= 2
     a %= n
-    return tuple(zip(range(n), [*range(n + a, 2 * n), *range(n, n + a)]))
+    ids = vertex_ids(2 * n)
+    return _cross(ids[:n], ids[n + a:] + ids[n:n + a])
 
 
 def cross_factor(pi, n: int) -> OneFactor:
     """The cross-edge factor {[x_0, pi(x)_1]} of a permutation pi of Z_n."""
     _check_permutation(pi, n)
-    return tuple(zip(range(n), [n + y for y in pi]))
+    ids = vertex_ids(2 * n)
+    return _cross(ids[:n], [ids[n + y] for y in pi])
+
+
+def _cross(lo: list[int], hi: list[int]) -> OneFactor:
+    """The flat factor lo[0], hi[0], lo[1], hi[1], ... of two ends lists."""
+    f = lo + hi
+    f[0::2], f[1::2] = lo, hi
+    return tuple(f)
 
 
 def orbit_factors(pi, n: int) -> list[OneFactor]:
@@ -57,10 +68,12 @@ def orbit_factors(pi, n: int) -> list[OneFactor]:
     appears once per stabilizer element.  Raises NotAPermutation.
     """
     _check_permutation(pi, n)
+    ids = vertex_ids(2 * n)
+    lo, hi = ids[:n], ids[n:] * 2  # hi[y + h] is the id of (y + h)_1
     out = []
     for h in range(n):
-        ids = [n + (y + h) % n for y in pi]
-        out.append(tuple(zip(range(n), ids[n - h:] + ids[:n - h])))
+        ends = list(map(hi[h:].__getitem__, pi))
+        out.append(_cross(lo, ends[n - h:] + ends[:n - h]))
     return out
 
 
@@ -108,13 +121,20 @@ def h_stabilizer_order(pi, n: int) -> int:
     return 1
 
 
-def _fold(mod: int, i: int) -> list[Edge]:
-    """The pairs {i+a, i-a} of Z_mod for a = 1..(mod-1)//2, each ordered."""
-    out = []
-    for a in range(1, (mod - 1) // 2 + 1):
-        u, v = (i + a) % mod, (i - a) % mod
-        out.append((u, v) if u < v else (v, u))
-    return out
+def _fold(mod: int, i: int, ids: list[int]) -> OneFactor:
+    """The pairs {i+a, i-a} of Z_mod for a = 1..(mod-1)//2 as a canonical
+    flat list, for odd mod; the ids come from `ids`.
+
+    With c = 2i mod `mod`, x is paired with c - x when x < c and with
+    c + mod - x when x > c.  So the pairs are (x, c - x) for x below c/2,
+    then (x, c + mod - x) for c < x < (c + mod)/2, first endpoints
+    ascending in each block; the unpaired vertex i sits between or after
+    them: at 2i when 2i < mod, else at the end.
+    """
+    c = 2 * i % mod
+    k, rest = (c + 1) // 2, (mod - 1 - c) // 2
+    return (_cross(ids[:k], ids[c:c - k:-1])
+            + _cross(ids[c + 1:c + 1 + rest], ids[mod - 1:mod - 1 - rest:-1]))
 
 
 def lucas_factorization(n: int) -> list[OneFactor]:
@@ -127,10 +147,17 @@ def lucas_factorization(n: int) -> list[OneFactor]:
     if n % 2:
         raise OddOrder(f"n={n} must be even")
     assert n >= 2
-    return [tuple(sorted([(i, n - 1), *_fold(n - 1, i)])) for i in range(n - 1)]
+    ids = vertex_ids(n)
+    out = []
+    for i in range(n - 1):
+        f = list(_fold(n - 1, i, ids))
+        at = min(2 * i, n - 2)  # where i sits, as _fold says
+        f[at:at] = ids[i], ids[n - 1]
+        out.append(tuple(f))
+    return out
 
 
-def near_one_factorization(n: int) -> list[tuple[Edge, ...]]:
+def near_one_factorization(n: int) -> list[OneFactor]:
     """Near-1-factors of K_n for odd n; factor i leaves vertex i unmatched.
 
     Factor i folds Z_n around i, as the round robin of K_{n+1} does
@@ -138,7 +165,8 @@ def near_one_factorization(n: int) -> list[tuple[Edge, ...]]:
     """
     if n % 2 == 0:
         raise EvenOrder(f"n={n} must be odd")
-    return [tuple(sorted(_fold(n, i))) for i in range(n)]
+    ids = vertex_ids(n)
+    return [_fold(n, i, ids) for i in range(n)]
 
 
 def join_even(n: int) -> list[OneFactor]:
@@ -148,25 +176,30 @@ def join_even(n: int) -> list[OneFactor]:
     """
     if n % 2:
         raise OddOrder(f"n={n} must be even")
-    return [f + tuple([(u + n, v + n) for u, v in f]) for f in lucas_factorization(n)]
+    hi = vertex_ids(2 * n)[n:]
+    return [f + tuple(map(hi.__getitem__, f)) for f in lucas_factorization(n)]
 
 
 def join_odd(n: int, b: int) -> list[OneFactor]:
     """The n factors L*_i(V_0) | L*_{i+b}(V_1) + [i_0,(i+b)_1].
 
     Covers every side edge exactly once, every edge of M_b exactly once,
-    and no other cross edge.
+    and no other cross edge.  The cross edge goes where i, unmatched in
+    L*_i, sits among its pairs (see `_fold`).
     """
     if n % 2 == 0:
         raise EvenOrder(f"n={n} must be odd")
     near = near_one_factorization(n)
+    ids = vertex_ids(2 * n)
+    hi = ids[n:]
     out = []
     for i in range(n):
         j = (i + b) % n
-        edges = list(near[i]) + [(u + n, v + n) for u, v in near[j]]
-        edges.append((i, n + j))
-        edges.sort()
-        out.append(tuple(edges))
+        f = list(near[i])
+        at = min(2 * i, n - 1)
+        f[at:at] = ids[i], hi[j]
+        f += map(hi.__getitem__, near[j])
+        out.append(tuple(f))
     return out
 
 

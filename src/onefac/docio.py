@@ -7,22 +7,24 @@ factorization document (format 3) stores the model block, n, lambda, the
 distinct factors in canonical sorted order (`factors`) and, in a parallel
 array, how often each one occurs (`counts`): the runs of
 `MultiFactorization`, written as they are held.  Each factor is one flat
-array [u0, v0, u1, v1, ...] of its n canonical edges.  Catalog
+array [u0, v0, u1, v1, ...] of its n canonical edges, as the package
+holds it.  Catalog
 factorizations repeat most factors, so a document costs time and bytes
 per distinct factor.  Format 2 wrote each factor as n [u, v] arrays, and
 format 1 listed every copy as format 2 does and had no `counts`; both
 are still read, format 1 as a document whose counts are all 1.
 
 A format 3 document as the package writes it is read as its runs: each
-factor, a list of exactly 2n vertices, is paired into n edges that pass
-the canonical-matching stamp test, the factors are strictly increasing,
-and `factors` zipped with `counts` are the runs as they are, with no
-pass over the copies and no re-count or re-sort.  Any other document
-(format 1 or 2, factors out of order or repeated, edges not in canonical
-form, a vertex that is not an integer) takes the general path: a format
-3 factor is cut into pairs (an odd trailing vertex becomes a one-element
-edge), every vertex's type is tested, then `MultiFactorization.make`
-expands, canonicalizes, counts and sorts the copies, or raises.
+factor, a list of exactly 2n vertices, becomes the tuple of them once its
+consecutive pairs pass the canonical-matching stamp test, the factors
+are strictly increasing, and those tuples zipped with `counts` are the
+runs as they are, with no pass over the copies and no re-count or
+re-sort.  Any other document (format 1 or 2, factors out of order or
+repeated, edges not in canonical form, a vertex that is not an integer)
+takes the general path: a format 3 factor is cut into pairs (an odd
+trailing vertex becomes a one-element edge), every vertex's type is
+tested, then `MultiFactorization.make` expands, canonicalizes, counts
+and sorts the copies, or raises.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def document_from_mf(mf: MultiFactorization) -> dict:
         "model": dict(mf.model),
         "n": mf.n,
         "lambda": mf.lam,
-        "factors": [list(chain.from_iterable(f)) for f, _ in mf.runs],
+        "factors": [list(f) for f, _ in mf.runs],
         "counts": [k for _, k in mf.runs],
     }
 
@@ -96,24 +98,22 @@ def _written_runs(n: int, factors: list, counts: list) -> tuple | None:
     """The runs of a format 3 document in the form `document_from_mf`
     writes, or None for any other format 3 document.
 
-    Each factor must be a list of exactly 2n vertices, read as n
-    consecutive pairs that pass `_is_canonical_matching` (one stamp list
-    shared by the runs), and the factors must be strictly increasing.  A
-    JSON float, string, null or array fails the stamp test; a bool passes
-    it only as vertex 0 or 1, which in a canonical perfect matching sit at
-    f[0][0], f[0][1] or f[1][0], so those three are type-tested.
+    Each factor must be a list of exactly 2n vertices whose n consecutive
+    pairs pass `_is_canonical_matching` (one stamp list shared by the
+    runs), and the factors must be strictly increasing.  A JSON float,
+    string, null or array fails the stamp test; a bool passes it only as
+    vertex 0 or 1, which in a canonical perfect matching sit at f[0], f[1]
+    or f[2], so those three are type-tested.
     """
     nv, stamps, fs = 2 * n, None, []
     for r, f in enumerate(factors):
         if type(f) is not list or len(f) != nv:
             return None
-        it = iter(f)
-        f = tuple(zip(it, it))
         stamps = stamps or [-1] * nv  # O(n): the first factor of the right size pays
         if (not _is_canonical_matching(f, nv, stamps, r)
-                or bool in (type(f[0][0]), type(f[0][1]), type(f[1][0]))):
+                or bool in (type(f[0]), type(f[1]), type(f[2]))):
             return None
-        fs.append(f)
+        fs.append(tuple(f))
     if not all(map(lt, fs, fs[1:])):
         return None
     return tuple(zip(fs, counts))

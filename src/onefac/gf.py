@@ -14,16 +14,17 @@ The orbit is built on the dense pair ids of `core.pair_rows`: an image is
 the sorted tuple of its edges' ids, read from one table indexed by
 ordered vertex pairs, so mapping a factor costs a few lookups in C per
 edge and makes no edge tuples.  Id order is pair order, so the sorted ids
-are the canonical factor.  Only the kept factors are turned into edges,
-and all of them share one (u, v) tuple per vertex pair.
+are the canonical factor.  Only the kept factors are turned into flat
+factors, by two slice assignments from the endpoint tables of the ids,
+and all of them share one int object per vertex.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product, repeat
-from operator import add, mul
+from itertools import chain, product, repeat
+from operator import add, itemgetter, mul
 
-from .core import Edge, MultiFactorization, OneFactor, canonicalize_factor, pair_rows
+from .core import MultiFactorization, OneFactor, canonicalize_factor, pair_rows, vertex_ids
 
 
 class NotPrime(ValueError):
@@ -171,18 +172,33 @@ def _translations(p: int, m: int) -> list[list[int]]:
     return table
 
 
-def _pair_tables(nv: int) -> tuple[list[int], list[Edge]]:
-    """`cid[a * nv + b]` is the dense pair id of {a, b} (a != b) and
-    `edge[id]` is its one shared (u, v) tuple, u < v.
+def _pair_tables(nv: int) -> tuple[list[int], list[int], list[int]]:
+    """`cid[a * nv + b]` is the dense pair id of {a, b} (a != b), and the
+    pair with id i is (lo[i], hi[i]), lo[i] < hi[i].
 
     Ids follow `pair_rows`, so their order is the lexicographic pair order.
+    The endpoints are the objects of `vertex_ids`.
     """
-    row = pair_rows(nv)
+    row, ids = pair_rows(nv), vertex_ids(nv)
     cid: list[int] = []
     for a in range(nv):
         cid += [row[b] + a for b in range(a)]
         cid += range(row[a] + a, row[a] + nv)  # a < b, and a placeholder at b = a
-    return cid, list(combinations(range(nv), 2))
+    lo = list(chain.from_iterable(repeat(u, nv - 1 - i) for i, u in enumerate(ids)))
+    hi = list(chain.from_iterable(ids[i + 1:] for i in range(nv)))
+    return cid, lo, hi
+
+
+def _flat_factor(ids, lo: list[int], hi: list[int]) -> OneFactor:
+    """The flat factor of a sorted tuple of at least two pair ids.
+
+    Two slice assignments from the endpoint tables, each read in C by one
+    itemgetter (which would return a bare int for a single id).
+    """
+    get = itemgetter(*ids)
+    f = [0] * (2 * len(ids))
+    f[0::2], f[1::2] = get(lo), get(hi)
+    return tuple(f)
 
 
 def _affine_image_ids(ctx: FieldCtx, cid: list[int], log_bs):
@@ -199,16 +215,17 @@ def _affine_image_ids(ctx: FieldCtx, cid: list[int], log_bs):
     q = ctx.q
     nv = q + 1
     f = base_factor(ctx)
+    size = len(f) // 2
     scales = [_scaling(ctx, log_b) for log_b in log_bs]
-    us = [scale[u] for scale in scales for u, _ in f]
-    vs = [scale[v] for scale in scales for _, v in f]
+    us = [scale[u] for scale in scales for u in f[0::2]]
+    vs = [scale[v] for scale in scales for v in f[1::2]]
     for shift in _translations(ctx.p, ctx.m):
         shift.append(q)  # x -> x + a fixes infinity
         row = list(map(mul, shift, repeat(nv)))  # (x + a) * nv, the row of cid
         ids = list(map(cid.__getitem__, map(add, map(row.__getitem__, us),
                                             map(shift.__getitem__, vs))))
-        for i in range(0, len(ids), len(f)):
-            image = ids[i:i + len(f)]
+        for i in range(0, len(ids), size):
+            image = ids[i:i + size]
             image.sort()
             yield tuple(image)
 
@@ -216,12 +233,12 @@ def _affine_image_ids(ctx: FieldCtx, cid: list[int], log_bs):
 def _affine_images(ctx: FieldCtx):
     """The images of the base factor under all q(q-1) affine maps, as factors.
 
-    A view of `_affine_image_ids`: each id tuple is mapped to its shared
-    edge tuples, which gives the canonical factor.
+    A view of `_affine_image_ids`: each id tuple is mapped to its flat
+    factor, which is canonical.
     """
-    cid, edge = _pair_tables(ctx.q + 1)
+    cid, lo, hi = _pair_tables(ctx.q + 1)
     for ids in _affine_image_ids(ctx, cid, range(ctx.q - 1)):
-        yield tuple(map(edge.__getitem__, ids))
+        yield _flat_factor(ids, lo, hi)
 
 
 def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
@@ -248,14 +265,14 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     """
     q = ctx.q
     half = (q - 1) // 2
-    cid, edge = _pair_tables(q + 1)
+    cid, lo, hi = _pair_tables(q + 1)
     f = base_factor(ctx)
-    base = tuple(cid[u * (q + 1) + v] for u, v in f)  # f is canonical: ids ascend
+    base = tuple(cid[u * (q + 1) + v] for u, v in zip(f[0::2], f[1::2]))  # canonical: ids ascend
     if next(_affine_image_ids(ctx, cid, [half])) != base:
         raise AssertionError(f"x -> -x does not fix the base factor of GF({q})")
     orbit = set(_affine_image_ids(ctx, cid, range(half)))
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
     # Id order is pair order, so the sorted id tuples are the sorted factors,
-    # each already canonical; all of them share the edge tuples of `edge`.
+    # each already canonical.
     return MultiFactorization((q + 1) // 2, half, tuple(
-        (tuple(map(edge.__getitem__, ids)), 1) for ids in sorted(orbit)), model)
+        (_flat_factor(ids, lo, hi), 1) for ids in sorted(orbit)), model)

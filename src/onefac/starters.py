@@ -243,11 +243,13 @@ def orbit_multiplicity_check(pi, n: int) -> dict[int, int]:
     t = cyclic.profile(pi, n)
     counts: dict[tuple[int, int], int] = {}
     for shifted in orbit:
-        for e in cyclic.cross_factor(shifted, n):
+        f = cyclic.cross_factor(shifted, n)
+        for e in zip(f[0::2], f[1::2]):
             counts[e] = counts.get(e, 0) + 1
     for a in range(n):
         expected = t.get(a, 0)
-        for e in cyclic.m_factor(n, a):
+        f = cyclic.m_factor(n, a)
+        for e in zip(f[0::2], f[1::2]):
             if counts.get(e, 0) != expected:
                 raise AssertionError(
                     f"edge {e} of M_{a} occurs {counts.get(e, 0)} times, expected {expected}")

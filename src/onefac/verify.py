@@ -44,7 +44,7 @@ import time
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from itertools import accumulate
-from operator import index
+from operator import add, index
 
 from .core import MultiFactorization, ValidityReport, pair_rows, validate_factorization
 from .starters import (StarterSet, _factor_counts, assemble,
@@ -116,11 +116,15 @@ def decomposability_witness_check(mf: MultiFactorization, w: Witness) -> bool:
     shares nothing with the search's packed counters.
     """
     starts = list(accumulate((k for _, k in mf.runs), initial=0))
-    if not 0 < w.lambda0 < mf.lam or len(set(w.indices)) != len(w.indices):
+    try:
+        positions = list(map(index, w.indices))
+    except TypeError:  # a position that is not an integer, such as 2.5
         return False
-    if not all(0 <= index(i) < starts[-1] for i in w.indices):  # 2.5 raises, as in indexing
+    if not 0 < w.lambda0 < mf.lam or len(set(positions)) != len(positions):
         return False
-    chosen = Counter(bisect_right(starts, i) - 1 for i in w.indices)
+    if not all(0 <= i < starts[-1] for i in positions):
+        return False
+    chosen = Counter(bisect_right(starts, i) - 1 for i in positions)
     runs = tuple((mf.runs[r][0], k) for r, k in sorted(chosen.items()))
     return validate_factorization(MultiFactorization(mf.n, w.lambda0, runs)).valid
 
@@ -204,7 +208,8 @@ class _MulticoverSearch:
         self.width = _field_width(mf.lam)
         self.counts = [k for _, k in mf.runs]
         row = pair_rows(nv)
-        self.pair_ids = [tuple(row[u] + v for u, v in f) for f, _ in mf.runs]
+        self.pair_ids = [tuple(map(add, map(row.__getitem__, f[0::2]), f[1::2]))
+                         for f, _ in mf.runs]
         self.by_pair: list[list[int]] = [[] for _ in range(self.npairs)]
         for r, ids in enumerate(self.pair_ids):
             for e in ids:

@@ -7,13 +7,17 @@ from hypothesis import given, strategies as st
 
 from onefac import core, cyclic, families, gf
 
+from edgelists import edges, flat
+
 
 def k4_matchings():
     return cyclic.lucas_factorization(4)
 
 
 def test_canonicalize_sorts_edges_and_endpoints():
-    assert core.canonicalize_factor([(1, 2), (3, 0)]) == ((0, 3), (1, 2))
+    assert core.canonicalize_factor([(1, 2), (3, 0)]) == flat([(0, 3), (1, 2)])
+    # A flat factor reads as consecutive pairs.
+    assert core.canonicalize_factor([1, 2, 3, 0]) == flat([(0, 3), (1, 2)])
 
 
 def test_canonicalize_rejects_repeated_vertex():
@@ -43,6 +47,7 @@ def test_canonicalize_order_insensitive(vertices, rng):
     rng.shuffle(shuffled)
     assert core.canonicalize_factor(shuffled, 10) == canon
     assert core.canonicalize_factor(canon, 10) == canon
+    assert core.canonicalize_factor(flat(shuffled), 10) == canon
 
 
 def test_validate_three_copies_of_k4_matchings():
@@ -72,7 +77,7 @@ def test_validate_agrees_with_naive_pair_loop():
 
 
 def test_validate_reports_broken_factor():
-    broken = ((0, 1), (1, 2))
+    broken = flat([(0, 1), (1, 2)])
     f0, f1, _ = k4_matchings()
     mf = core.MultiFactorization(2, 1, ((broken, 1), (f0, 1), (f1, 1)))
     report = core.validate_factorization(mf)
@@ -80,14 +85,14 @@ def test_validate_reports_broken_factor():
     assert report.factor_errors and report.factor_errors[0][0] == 0
     # A broken factor with count k gives k errors, at its copies' flat indices.
     # A short factor may come before any factor with n pairs.
-    other, short = ((0, 3), (3, 1)), ((0, 1),)
+    other, short = flat([(0, 3), (3, 1)]), flat([(0, 1)])
     for runs, indices in [(((f0, 1), (broken, 3), (f1, 1)), [1, 2, 3]),
                           (((broken, 2), (f0, 1), (other, 2)), [0, 1, 3, 4]),
                           (((short, 2), (f0, 1), (broken, 1)), [0, 1, 3])]:
         mf = core.MultiFactorization(2, 1, runs)
         errors = core.validate_factorization(mf).factor_errors
         assert [i for i, _ in errors] == indices
-        assert all(mf.factors[i] in (broken, other, short) for i in indices)
+        assert all(flat(mf.factors[i]) in (broken, other, short) for i in indices)
 
 
 def test_validate_near_empty_factorization_costs_no_more_than_its_factors():
@@ -130,8 +135,10 @@ def test_is_simple_on_catalog_output_lists_loose_copies():
 _FORMS = {
     "shared": lambda f: f,
     "copy": lambda f: tuple(list(f)),
-    "list": lambda f: [list(e) for e in f],
-    "scrambled": lambda f: [(v, u) for u, v in reversed(f)],
+    "list": lambda f: list(f),
+    "edges": lambda f: [list(e) for e in edges(f)],
+    "scrambled": lambda f: [(v, u) for u, v in reversed(edges(f))],
+    "scrambled_flat": lambda f: flat((v, u) for u, v in reversed(edges(f))),
 }
 
 
@@ -140,7 +147,8 @@ _FORMS = {
        st.booleans(), st.randoms(use_true_random=False))
 def test_make_counts_and_sorts_the_canonical_forms(groups, shuffle, rng):
     # Each group is a run of one factor of K_6: all one shared object, or
-    # equal fresh copies as tuples, as lists, or in a non-canonical order.
+    # equal fresh copies as flat tuples or lists, as edge lists, or in a
+    # non-canonical order.
     matchings = cyclic.lucas_factorization(6)
     xs = [_FORMS[form](matchings[v])
           for v, form, copies in groups for _ in range(copies)]
@@ -149,14 +157,14 @@ def test_make_counts_and_sorts_the_canonical_forms(groups, shuffle, rng):
     mf = core.MultiFactorization.make(3, 1, xs)
     canon = [core.canonicalize_factor(f, 6) for f in xs]
     assert mf.runs == tuple(sorted(Counter(canon).items()))
-    assert mf.factors == tuple(sorted(canon))
+    assert mf.factors == tuple(map(edges, sorted(canon)))
 
 
 def test_validate_one_matching_at_large_n_costs_no_more_than_its_factors():
     # The count makes the factor count right, but one matching holds n of
     # the n(2n-1) pairs: no pair counter of 2 * 10^10 entries is made.
     n = 10 ** 5
-    f = tuple((2 * i, 2 * i + 1) for i in range(n))
+    f = flat((2 * i, 2 * i + 1) for i in range(n))
     tracemalloc.start()
     try:
         mf = core.MultiFactorization.make(n, 1, [f] * (2 * n - 1))
@@ -177,21 +185,22 @@ def _valid_inputs():
             families.construct(9, 10)]
 
 
-# Each takes a factor as a list of edge tuples and the vertex count.
+# Each takes a flat factor as a list and the vertex count.
 _BREAKS = {
-    "swapped": lambda f, nv: [f[0][::-1], *f[1:]],
-    "unsorted": lambda f, nv: f[::-1],
-    "negative": lambda f, nv: [(-1, f[0][1]), *f[1:]],
-    "out_of_range": lambda f, nv: [*f[:-1], (f[-1][0], nv)],
-    "repeated": lambda f, nv: [(f[0][0], f[1][0]), *f[1:]],
-    "loop": lambda f, nv: [(f[0][0], f[0][0]), *f[1:]],
-    "short_edge": lambda f, nv: [f[0][:1], *f[1:]],
-    "long_edge": lambda f, nv: [(*f[0], f[1][0]), *f[1:]],
-    "missing_edge": lambda f, nv: f[1:],
+    "swapped": lambda f, nv: [f[1], f[0], *f[2:]],
+    "unsorted": lambda f, nv: list(flat(edges(f)[::-1])),
+    "negative": lambda f, nv: [-1, *f[1:]],
+    "out_of_range": lambda f, nv: [*f[:-1], nv],
+    "repeated": lambda f, nv: [f[0], f[2], *f[2:]],
+    "loop": lambda f, nv: [f[0], f[0], *f[2:]],
+    # An odd number of vertices: the last pair has one endpoint.
+    "odd_short": lambda f, nv: [f[0], *f[2:]],
+    "odd_long": lambda f, nv: [*f[:2], f[2], *f[2:]],
+    "missing_edge": lambda f, nv: f[2:],
     # Still a perfect matching: two pairs lose a cover and two gain one.
-    "exchanged": lambda f, nv: [(f[0][0], f[1][0]), (f[0][1], f[1][1]), *f[2:]],
-    "float": lambda f, nv: [(float(u), float(v)) for u, v in f],
-    "bool": lambda f, nv: [tuple(bool(x) if x < 2 else x for x in e) for e in f],
+    "exchanged": lambda f, nv: [f[0], f[2], f[1], f[3], *f[4:]],
+    "float": lambda f, nv: [float(x) for x in f],
+    "bool": lambda f, nv: [bool(x) if x < 2 else x for x in f],
 }
 
 
@@ -237,12 +246,15 @@ def _outcome(build, *args):
 
 def test_make_agrees_with_canonicalize_factor_on_broken_inputs():
     for mf in _valid_inputs():
-        # Documents hold factors as lists of [u, v] lists.
-        flat = [[list(e) for e in f] for f in mf.factors]
-        variants = [("as read", flat), ("tuples", list(mf.factors))]
+        # Format 2 documents hold factors as lists of [u, v] lists, and
+        # format 3 documents as flat lists.
+        variants = [("as read", [[list(e) for e in f] for f in mf.factors]),
+                    ("edge tuples", list(mf.factors)),
+                    ("flat lists", [list(flat(f)) for f in mf.factors])]
         for name, runs in _broken_runs(mf):
-            variants.append((name, [[list(e) for e in f]
-                                    for f, k in runs for _ in range(k)]))
+            variants.append((name, [list(f) for f, k in runs for _ in range(k)]))
+            variants.append((name + " as edges", [[list(e) for e in edges(f)]
+                                                  for f, k in runs for _ in range(k)]))
         for name, factors in variants:
             assert (_outcome(core.MultiFactorization.make, mf.n, mf.lam, factors)
                     == _outcome(_make_by_canonicalize, mf.n, mf.lam, factors)), name
@@ -256,7 +268,7 @@ def _report_inputs():
             yield core.MultiFactorization(mf.n, mf.lam, runs)
     yield core.MultiFactorization.make(10 ** 6, 1, ())
     n = 10 ** 4
-    f = tuple((2 * i, 2 * i + 1) for i in range(n))
+    f = flat((2 * i, 2 * i + 1) for i in range(n))
     yield core.MultiFactorization.make(n, 1, [f] * (2 * n - 1))
 
 
@@ -265,4 +277,4 @@ def test_validity_reports_are_pinned():
     for mf in _report_inputs():
         digest.update(repr(core.validate_factorization(mf)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "b8b1694ae303627bf49516457525905f960e59d58010b20ce357c76d6d9e5561")
+        "b07eb1cd658d0d0491306562e9e68539ced71ea2ec3773a4b7d0a7cf3e33b213")

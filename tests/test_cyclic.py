@@ -9,19 +9,21 @@ from onefac import cyclic
 from onefac.core import canonicalize_factor, validate_factorization, MultiFactorization
 from onefac.starters import find_starter
 
+from edgelists import edges, flat
+
 
 def test_m_factor_identity_pairing():
-    assert cyclic.m_factor(3, 0) == ((0, 3), (1, 4), (2, 5))
+    assert cyclic.m_factor(3, 0) == flat([(0, 3), (1, 4), (2, 5)])
 
 
 def test_m_factor_shift_two():
-    assert cyclic.m_factor(5, 2) == ((0, 7), (1, 8), (2, 9), (3, 5), (4, 6))
+    assert cyclic.m_factor(5, 2) == flat([(0, 7), (1, 8), (2, 9), (3, 5), (4, 6)])
 
 
 def test_m_factors_partition_cross_edges():
     seen = Counter()
     for a in range(5):
-        seen.update(cyclic.m_factor(5, a))
+        seen.update(edges(cyclic.m_factor(5, a)))
     assert all(v == 1 for v in seen.values())
     assert len(seen) == 25
     assert all(u < 5 <= v for u, v in seen)
@@ -30,13 +32,13 @@ def test_m_factors_partition_cross_edges():
 def test_lucas_k4_explicit():
     hub = 3
     l0, l1, l2 = cyclic.lucas_factorization(4)
-    assert l0 == ((0, hub), (1, 2))
-    assert l1 == ((0, 2), (1, hub))
-    assert l2 == ((0, 1), (2, hub))
+    assert l0 == flat([(0, hub), (1, 2)])
+    assert l1 == flat([(0, 2), (1, hub)])
+    assert l2 == flat([(0, 1), (2, hub)])
 
 
 def test_lucas_k2_single_factor():
-    assert cyclic.lucas_factorization(2) == [((0, 1),)]
+    assert cyclic.lucas_factorization(2) == [flat([(0, 1)])]
 
 
 def test_lucas_k8_covers_every_edge_once():
@@ -53,22 +55,22 @@ def test_lucas_rejects_odd_order():
 
 def test_near_factorization_k3_explicit():
     near = cyclic.near_one_factorization(3)
-    assert near == [((1, 2),), ((0, 2),), ((0, 1),)]
+    assert near == [flat([(1, 2)]), flat([(0, 2)]), flat([(0, 1)])]
 
 
 def test_near_factorization_k5_counts():
     near = cyclic.near_one_factorization(5)
-    assert len(near) == 5 and all(len(f) == 2 for f in near)
+    assert len(near) == 5 and all(len(edges(f)) == 2 for f in near)
     seen = Counter()
     for f in near:
-        seen.update(f)
+        seen.update(edges(f))
     assert len(seen) == 10 and set(seen.values()) == {1}
 
 
 def test_near_factor_misses_its_own_vertex():
     for n in (3, 5, 7, 9):
         for i, f in enumerate(cyclic.near_one_factorization(n)):
-            assert all(i not in e for e in f)
+            assert i not in f
 
 
 def test_near_rejects_even_order():
@@ -80,7 +82,7 @@ def side_and_cross_counts(factors, n):
     side = Counter()
     cross = Counter()
     for f in factors:
-        for u, v in f:
+        for u, v in edges(f):
             (cross if u < n <= v else side)[(u, v)] += 1
     return side, cross
 
@@ -94,7 +96,7 @@ def test_join_even_covers_side_edges_once():
 
 
 def test_join_even_minimal_case():
-    assert cyclic.join_even(2) == [((0, 1), (2, 3))]
+    assert cyclic.join_even(2) == [flat([(0, 1), (2, 3)])]
 
 
 def test_join_even_rejects_odd_order():
@@ -106,11 +108,11 @@ def test_join_odd_explicit_n3():
     factors = cyclic.join_odd(3, 1)
     assert len(factors) == 3
     near = cyclic.near_one_factorization(3)
-    expected0 = tuple(sorted(list(near[0]) + [(u + 3, v + 3) for u, v in near[1]]
-                             + [(0, 3 + 1)]))
+    expected0 = flat(sorted(list(edges(near[0])) + [(u + 3, v + 3) for u, v in edges(near[1])]
+                            + [(0, 3 + 1)]))
     assert expected0 in factors
     _, cross = side_and_cross_counts(factors, 3)
-    assert cross == Counter(cyclic.m_factor(3, 1))
+    assert cross == Counter(edges(cyclic.m_factor(3, 1)))
 
 
 def test_join_odd_multiplicities():
@@ -119,13 +121,13 @@ def test_join_odd_multiplicities():
         assert len(set(factors)) == len(factors) == n
         side, cross = side_and_cross_counts(factors, n)
         assert set(side.values()) == {1} and len(side) == n * (n - 1)
-        assert cross == Counter(cyclic.m_factor(n, b))
+        assert cross == Counter(edges(cyclic.m_factor(n, b)))
 
 
 def test_join_odd_cross_edges_are_exactly_m_b():
     for b in range(5):
         _, cross = side_and_cross_counts(cyclic.join_odd(5, b), 5)
-        assert set(cross) == set(cyclic.m_factor(5, b))
+        assert set(cross) == set(edges(cyclic.m_factor(5, b)))
     with pytest.raises(cyclic.EvenOrder):
         cyclic.join_odd(4, 0)
 
@@ -147,7 +149,7 @@ def test_h_orbit_matches_vertex_shift():
     def shift(factor, n, h):
         def mv(u):
             return (u + h) % n if u < n else n + (u - n + h) % n
-        return canonicalize_factor([(mv(u), mv(v)) for u, v in factor], 2 * n)
+        return canonicalize_factor([(mv(u), mv(v)) for u, v in edges(factor)], 2 * n)
 
     rng = random.Random(5)
     for n in range(2, 10):
@@ -235,10 +237,13 @@ def test_builders_are_canonical_by_construction():
             assert all(canonical(f, n) for f in cyclic.orbit_factors(pi, n))
         for a in range(-n, 2 * n):
             f = cyclic.m_factor(n, a)
-            assert canonical(f, n) and f == tuple((x, n + (x + a) % n) for x in range(n))
+            assert canonical(f, n) and f == flat((x, n + (x + a) % n) for x in range(n))
         if n % 2:
             for b in range(n):
                 assert all(canonical(f, n) for f in cyclic.join_odd(n, b))
+            for f in cyclic.near_one_factorization(n):
+                pairs = edges(f)
+                assert pairs == tuple(sorted(pairs)) and all(u < v for u, v in pairs)
         else:
             assert all(canonicalize_factor(f, n) == f
                        for f in cyclic.lucas_factorization(n))
@@ -257,3 +262,13 @@ def test_orbit_factors_are_the_h_orbit_counted_per_stabilizer_element():
             assert all(cyclic.same_h_orbit(pi, p, n) for p in cyclic.h_orbit(pi, n))
     with pytest.raises(cyclic.NotAPermutation):
         cyclic.orbit_factors((0, 0, 1), 3)
+
+
+def test_builders_share_one_int_object_per_vertex():
+    # Past the small-int cache (ids above 256) every factor built here draws
+    # its ids from core.vertex_ids, so a factorization holds 2n int objects.
+    for n in (129, 130):
+        pi = _random_perm(random.Random(n), n)
+        factors = [cyclic.m_factor(n, 7), *cyclic.orbit_factors(pi, n),
+                   *(cyclic.join_odd(n, 3) if n % 2 else cyclic.join_even(n))]
+        assert len({id(x) for f in factors for x in f}) == 2 * n

@@ -27,7 +27,7 @@ def test_parse_then_serialize_canonicalizes():
         "factors": [[[3, 0], [2, 1]], [[1, 3], [0, 2]], [[0, 1], [2, 3]]],
     }
     mf = docio.mf_from_document(doc)
-    assert mf.factors == tuple(sorted(cyclic.lucas_factorization(4)))
+    assert mf.runs == tuple((f, 1) for f in sorted(cyclic.lucas_factorization(4)))
 
 
 def test_field_document_golden_bytes():

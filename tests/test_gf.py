@@ -7,6 +7,8 @@ from onefac import cyclic, docio, families, gf
 from onefac.acceptance import A4_PRIME_POWERS
 from onefac.core import canonicalize_factor, is_simple, validate_factorization
 
+from edgelists import edges, flat
+
 
 def _add(ctx, a, b):
     """Digitwise sum of two ids mod p."""
@@ -133,23 +135,23 @@ def test_table_multiplication_distributes_over_addition(p, m):
 
 
 def test_base_factor_gf3():
-    assert gf.base_factor(gf.field_ctx(3, 1)) == ((0, 3), (1, 2))
+    assert gf.base_factor(gf.field_ctx(3, 1)) == flat([(0, 3), (1, 2)])
 
 
 def test_base_factor_gf5():
-    assert gf.base_factor(gf.field_ctx(5, 1)) == ((0, 5), (1, 2), (3, 4))
+    assert gf.base_factor(gf.field_ctx(5, 1)) == flat([(0, 5), (1, 2), (3, 4)])
 
 
 def test_base_factor_gf9_explicit():
     f = gf.base_factor(gf.field_ctx(3, 2))
     # {[0,inf]} + {[1,2],[1+v,2+v],[1+2v,2+2v]} + {[v,2v]} with ids a0 + 3*a1
-    assert f == ((0, 9), (1, 2), (3, 6), (4, 5), (7, 8))
+    assert f == flat([(0, 9), (1, 2), (3, 6), (4, 5), (7, 8)])
 
 
 def test_base_factor_layer_sizes_and_differences():
     for p, m in [(3, 2), (5, 2), (3, 3), (7, 1)]:
         ctx = gf.field_ctx(p, m)
-        f = gf.base_factor(ctx)
+        f = edges(gf.base_factor(ctx))
         assert len(f) == (ctx.q + 1) // 2
         powers = {}
         for j in range(m):
@@ -168,7 +170,7 @@ def test_base_factor_layer_sizes_and_differences():
 
 def test_orbit_factorization_gf3_is_k4():
     mf = gf.agl_orbit_factorization(gf.field_ctx(3, 1))
-    assert mf.lam == 1 and sorted(mf.factors) == sorted(cyclic.lucas_factorization(4))
+    assert mf.lam == 1 and sorted(map(flat, mf.factors)) == sorted(cyclic.lucas_factorization(4))
 
 
 def test_orbit_factorization_gf5():
@@ -200,10 +202,10 @@ def test_halved_orbit_is_the_full_group_orbit(p, m):
     q = ctx.q
     f = gf.base_factor(ctx)
     negated = sorted(tuple(sorted((_neg(ctx, u) if u < q else u,
-                                   _neg(ctx, v) if v < q else v))) for u, v in f)
-    assert tuple(negated) == f
+                                   _neg(ctx, v) if v < q else v))) for u, v in edges(f))
+    assert flat(negated) == f
     mf = gf.agl_orbit_factorization(ctx)
-    assert set(mf.factors) == set(gf._affine_images(ctx))
+    assert set(map(flat, mf.factors)) == set(gf._affine_images(ctx))
     assert len(mf.factors) == q * (q - 1) // 2
 
 
@@ -228,11 +230,11 @@ def _reference_images(ctx):
         for k in range(q - 1):
             vmap = [_add(ctx, _mul(ctx, x, ctx.exp[k]), a) for x in range(q)] + [q]
             image = []
-            for u, v in f:
+            for u, v in edges(f):
                 u, v = vmap[u], vmap[v]
                 image.append((u, v) if u < v else (v, u))
             image.sort()
-            yield tuple(image)
+            yield flat(image)
 
 
 @pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)])
@@ -243,7 +245,7 @@ def test_affine_images_match_the_edgewise_reference(p, m):
 
 def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
     # x -> -x maps (0,1) to (0,4): halving the maps would lose images.
-    monkeypatch.setattr(gf, "base_factor", lambda ctx: ((0, 1), (2, 3), (4, 5)))
+    monkeypatch.setattr(gf, "base_factor", lambda ctx: flat([(0, 1), (2, 3), (4, 5)]))
     with pytest.raises(AssertionError, match="does not fix"):
         gf.agl_orbit_factorization(gf.field_ctx(5, 1))
 
@@ -259,7 +261,7 @@ def _format2_text(mf) -> str:
         "model": dict(mf.model),
         "n": mf.n,
         "lambda": mf.lam,
-        "factors": [[[u, v] for u, v in f] for f, _ in mf.runs],
+        "factors": [[[u, v] for u, v in edges(f)] for f, _ in mf.runs],
         "counts": [k for _, k in mf.runs],
     })
 

@@ -8,7 +8,9 @@ import pytest
 
 from onefac import acceptance, cli, core, families, gf, starters, verify
 
-K4 = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+from edgelists import flat
+
+K4 = tuple(map(flat, (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))))
 P2_PERMS = ((1, 4, 2, 3, 0),)  # the starter plan(5, 2) realizes
 
 
@@ -19,8 +21,8 @@ def k4_double():
 def test_reprs():
     mf = core.MultiFactorization.make(2, 1, K4)
     assert repr(mf) == (
-        "MultiFactorization(n=2, lam=1, runs=((((0, 1), (2, 3)), 1), "
-        "(((0, 2), (1, 3)), 1), (((0, 3), (1, 2)), 1)), model={'tag': 'plain'})")
+        "MultiFactorization(n=2, lam=1, runs=(((0, 1, 2, 3), 1), "
+        "((0, 2, 1, 3), 1), ((0, 3, 1, 2), 1)), model={'tag': 'plain'})")
     assert repr(core.validate_factorization(mf)) == (
         "ValidityReport(valid=True, multiplicity_errors=[], factor_errors=[], "
         "factor_count=3, expected_factor_count=3)")

@@ -12,6 +12,8 @@ from onefac import cyclic, families, gf, starters, verify
 from onefac.core import MultiFactorization, validate_factorization
 from onefac.starters import StarterSet
 
+from edgelists import edges, flat
+
 
 def gk4_doubled():
     return MultiFactorization.make(2, 2, cyclic.lucas_factorization(4) * 2)
@@ -54,16 +56,15 @@ def test_witness_check_rejects_broken_witnesses():
     assert not verify.decomposability_witness_check(
         mf, verify.Witness(1, (0, 2, len(mf.factors))))
     # A position is an index: 2.5 would fall inside the second run's copies.
-    with pytest.raises(TypeError):
-        verify.decomposability_witness_check(mf, verify.Witness(1, (0, 2.5, 4)))
+    assert verify.decomposability_witness_check(mf, verify.Witness(1, (0, 2.5, 4))) is False
     # Counted twice, copy 0, 3 and 6 would cover every pair of 3K4 twice.
     triple = MultiFactorization.make(2, 3, cyclic.lucas_factorization(4) * 3)
     assert verify.decomposability_witness_check(triple, verify.Witness(1, (0, 3, 6)))
     assert not verify.decomposability_witness_check(
         triple, verify.Witness(2, (0, 0, 3, 3, 6, 6)))
     # Every pair of K4 once, but two of the chosen copies are not matchings.
-    paths = MultiFactorization(2, 2, ((((0, 1), (0, 2)), 1), (((0, 3), (1, 2)), 1),
-                                      (((1, 3), (2, 3)), 1)))
+    paths = MultiFactorization(2, 2, ((flat([(0, 1), (0, 2)]), 1), (flat([(0, 3), (1, 2)]), 1),
+                                      (flat([(1, 3), (2, 3)]), 1)))
     assert not verify.decomposability_witness_check(paths, verify.Witness(1, (0, 1, 2)))
 
 
@@ -183,9 +184,7 @@ def test_search_matches_brute_oracle_on_decomposable_union():
     base = cyclic.lucas_factorization(6)
     perm = list(range(6))
     rng.shuffle(perm)
-    relabeled = [tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in f))
-                 for f in base]
-    mf = MultiFactorization.make(3, 2, base + relabeled)
+    mf = MultiFactorization.make(3, 2, base + relabeled(base, perm))
     res = verify.find_subfactorization(mf, lambda0=1)
     oracle = brute_witness(mf, 1)
     assert res.outcome == verify.FOUND and oracle is not None
@@ -350,7 +349,8 @@ def test_certificate_witness_when_certificate_is_unknown(n, lam, profile):
 
 
 def relabeled(factors, perm):
-    return [tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in f))
+    """The flat factors under the vertex map perm, each canonical."""
+    return [flat(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges(f)))
             for f in factors]
 
 
@@ -417,7 +417,7 @@ def test_cost_does_not_depend_on_labels():
     for seed in range(16):
         perm = list(range(12))
         random.Random(seed).shuffle(perm)
-        image = MultiFactorization.make(6, 5, relabeled(mf.factors, perm))
+        image = MultiFactorization.make(6, 5, relabeled(map(flat, mf.factors), perm))
         res = verify.find_subfactorization(image, budget=budget)
         assert res.outcome == verify.PROVEN_NONE, (seed, res.nodes)
 
@@ -435,7 +435,7 @@ def _gf(p, m):
 def _relabeled_mf(mf, seed):
     perm = list(range(2 * mf.n))
     random.Random(seed).shuffle(perm)
-    return MultiFactorization.make(mf.n, mf.lam, relabeled(mf.factors, perm))
+    return MultiFactorization.make(mf.n, mf.lam, relabeled(map(flat, mf.factors), perm))
 
 
 def _pinned_inputs():

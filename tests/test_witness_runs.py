@@ -1,8 +1,8 @@
 """Witnesses are built and checked on the runs: no path of the package
-reads the flat view `MultiFactorization.factors`.
+reads `MultiFactorization.factors`, the view of every copy as edge pairs.
 
 Kept apart from tests/test_verify.py, whose autouse differential fixture
-reads the flat view itself.
+reads that view itself.
 """
 
 import json
@@ -12,7 +12,7 @@ from onefac.core import MultiFactorization
 from onefac.starters import StarterSet
 
 
-def _flat_view(mf):
+def _copies_view(mf):
     raise AssertionError("read MultiFactorization.factors")
 
 
@@ -22,7 +22,7 @@ def test_witnesses_never_read_the_flat_view(monkeypatch, tmp_path, capsys):
         8, 9, families.construct(8, 4).factors + families.construct(8, 5).factors)
     path = tmp_path / "doubled.json"
     docio.write_mf(doubled, path)
-    monkeypatch.setattr(MultiFactorization, "factors", property(_flat_view))
+    monkeypatch.setattr(MultiFactorization, "factors", property(_copies_view))
 
     found = [(mf, verify.find_subfactorization(mf)) for mf in (doubled, union)]
     assert [res.outcome for _, res in found] == [verify.FOUND] * 2
