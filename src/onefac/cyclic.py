@@ -102,13 +102,6 @@ def h_orbit(pi, n: int) -> list[tuple[int, ...]]:
                    for h in range(n)})
 
 
-def same_h_orbit(pi, sigma, n: int) -> bool:
-    """True iff sigma = pi + h for some h in H, tried shift by shift at x = 0 first."""
-    return any((pi[-h % n] + h) % n == sigma[0]
-               and all((pi[(x - h) % n] + h) % n == sigma[x] for x in range(n))
-               for h in range(n))
-
-
 def h_stabilizer_order(pi, n: int) -> int:
     """Order of {h : pi + h = pi}: n / h for the least h > 0 in it, a divisor of n.
 

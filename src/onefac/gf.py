@@ -230,17 +230,6 @@ def _affine_image_ids(ctx: FieldCtx, cid: list[int], log_bs):
             yield tuple(image)
 
 
-def _affine_images(ctx: FieldCtx):
-    """The images of the base factor under all q(q-1) affine maps, as factors.
-
-    A view of `_affine_image_ids`: each id tuple is mapped to its flat
-    factor, which is canonical.
-    """
-    cid, lo, hi = _pair_tables(ctx.q + 1)
-    for ids in _affine_image_ids(ctx, cid, range(ctx.q - 1)):
-        yield _flat_factor(ids, lo, hi)
-
-
 def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
     """Number of affine maps fixing the base factor.
 
@@ -248,8 +237,11 @@ def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
     q(q-1) maps, so it checks the stabilizer {x, -x} that
     `agl_orbit_factorization` relies on rather than assuming it.
     """
+    q = ctx.q
+    cid = _pair_tables(q + 1)[0]
     f = base_factor(ctx)
-    return sum(1 for image in _affine_images(ctx) if image == f)
+    base = tuple(cid[u * (q + 1) + v] for u, v in zip(f[0::2], f[1::2]))  # canonical: ids ascend
+    return sum(1 for ids in _affine_image_ids(ctx, cid, range(q - 1)) if ids == base)
 
 
 def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:

@@ -176,7 +176,7 @@ def check_starter_conditions(s: StarterSet) -> list[str]:
     reps: dict[tuple, list[int]] = {}  # profile -> first starter of each orbit
     for i, (pi, t) in enumerate(zip(s.perms, profiles)):
         firsts = reps.setdefault(tuple(sorted(t.items())), [])
-        j = next((j for j in firsts if cyclic.same_h_orbit(s.perms[j], pi, n)), None)
+        j = next((j for j in firsts if tuple(pi) in cyclic.h_orbit(s.perms[j], n)), None)
         if j is None:
             firsts.append(i)
         else:

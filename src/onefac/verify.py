@@ -22,11 +22,9 @@ before anything is allocated.  The search is set up once per document,
 each lambda_0 target resets only the counters, and the picks are kept on
 an explicit stack, so a deep search costs no Python frames.  Outcomes are
 kept strictly apart: a witness, a proof of absence (full exhaustion), or
-a budget stop; the clock is read before each lambda_0 target and then
-by work done, picks and kills weighted by the size of a packed vector,
-so a budget is kept as closely on a (300, 300) document, where a node
-costs tens of milliseconds, as on a small one.  Building a vector in
-the set-up counts as a pick.  A budget stop ends the search, with every
+a budget stop.  The clock is read after each packed vector the set-up
+builds and at every node, so a budget is overrun by about one vector or
+one node, whatever they cost.  A budget stop ends the search, with every
 later target reported exhausted unsearched (every target, when it comes
 in the set-up).
 
@@ -54,12 +52,6 @@ from .starters import (StarterSet, _factor_counts, assemble,
 # the catalog's (300, 300) at about 269 MB and refuses (1000, 998), which
 # would need about 8.2 GB.
 MAX_COUNTER_BYTES = 2 ** 30
-
-# The search reads the clock after about this much work: each pick or
-# kill counts the packed vector's size in bytes plus 1 KiB for the
-# interpreter's share.  At the 1-2 ns a byte measured on a 2-CPU x86-64
-# VM that is 17-34 ms, whether the vectors are 100 bytes or 200 KB.
-CLOCK_BYTES = 2 ** 24
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
@@ -199,8 +191,8 @@ class _MulticoverSearch:
     """
 
     def __init__(self, mf, budget, start):
-        self.budget = budget
-        self.start = start
+        self.max_nodes = budget.max_nodes
+        self.deadline = start + budget.max_seconds
         self.nodes = 0
         nv = 2 * mf.n
         self.lam = mf.lam
@@ -214,13 +206,10 @@ class _MulticoverSearch:
         for r, ids in enumerate(self.pair_ids):
             for e in ids:
                 self.by_pair[e].append(r)
-        self.clock_ops = max(1, CLOCK_BYTES // ((self.npairs * self.width + 7) // 8 + 1024))
-        # Building a vector counts as one pick: the clock is read every
-        # clock_ops vectors, so a budget bounds the set-up too.
         self.vecs = []
-        for k, ids in enumerate(self.pair_ids, 1):
+        for ids in self.pair_ids:
             self.vecs.append(self._packed(ids))
-            if not k % self.clock_ops and self._out_of_time():
+            if time.monotonic() >= self.deadline:
                 raise _BudgetStop()
         self.ones = self._packed(range(self.npairs))
 
@@ -237,9 +226,6 @@ class _MulticoverSearch:
             buf[bit >> 3] |= 1 << (bit & 7)
         return int.from_bytes(buf, "little")
 
-    def _out_of_time(self) -> bool:
-        return time.monotonic() - self.start >= self.budget.max_seconds
-
     def run(self, lambda0: int) -> list[int] | None:
         """Copies per run of the first witness at lambda0 in branching order, or None.
 
@@ -248,9 +234,9 @@ class _MulticoverSearch:
         non-decreasing in run id, until that pair is covered, then branches
         again.  The stack holds one (pair, position in by_pair[pair],
         killed) entry per pick, where killed lists the (run, count)
-        candidates the pick covered away.  Raises _BudgetStop on the node
-        or time budget; the clock is read at the start and then every
-        `clock_ops` picks and kills.
+        candidates the pick covered away.  Raises _BudgetStop at the node
+        that passes max_nodes or finds the clock at the deadline; the
+        clock is read at every node.
 
         With B = 2^(W-1), above every slack and need, S holds slack + B and
         N holds need + B - 1 in each field, so no field borrows from the
@@ -261,12 +247,10 @@ class _MulticoverSearch:
         query.  The plain list `need` finds the pairs a pick finishes
         without walking N's bits.
         """
-        if self._out_of_time():
-            raise _BudgetStop()
         counts, vecs = self.counts, self.vecs
         by_pair, pair_ids = self.by_pair, self.pair_ids
-        nodes, max_nodes = self.nodes, self.budget.max_nodes
-        ops, clock_at = 0, self.clock_ops  # picks and kills; the next clock read
+        nodes, max_nodes = self.nodes, self.max_nodes
+        clock, deadline = time.monotonic, self.deadline
         w, ones = self.width, self.ones
         bias = 1 << (w - 1)
         top = bias * ones
@@ -289,11 +273,9 @@ class _MulticoverSearch:
                 i += 1
             if i < len(cands):
                 nodes += 1
-                if nodes > max_nodes or ops >= clock_at:
-                    if nodes > max_nodes or self._out_of_time():
-                        self.nodes = nodes
-                        raise _BudgetStop()
-                    clock_at = ops + self.clock_ops
+                if nodes > max_nodes or clock() >= deadline:
+                    self.nodes = nodes
+                    raise _BudgetStop()
                 u = cands[i]
                 counts[u] -= 1
                 N -= vecs[u]  # supply drops with need: no slack changes
@@ -311,7 +293,6 @@ class _MulticoverSearch:
                                 # Most counts are 1, and c * vecs[v] would copy the vector.
                                 S -= vecs[v] if c == 1 else c * vecs[v]
                 stack.append((e, i, killed))
-                ops += 1 + len(killed)
                 if not killed or S & top == top:
                     # Pick again through e from this candidate on, or branch anew.
                     if not need[e]:

@@ -268,8 +268,9 @@ def test_verify_zero_max_nodes_is_honoured(tmp_path, capsys):
 
 
 def test_verify_zero_max_seconds_is_honoured(tmp_path, capsys):
-    # The clock is read before the first node of every lambda_0 target;
-    # (9, 8) finishes in 714 nodes, (5, 3) in 7.
+    # The clock is read after the first packed vector is built, so a 0 s
+    # budget stops the set-up; unbounded, (9, 8) finishes in 714 nodes,
+    # (5, 3) in 7.
     for n, lam in [(9, 8), (5, 3)]:
         path = tmp_path / f"doc{n}_{lam}.json"
         docio.write_mf(families.construct(n, lam), path)

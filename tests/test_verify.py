@@ -258,25 +258,25 @@ def test_search_refuses_counters_past_the_size_limit(monkeypatch):
         verify.find_subfactorization(mf)
 
 
-def test_search_reads_the_clock_by_work(monkeypatch):
-    # Unbounded, the search finds a witness in 599 nodes of 67 KB vectors.
-    # Each clock read advances a fake clock by one second, against a 5 s
-    # budget: the reads at the start, after 245 and 490 of the vectors are
-    # built, and before the first target pass, so the search stops at its
-    # second read by work, long before 4096 nodes.
+def test_search_reads_the_clock_at_every_node(monkeypatch):
+    # Unbounded, the search finds a witness in 599 nodes.  A fake clock
+    # reads 0, 1, 2, ...: 0 at the start, 1..599 after the 599 packed
+    # vectors, then 600, 601, ... at the nodes.  Against a deadline of
+    # 609 s the tenth node is the first to find the clock at the deadline,
+    # and the stop reads the clock once more for the elapsed time.
     mf = MultiFactorization.make(300, 2, cyclic.lucas_factorization(600) * 2)
     ticks = itertools.count()
     monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    res = verify.find_subfactorization(mf, budget=verify.SearchBudget(max_seconds=5))
+    res = verify.find_subfactorization(mf, budget=verify.SearchBudget(max_seconds=609))
     assert res.outcome == verify.EXHAUSTED and res.lambda0_exhausted == [1]
-    assert 0 < res.nodes < 599
+    assert res.nodes == 10 and res.witness is None and res.elapsed == 610
+    assert next(ticks) == 611  # no other read
 
 
-def test_search_set_up_reads_the_clock_by_work(monkeypatch):
-    # Building the 599 packed vectors of 90 KB reads the clock after every
-    # 184 of them: against a 1 s budget on a fake clock that advances one
-    # second a read, the first of those reads stops the set-up, before any
-    # target is searched.
+def test_search_set_up_reads_the_clock_after_every_vector(monkeypatch):
+    # Each of the 599 packed vectors is followed by one clock read; a fake
+    # clock that advances one second a read stops the set-up after exactly
+    # 100 vectors against a 100 s budget, before any target is searched.
     mf = MultiFactorization.make(300, 4, cyclic.lucas_factorization(600) * 4)
     ticks = itertools.count()
     monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
@@ -284,10 +284,10 @@ def test_search_set_up_reads_the_clock_by_work(monkeypatch):
     packed = verify._MulticoverSearch._packed
     monkeypatch.setattr(verify._MulticoverSearch, "_packed",
                         lambda self, ids: built.append(1) or packed(self, ids))
-    res = verify.find_subfactorization(mf, budget=verify.SearchBudget(max_seconds=1))
+    res = verify.find_subfactorization(mf, budget=verify.SearchBudget(max_seconds=100))
     assert res.outcome == verify.EXHAUSTED and res.lambda0_exhausted == [1, 2]
     assert res.nodes == 0 and res.witness is None
-    assert len(built) == 184
+    assert len(built) == 100
 
 
 def test_every_valid_lambda_k4_factorization_decomposes():
