@@ -11,18 +11,20 @@ stabilizer is {x, -x}, so the orbit runs over AGL(1, q)/{+-1} and each of
 its q(q-1)/2 factors is built once.
 
 The orbit is built on the dense pair ids of `core.pair_rows`: an image is
-the sorted tuple of its edges' ids, read from one table indexed by
-ordered vertex pairs, so mapping a factor costs a few lookups in C per
-edge and makes no edge tuples.  Id order is pair order, so the sorted ids
-are the canonical factor.  Only the kept factors are turned into flat
-factors, by two slice assignments from the endpoint tables of the ids,
-and all of them share one int object per vertex.
+the sorted list of its edges' ids.  A translation keeps the difference of
+an edge's ends, so for each multiplier b one table per difference d, of
+the ids of {y, y + d}, gives an edge's ids under all q translations in
+one C call, and the q images of b*F are these columns zipped; no edge
+tuples are made.  Id order is pair order, so the sorted ids are the
+canonical factor.  The images are turned into flat factors by two slice
+assignments from the endpoint tables of the ids, and all of them share
+one int object per vertex.
 """
 
 from __future__ import annotations
 
 from itertools import chain, product, repeat
-from operator import add, itemgetter, mul
+from operator import eq, itemgetter
 
 from .core import MultiFactorization, OneFactor, canonicalize_factor, pair_rows, vertex_ids
 
@@ -190,7 +192,7 @@ def _pair_tables(nv: int) -> tuple[list[int], list[int], list[int]]:
 
 
 def _flat_factor(ids, lo: list[int], hi: list[int]) -> OneFactor:
-    """The flat factor of a sorted tuple of at least two pair ids.
+    """The flat factor of a sorted list of at least two pair ids.
 
     Two slice assignments from the endpoint tables, each read in C by one
     itemgetter (which would return a bare int for a single id).
@@ -202,32 +204,31 @@ def _flat_factor(ids, lo: list[int], hi: list[int]) -> OneFactor:
 
 
 def _affine_image_ids(ctx: FieldCtx, cid: list[int], log_bs):
-    """The base factor's image under x -> x*b + a for every a (a = 0
-    first) and, for each a, every b = v^k with k in `log_bs`, as a sorted
-    tuple of pair ids.
+    """The base factor's image under x -> x*b + a for every b = v^k with k
+    in `log_bs` and, for each b, every a (a = 0 first), as a sorted list
+    of pair ids.
 
-    The one image kernel.  The base factor is scaled by every b once; for
-    each a, one pass in C maps every edge {u, v} of the scaled factors to
-    the id cid[(u + a) * nv + (v + a)], and each image's slice of ids,
-    sorted, is its canonical form.  The ints are the objects `cid` holds,
-    so images share them.
+    The one image kernel.  A translation by a moves the edge {x, x + d}
+    to {x + a, x + a + d}, so with along[d][y] the id of {y, y + d}
+    (along[q][y] that of {y, infinity}) the ids of an edge {u, u + d} of
+    b*F under all q translations are along[d] read at u + a for every a:
+    one itemgetter call in C per edge.  Zipping these columns gives the q
+    translates of b*F, and each one, sorted, is its canonical form.  The
+    ints are the objects `cid` holds, so images share them.
     """
     q = ctx.q
     nv = q + 1
+    shifts = _translations(ctx.p, ctx.m)  # shifts[x][a] = x + a: rows are columns
+    along = [[cid[y * nv + z] for y, z in enumerate(row)] for row in shifts]  # along[0] unused
+    along.append([cid[y * nv + q] for y in range(q)])
+    at = [itemgetter(*row) for row in shifts]
+    neg = _scaling(ctx, (q - 1) // 2)  # x -> x * v^((q-1)/2) = -x
     f = base_factor(ctx)
-    size = len(f) // 2
-    scales = [_scaling(ctx, log_b) for log_b in log_bs]
-    us = [scale[u] for scale in scales for u in f[0::2]]
-    vs = [scale[v] for scale in scales for v in f[1::2]]
-    for shift in _translations(ctx.p, ctx.m):
-        shift.append(q)  # x -> x + a fixes infinity
-        row = list(map(mul, shift, repeat(nv)))  # (x + a) * nv, the row of cid
-        ids = list(map(cid.__getitem__, map(add, map(row.__getitem__, us),
-                                            map(shift.__getitem__, vs))))
-        for i in range(0, len(ids), size):
-            image = ids[i:i + size]
-            image.sort()
-            yield tuple(image)
+    us = f[0::2]
+    ds = [shifts[neg[u]][v] if v < q else q for u, v in zip(us, f[1::2])]  # v - u
+    for log_b in log_bs:
+        scale = _scaling(ctx, log_b)  # fixes 0 and infinity, so d = q stays q
+        yield from map(sorted, zip(*[at[scale[u]](along[scale[d]]) for u, d in zip(us, ds)]))
 
 
 def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
@@ -240,7 +241,7 @@ def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
     q = ctx.q
     cid = _pair_tables(q + 1)[0]
     f = base_factor(ctx)
-    base = tuple(cid[u * (q + 1) + v] for u, v in zip(f[0::2], f[1::2]))  # canonical: ids ascend
+    base = [cid[u * (q + 1) + v] for u, v in zip(f[0::2], f[1::2])]  # canonical: ids ascend
     return sum(1 for ids in _affine_image_ids(ctx, cid, range(q - 1)) if ids == base)
 
 
@@ -251,20 +252,23 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     the same image, and the orbit is built over AGL(1, q)/{+-1}: the
     multipliers b = v^k for k = 0..(q-3)/2 (one of each pair +-b, as
     -1 = v^((q-1)/2)) with all q translations, q(q-1)/2 maps.  That x -> -x
-    fixes the base factor is checked on every call.  Returns the
-    deduplicated orbit as a factorization of lambda*K_2n with 2n = q + 1
-    and lambda = (q-1)/2; simple by construction (it is a set).
+    fixes the base factor is checked on every call, and so is that no
+    image repeats, which a larger stabilizer would make happen.  Returns
+    the orbit as a simple factorization of lambda*K_2n with 2n = q + 1
+    and lambda = (q-1)/2.
     """
     q = ctx.q
     half = (q - 1) // 2
     cid, lo, hi = _pair_tables(q + 1)
     f = base_factor(ctx)
-    base = tuple(cid[u * (q + 1) + v] for u, v in zip(f[0::2], f[1::2]))  # canonical: ids ascend
+    base = [cid[u * (q + 1) + v] for u, v in zip(f[0::2], f[1::2])]  # canonical: ids ascend
     if next(_affine_image_ids(ctx, cid, [half])) != base:
         raise AssertionError(f"x -> -x does not fix the base factor of GF({q})")
-    orbit = set(_affine_image_ids(ctx, cid, range(half)))
+    orbit = sorted(_affine_image_ids(ctx, cid, range(half)))
+    if any(map(eq, orbit, orbit[1:])):
+        raise AssertionError(f"an image repeats in the orbit of GF({q})")
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
-    # Id order is pair order, so the sorted id tuples are the sorted factors,
+    # Id order is pair order, so the sorted id lists are the sorted factors,
     # each already canonical.
     return MultiFactorization((q + 1) // 2, half, tuple(
-        (_flat_factor(ids, lo, hi), 1) for ids in sorted(orbit)), model)
+        (_flat_factor(ids, lo, hi), 1) for ids in orbit), model)

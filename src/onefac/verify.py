@@ -135,6 +135,7 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
     validating, when the packed run vectors would pass MAX_COUNTER_BYTES.
     """
     check_searchable(mf)
+    start = time.monotonic()  # validating is charged to max_seconds too
     if validity is None:
         validity = validate_factorization(mf)
     if not validity.valid:
@@ -143,7 +144,6 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
     targets = [lambda0] if lambda0 is not None else list(range(1, mf.lam // 2 + 1))
     if lambda0 is not None and not 0 < lambda0 < mf.lam:
         raise InvalidInput(f"lambda0 = {lambda0} out of range")
-    start = time.monotonic()
     try:
         searcher = _MulticoverSearch(mf, budget, start)
     except _BudgetStop:  # out of time while building the vectors: nothing searched

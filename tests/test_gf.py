@@ -197,10 +197,16 @@ def test_orbit_size_matches_stabilizer():
 
 
 def _affine_images(ctx):
-    """The flat factors of all q(q-1) images from the package's kernel."""
-    cid, lo, hi = gf._pair_tables(ctx.q + 1)
-    return [gf._flat_factor(ids, lo, hi)
-            for ids in gf._affine_image_ids(ctx, cid, range(ctx.q - 1))]
+    """The flat factors of all q(q-1) images from the package's kernel, in
+    the reference's order: for each translation a, every multiplier.
+
+    The kernel yields each multiplier's q translates, a = 0 first; one
+    call per multiplier keeps them apart for the reordering.
+    """
+    q = ctx.q
+    cid, lo, hi = gf._pair_tables(q + 1)
+    per_b = [list(gf._affine_image_ids(ctx, cid, [k])) for k in range(q - 1)]
+    return [gf._flat_factor(per_b[k][a], lo, hi) for a in range(q) for k in range(q - 1)]
 
 
 @pytest.mark.parametrize("p, m", A4_PRIME_POWERS)  # m = 1 and m > 1, q <= 81
@@ -255,6 +261,22 @@ def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
     monkeypatch.setattr(gf, "base_factor", lambda ctx: flat([(0, 1), (2, 3), (4, 5)]))
     with pytest.raises(AssertionError, match="does not fix"):
         gf.agl_orbit_factorization(gf.field_ctx(5, 1))
+
+
+def test_orbit_build_refuses_a_base_factor_with_a_larger_stabilizer(monkeypatch):
+    # x -> 2x fixes {0, inf}, {1, 4}, {2, 3} as x -> -x does: the halved
+    # maps give each image twice, and a set of them would be no factorization.
+    monkeypatch.setattr(gf, "base_factor", lambda ctx: (0, 5, 1, 4, 2, 3))
+    assert gf.base_factor_stabilizer_order(gf.field_ctx(5, 1)) == 4
+    with pytest.raises(AssertionError, match="image repeats"):
+        gf.agl_orbit_factorization(gf.field_ctx(5, 1))
+
+
+def test_base_factor_stabilizer_is_plus_minus_one_below_100():
+    qs = [(p, m) for p in range(3, 100) for m in range(1, 5) if gf.is_prime(p) and p ** m < 100]
+    assert len(qs) == 29
+    for p, m in qs:
+        assert gf.base_factor_stabilizer_order(gf.field_ctx(p, m)) == 2, (p, m)
 
 
 def _format2_text(mf) -> str:

@@ -290,6 +290,24 @@ def test_search_set_up_reads_the_clock_after_every_vector(monkeypatch):
     assert len(built) == 100
 
 
+def test_search_budget_is_charged_for_validating(monkeypatch):
+    # The clock starts before the document is validated: a validation that
+    # takes 2 s uses up a 1 s budget, so the set-up stops after its first
+    # vector and no target is searched.
+    mf = MultiFactorization.make(2, 4, cyclic.lucas_factorization(4) * 4)
+    now = [0.0]
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+    def slow_validate(mf):
+        now[0] += 2
+        return validate_factorization(mf)
+
+    monkeypatch.setattr(verify, "validate_factorization", slow_validate)
+    res = verify.find_subfactorization(mf, budget=verify.SearchBudget(max_seconds=1))
+    assert res.outcome == verify.EXHAUSTED and res.lambda0_exhausted == [1, 2]
+    assert res.nodes == 0 and res.witness is None and res.elapsed == 2
+
+
 def test_every_valid_lambda_k4_factorization_decomposes():
     matchings = cyclic.lucas_factorization(4)
     for lam in (2, 3, 4):
