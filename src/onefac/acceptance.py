@@ -20,7 +20,7 @@ from . import cyclic, docio, gf, verify
 from .core import MultiFactorization, is_simple, validate_factorization
 from .families import (FAMILY_IDS, construct, coverage_table, family_domain,
                        family_for, family_profiles, lambda_floor, plan)
-from .starters import orbit_multiplicity_check
+from .starters import assemble, orbit_multiplicity_check
 
 A1_NS = (5, 6, 9, 10, 11, 12)
 A3_CASES = ((5, 3), (5, 2), (6, 4), (9, 8), (9, 10))
@@ -70,7 +70,7 @@ def a3() -> str:
         p = plan(n, lam)
         cert = p.certificate()
         assert cert.proven, f"({n},{lam}): certificate {cert.status}"
-        res = verify.find_subfactorization(construct(n, lam), budget=budget)
+        res = verify.find_subfactorization(assemble(p.starter_set), budget=budget)
         assert res.outcome == verify.PROVEN_NONE, f"({n},{lam}): search {res.outcome}"
         lines.append(f"({n},{lam}) proven+exhausted[{res.nodes}n]")
     return "; ".join(lines)
@@ -89,7 +89,6 @@ def a4() -> str:
         assert is_simple(mf)[0], f"p^m={q}: not simple"
         expected = (q - 1) * q // 2
         assert report.factor_count == expected, f"p^m={q}: {report.factor_count} factors"
-        assert gf.base_factor_stabilizer_order(ctx) == 2, f"p^m={q}: stabilizer != 2"
         if q == 3:
             assert [f for f, _ in mf.runs] == sorted(cyclic.lucas_factorization(4)), \
                 "p^m=3 orbit is not the three matchings of K_4"
@@ -169,7 +168,7 @@ def a8() -> str:
             claims = [f for f in FAMILY_IDS if family_domain(f, n, lam)]
             assert len(claims) == 1, f"({n},{lam}) claimed by {claims}"
             p = plan(n, lam)
-            assert validate_factorization(construct(n, lam)).valid
+            assert validate_factorization(assemble(p.starter_set)).valid
             cert = p.certificate()
             assert cert.proven, f"({n},{lam}): certificate {cert.status}"
             constructed += 1

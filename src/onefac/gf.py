@@ -6,9 +6,11 @@ x modulo a monic primitive polynomial.  Addition is digitwise mod p;
 multiplication goes through the table exp[k] = v^k (k = 0..q-2) and its
 inverse log.  The vertex set of the factorization is GF(p^m) plus one
 extra vertex "infinity" with id q.  The affine maps x -> x*b + a (b != 0)
-fix infinity and act on edges and factors vertexwise.  The base factor's
-stabilizer is {x, -x}, so the orbit runs over AGL(1, q)/{+-1} and each of
-its q(q-1)/2 factors is built once.
+fix infinity and act on edges and factors vertexwise.  x -> -x fixes the
+base factor, so the orbit runs over AGL(1, q)/{+-1} and each of its
+q(q-1)/2 factors is built once; the build checks that x -> -x fixes the
+base factor and that no image repeats, which together prove its
+stabilizer is {x, -x}.
 
 The orbit is built on the dense pair ids of `core.pair_rows`: an image is
 the sorted list of its edges' ids.  A translation keeps the difference of
@@ -134,10 +136,6 @@ def _powers_of_x(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, ...] | 
     return None
 
 
-def infinity_id(ctx: FieldCtx) -> int:
-    return ctx.q
-
-
 def base_factor(ctx: FieldCtx) -> OneFactor:
     """The base 1-factor: [0, infinity] plus layered consecutive pairs.
 
@@ -146,7 +144,7 @@ def base_factor(ctx: FieldCtx) -> OneFactor:
     p^(m-j-1)*(p-1)/2 edges with difference set {+-v^j}.
     """
     p, m, q = ctx.p, ctx.m, ctx.q
-    edges = [(0, infinity_id(ctx))]
+    edges = [(0, q)]
     for j in range(m):
         for i in range(1, (p - 1) // 2 + 1):
             for t in range(p ** (m - 1 - j)):
@@ -174,21 +172,16 @@ def _translations(p: int, m: int) -> list[list[int]]:
     return table
 
 
-def _pair_tables(nv: int) -> tuple[list[int], list[int], list[int]]:
-    """`cid[a * nv + b]` is the dense pair id of {a, b} (a != b), and the
-    pair with id i is (lo[i], hi[i]), lo[i] < hi[i].
+def _pair_tables(nv: int) -> tuple[list[int], list[int]]:
+    """The pair with dense id i is (lo[i], hi[i]), lo[i] < hi[i].
 
     Ids follow `pair_rows`, so their order is the lexicographic pair order.
     The endpoints are the objects of `vertex_ids`.
     """
-    row, ids = pair_rows(nv), vertex_ids(nv)
-    cid: list[int] = []
-    for a in range(nv):
-        cid += [row[b] + a for b in range(a)]
-        cid += range(row[a] + a, row[a] + nv)  # a < b, and a placeholder at b = a
+    ids = vertex_ids(nv)
     lo = list(chain.from_iterable(repeat(u, nv - 1 - i) for i, u in enumerate(ids)))
     hi = list(chain.from_iterable(ids[i + 1:] for i in range(nv)))
-    return cid, lo, hi
+    return lo, hi
 
 
 def _flat_factor(ids, lo: list[int], hi: list[int]) -> OneFactor:
@@ -203,27 +196,26 @@ def _flat_factor(ids, lo: list[int], hi: list[int]) -> OneFactor:
     return tuple(f)
 
 
-def _affine_image_ids(ctx: FieldCtx, cid: list[int], log_bs):
-    """The base factor's image under x -> x*b + a for every b = v^k with k
-    in `log_bs` and, for each b, every a (a = 0 first), as a sorted list
-    of pair ids.
+def _affine_image_ids(ctx: FieldCtx, f: OneFactor, log_bs):
+    """The image of the flat canonical factor f under x -> x*b + a for every
+    b = v^k with k in `log_bs` and, for each b, every a (a = 0 first), as a
+    sorted list of pair ids.
 
     The one image kernel.  A translation by a moves the edge {x, x + d}
     to {x + a, x + a + d}, so with along[d][y] the id of {y, y + d}
     (along[q][y] that of {y, infinity}) the ids of an edge {u, u + d} of
-    b*F under all q translations are along[d] read at u + a for every a:
+    b*f under all q translations are along[d] read at u + a for every a:
     one itemgetter call in C per edge.  Zipping these columns gives the q
-    translates of b*F, and each one, sorted, is its canonical form.  The
-    ints are the objects `cid` holds, so images share them.
+    translates of b*f, and each one, sorted, is its canonical form.
     """
     q = ctx.q
-    nv = q + 1
+    row = pair_rows(q + 1)
     shifts = _translations(ctx.p, ctx.m)  # shifts[x][a] = x + a: rows are columns
-    along = [[cid[y * nv + z] for y, z in enumerate(row)] for row in shifts]  # along[0] unused
-    along.append([cid[y * nv + q] for y in range(q)])
-    at = [itemgetter(*row) for row in shifts]
+    along = [[row[y] + z if y < z else row[z] + y for y, z in enumerate(zs)]
+             for zs in shifts]  # along[0] unused
+    along.append([row[y] + q for y in range(q)])
+    at = [itemgetter(*zs) for zs in shifts]
     neg = _scaling(ctx, (q - 1) // 2)  # x -> x * v^((q-1)/2) = -x
-    f = base_factor(ctx)
     us = f[0::2]
     ds = [shifts[neg[u]][v] if v < q else q for u, v in zip(us, f[1::2])]  # v - u
     for log_b in log_bs:
@@ -231,40 +223,27 @@ def _affine_image_ids(ctx: FieldCtx, cid: list[int], log_bs):
         yield from map(sorted, zip(*[at[scale[u]](along[scale[d]]) for u, d in zip(us, ds)]))
 
 
-def base_factor_stabilizer_order(ctx: FieldCtx) -> int:
-    """Number of affine maps fixing the base factor.
-
-    The independent full enumeration: it builds the images under all
-    q(q-1) maps, so it checks the stabilizer {x, -x} that
-    `agl_orbit_factorization` relies on rather than assuming it.
-    """
-    q = ctx.q
-    cid = _pair_tables(q + 1)[0]
-    f = base_factor(ctx)
-    base = [cid[u * (q + 1) + v] for u, v in zip(f[0::2], f[1::2])]  # canonical: ids ascend
-    return sum(1 for ids in _affine_image_ids(ctx, cid, range(q - 1)) if ids == base)
-
-
 def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
-    """Orbit of the base factor under AGL(1, q), each factor built once.
+    """Orbit of the base factor F under AGL(1, q), each factor built once.
 
-    x -> -x fixes the base factor, so the maps x*b + a and x*(-b) + a give
-    the same image, and the orbit is built over AGL(1, q)/{+-1}: the
-    multipliers b = v^k for k = 0..(q-3)/2 (one of each pair +-b, as
-    -1 = v^((q-1)/2)) with all q translations, q(q-1)/2 maps.  That x -> -x
-    fixes the base factor is checked on every call, and so is that no
-    image repeats, which a larger stabilizer would make happen.  Returns
-    the orbit as a simple factorization of lambda*K_2n with 2n = q + 1
-    and lambda = (q-1)/2.
+    x -> -x fixes F, so the maps x*b + a and x*(-b) + a give the same
+    image, and the orbit is built over AGL(1, q)/{+-1}: the multipliers
+    b = v^k for k = 0..(q-3)/2 (one of each pair +-b, as -1 = v^((q-1)/2))
+    with all q translations, q(q-1)/2 kept maps.  Every call checks that
+    x -> -x fixes F and that no two kept images are equal, and raises
+    otherwise.  Together the two checks prove that Stab(F) = {+-1}: if
+    |Stab(F)| = 2k > 2, each coset g*Stab(F) is k cosets of {+-1}, each
+    holding one kept map, so k kept maps give the same image g(F).
+    Returns the orbit as a simple factorization of lambda*K_2n with
+    2n = q + 1 and lambda = (q-1)/2.
     """
     q = ctx.q
     half = (q - 1) // 2
-    cid, lo, hi = _pair_tables(q + 1)
+    lo, hi = _pair_tables(q + 1)
     f = base_factor(ctx)
-    base = [cid[u * (q + 1) + v] for u, v in zip(f[0::2], f[1::2])]  # canonical: ids ascend
-    if next(_affine_image_ids(ctx, cid, [half])) != base:
+    if _flat_factor(next(_affine_image_ids(ctx, f, [half])), lo, hi) != f:
         raise AssertionError(f"x -> -x does not fix the base factor of GF({q})")
-    orbit = sorted(_affine_image_ids(ctx, cid, range(half)))
+    orbit = sorted(_affine_image_ids(ctx, f, range(half)))
     if any(map(eq, orbit, orbit[1:])):
         raise AssertionError(f"an image repeats in the orbit of GF({q})")
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}

@@ -244,8 +244,12 @@ class _MulticoverSearch:
         its slack is >= 0, in N exactly when its need is > 0, and in
         S - t * ones (0 < t <= B) exactly when its slack is >= t, given
         that no slack is negative, which the prune test keeps at every
-        query.  The plain list `need` finds the pairs a pick finishes
-        without walking N's bits.
+        query.  So the least slack of an uncovered pair is t - 1 for the
+        least t at which S - t * ones clears the top bit of an uncovered
+        pair.  The query probes t = 1, then doubles t up to B and bisects,
+        so a least slack k costs about 2 log2(k) probes, not k + 1.  The
+        plain list `need` finds the pairs a pick finishes without walking
+        N's bits.
         """
         counts, vecs = self.counts, self.vecs
         by_pair, pair_ids = self.by_pair, self.pair_ids
@@ -253,7 +257,8 @@ class _MulticoverSearch:
         clock, deadline = time.monotonic, self.deadline
         w, ones = self.width, self.ones
         bias = 1 << (w - 1)
-        top = bias * ones
+        steps = [ones << j for j in range(w)]  # 2^j in every field
+        top = steps[-1]  # bias in every field
         S = (self.lam - lambda0 + bias) * ones
         N = (lambda0 + bias - 1) * ones
         need = [lambda0] * self.npairs
@@ -265,8 +270,18 @@ class _MulticoverSearch:
                 if not uncovered:
                     break
                 s = S - ones
-                while not (hit := uncovered ^ (uncovered & s)):
-                    s -= ones
+                if not (hit := uncovered ^ (uncovered & s)):
+                    # s = S - t * ones misses every uncovered pair: double t
+                    # until a probe hits, then bisect below that probe, keeping
+                    # s at the largest miss and hit at the least hit so far.
+                    j = 0
+                    while not (hit := uncovered ^ (uncovered & (probe := s - steps[j]))):
+                        s, j = probe, j + 1
+                    for j in range(j - 1, -1, -1):
+                        if low := uncovered ^ (uncovered & (probe := s - steps[j])):
+                            hit = low
+                        else:
+                            s = probe
                 e, i = ((hit & -hit).bit_length() - 1) // w, 0
             cands = by_pair[e]
             while i < len(cands) and not counts[cands[i]]:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -41,6 +42,26 @@ def _mul(ctx, a, b):
     if a == 0 or b == 0:
         return 0
     return ctx.exp[(ctx.log[a] + ctx.log[b]) % (ctx.q - 1)]
+
+
+def _stabilizer_order(ctx, f):
+    """Number of maps x -> x*v^k + a that send every edge of the flat
+    factor f to an edge of f, by this file's field arithmetic.
+
+    Every such map fixes infinity, so it must fix infinity's partner c:
+    a = c - c*v^k, one map to test per k.
+    """
+    q = ctx.q
+    fe = set(edges(f))
+    c = next(u for u, v in fe if v == q)
+    order = 0
+    for k in range(q - 1):
+        b = ctx.exp[k]
+        a = _add(ctx, c, _neg(ctx, _mul(ctx, c, b)))
+        images = ((_add(ctx, _mul(ctx, u, b), a), v if v == q else _add(ctx, _mul(ctx, v, b), a))
+                  for u, v in fe)
+        order += all((u, v) in fe or (v, u) in fe for u, v in images)
+    return order
 
 
 def test_field_ctx_gf3():
@@ -159,7 +180,7 @@ def test_base_factor_layer_sizes_and_differences():
             powers[_neg(ctx, ctx.exp[j])] = j
         layer_counts = Counter()
         for a, b in f:
-            if b == gf.infinity_id(ctx):
+            if b == ctx.q:
                 continue
             diff = _add(ctx, b, _neg(ctx, a))
             assert diff in powers
@@ -179,7 +200,7 @@ def test_orbit_factorization_gf5():
     assert mf.n == 3 and mf.lam == 2 and len(mf.factors) == 10
     assert validate_factorization(mf).valid
     assert is_simple(mf)[0]
-    assert gf.base_factor_stabilizer_order(ctx) == 2
+    assert _stabilizer_order(ctx, gf.base_factor(ctx)) == 2
 
 
 def test_orbit_factorization_gf7():
@@ -193,19 +214,20 @@ def test_orbit_size_matches_stabilizer():
         ctx = gf.field_ctx(p, m)
         mf = gf.agl_orbit_factorization(ctx)
         q = ctx.q
-        assert len(mf.factors) * gf.base_factor_stabilizer_order(ctx) == q * (q - 1)
+        assert len(mf.factors) * _stabilizer_order(ctx, gf.base_factor(ctx)) == q * (q - 1)
 
 
-def _affine_images(ctx):
-    """The flat factors of all q(q-1) images from the package's kernel, in
-    the reference's order: for each translation a, every multiplier.
+def _affine_images(ctx, f):
+    """The flat factors of all q(q-1) images of the flat canonical factor
+    f from the package's kernel, in the reference's order: for each
+    translation a, every multiplier.
 
     The kernel yields each multiplier's q translates, a = 0 first; one
     call per multiplier keeps them apart for the reordering.
     """
     q = ctx.q
-    cid, lo, hi = gf._pair_tables(q + 1)
-    per_b = [list(gf._affine_image_ids(ctx, cid, [k])) for k in range(q - 1)]
+    lo, hi = gf._pair_tables(q + 1)
+    per_b = [list(gf._affine_image_ids(ctx, f, [k])) for k in range(q - 1)]
     return [gf._flat_factor(per_b[k][a], lo, hi) for a in range(q) for k in range(q - 1)]
 
 
@@ -218,7 +240,7 @@ def test_halved_orbit_is_the_full_group_orbit(p, m):
                                    _neg(ctx, v) if v < q else v))) for u, v in edges(f))
     assert flat(negated) == f
     mf = gf.agl_orbit_factorization(ctx)
-    assert set(map(flat, mf.factors)) == set(_affine_images(ctx))
+    assert set(map(flat, mf.factors)) == set(_affine_images(ctx, f))
     assert len(mf.factors) == q * (q - 1) // 2
 
 
@@ -228,17 +250,16 @@ def test_affine_images_are_canonical_by_construction(p, m):
     # _affine_image_ids sorts the pair ids itself: each of the q(q-1)
     # images must already be the fixed point of the canonical form.
     ctx = gf.field_ctx(p, m)
-    images = _affine_images(ctx)
+    images = _affine_images(ctx, gf.base_factor(ctx))
     assert len(images) == ctx.q * (ctx.q - 1)
     assert all(canonicalize_factor(f, ctx.q + 1) == f for f in images)
 
 
-def _reference_images(ctx):
-    """Every image of the base factor under x -> x*v^k + a, a = 0..q-1 and,
-    for each a, k = 0..q-2, built edge by edge with this file's field
+def _reference_images(ctx, f):
+    """Every image of the flat factor f under x -> x*v^k + a, a = 0..q-1
+    and, for each a, k = 0..q-2, built edge by edge with this file's field
     arithmetic: map both endpoints, order the pair, sort the edges."""
     q = ctx.q
-    f = gf.base_factor(ctx)
     for a in range(q):
         for k in range(q - 1):
             vmap = [_add(ctx, _mul(ctx, x, ctx.exp[k]), a) for x in range(q)] + [q]
@@ -253,7 +274,22 @@ def _reference_images(ctx):
 @pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)])
 def test_affine_images_match_the_edgewise_reference(p, m):
     ctx = gf.field_ctx(p, m)
-    assert _affine_images(ctx) == list(_reference_images(ctx))
+    f = gf.base_factor(ctx)
+    assert _affine_images(ctx, f) == list(_reference_images(ctx, f))
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (3, 2), (11, 1), (5, 2), (3, 3)])
+def test_affine_images_of_random_matchings_match_the_edgewise_reference(p, m):
+    # The kernel takes any factor, not only the base factor: three
+    # perfect matchings of GF(q) + {infinity} drawn at random.
+    ctx = gf.field_ctx(p, m)
+    q = ctx.q
+    rng = random.Random(q)
+    for _ in range(3):
+        vertices = list(range(q + 1))
+        rng.shuffle(vertices)
+        f = canonicalize_factor(vertices, q + 1)
+        assert _affine_images(ctx, f) == list(_reference_images(ctx, f))
 
 
 def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
@@ -267,16 +303,18 @@ def test_orbit_build_refuses_a_base_factor_with_a_larger_stabilizer(monkeypatch)
     # x -> 2x fixes {0, inf}, {1, 4}, {2, 3} as x -> -x does: the halved
     # maps give each image twice, and a set of them would be no factorization.
     monkeypatch.setattr(gf, "base_factor", lambda ctx: (0, 5, 1, 4, 2, 3))
-    assert gf.base_factor_stabilizer_order(gf.field_ctx(5, 1)) == 4
+    ctx = gf.field_ctx(5, 1)
+    assert _stabilizer_order(ctx, gf.base_factor(ctx)) == 4
     with pytest.raises(AssertionError, match="image repeats"):
-        gf.agl_orbit_factorization(gf.field_ctx(5, 1))
+        gf.agl_orbit_factorization(ctx)
 
 
 def test_base_factor_stabilizer_is_plus_minus_one_below_100():
     qs = [(p, m) for p in range(3, 100) for m in range(1, 5) if gf.is_prime(p) and p ** m < 100]
     assert len(qs) == 29
     for p, m in qs:
-        assert gf.base_factor_stabilizer_order(gf.field_ctx(p, m)) == 2, (p, m)
+        ctx = gf.field_ctx(p, m)
+        assert _stabilizer_order(ctx, gf.base_factor(ctx)) == 2, (p, m)
 
 
 def _format2_text(mf) -> str:
