@@ -161,7 +161,37 @@ def _is_canonical_matching(f, nv: int, stamps: list[int], r: int) -> bool:
     return True
 
 
-class MultiFactorization:
+class Record:
+    """An immutable record whose equality, hash and repr read the fields
+    that the class attribute `_key` names.
+
+    A subclass's `__init__` fills `vars(self)`, and `cached_property`
+    writes there too; any other assignment or deletion raises.  Records
+    compare equal only to records of the same type.
+    """
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._key))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._key, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class MultiFactorization(Record):
     """A multiset of 1-factors of lambda*K_2n plus its model tag.
 
     `runs` holds each distinct canonical factor once, in sorted order,
@@ -169,29 +199,17 @@ class MultiFactorization:
     keep that form; `make` builds one from outside input.  `model` records
     how vertex ids were produced, e.g. {"tag": "cyclic", "n": 5} or
     {"tag": "field", "p": 5, "m": 1, "modulus": [3, 1]} or, by default, a
-    fresh {"tag": "plain"}.  Immutable; not a tuple, so that `len` and
-    iteration do not read as its factors.
+    fresh {"tag": "plain"}.  Unhashable, as `model` is a dict; not a
+    tuple, so that `len` and iteration do not read as its factors.
     """
+
+    _key = ("n", "lam", "runs", "model")
+    __hash__ = None
 
     def __init__(self, n: int, lam: int, runs: tuple[tuple[OneFactor, int], ...],
                  model: dict | None = None):
         vars(self).update(n=n, lam=lam, runs=runs,
                           model={"tag": "plain"} if model is None else model)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not MultiFactorization:
-            return NotImplemented
-        return ((self.n, self.lam, self.runs, self.model)
-                == (other.n, other.lam, other.runs, other.model))
-
-    def __repr__(self):
-        return (f"MultiFactorization(n={self.n!r}, lam={self.lam!r}, "
-                f"runs={self.runs!r}, model={self.model!r})")
 
     @classmethod
     def make(cls, n: int, lam: int, factors, model=None) -> "MultiFactorization":

@@ -9,8 +9,8 @@ extra vertex "infinity" with id q.  The affine maps x -> x*b + a (b != 0)
 fix infinity and act on edges and factors vertexwise.  x -> -x fixes the
 base factor, so the orbit runs over AGL(1, q)/{+-1} and each of its
 q(q-1)/2 factors is built once; the build checks that x -> -x fixes the
-base factor and that no image repeats, which together prove its
-stabilizer is {x, -x}.
+base factor, by mapping its own vertices, and that no image repeats,
+which together prove its stabilizer is {x, -x}.
 
 The orbit is built on the dense pair ids of `core.pair_rows`: an image is
 the sorted list of its edges' ids.  A translation keeps the difference of
@@ -28,7 +28,8 @@ from __future__ import annotations
 from itertools import chain, product, repeat
 from operator import eq, itemgetter
 
-from .core import MultiFactorization, OneFactor, canonicalize_factor, pair_rows, vertex_ids
+from .core import (MultiFactorization, OneFactor, Record, canonicalize_factor, pair_rows,
+                   vertex_ids)
 
 
 class NotPrime(ValueError):
@@ -43,7 +44,7 @@ class BadDegree(ValueError):
     """m must be >= 1."""
 
 
-class FieldCtx:
+class FieldCtx(Record):
     """Odd prime p, degree m, monic primitive modulus and its power tables.
 
     `modulus` stores the m+1 coefficients constant-term first; the residue
@@ -53,25 +54,11 @@ class FieldCtx:
     so equality, hashing and repr leave them out.
     """
 
+    _key = ("p", "m", "modulus")
+
     def __init__(self, p: int, m: int, modulus: tuple[int, ...],
                  exp: tuple[int, ...], log: tuple[int | None, ...]):
         vars(self).update(p=p, m=m, modulus=modulus, exp=exp, log=log)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not FieldCtx:
-            return NotImplemented
-        return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
-    def __repr__(self):
-        return f"FieldCtx(p={self.p!r}, m={self.m!r}, modulus={self.modulus!r})"
 
     @property
     def q(self) -> int:
@@ -230,7 +217,8 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     image, and the orbit is built over AGL(1, q)/{+-1}: the multipliers
     b = v^k for k = 0..(q-3)/2 (one of each pair +-b, as -1 = v^((q-1)/2))
     with all q translations, q(q-1)/2 kept maps.  Every call checks that
-    x -> -x fixes F and that no two kept images are equal, and raises
+    x -> -x fixes F, by mapping F's own vertices and canonicalizing the
+    result, and that no two kept images are equal, and raises
     otherwise.  Together the two checks prove that Stab(F) = {+-1}: if
     |Stab(F)| = 2k > 2, each coset g*Stab(F) is k cosets of {+-1}, each
     holding one kept map, so k kept maps give the same image g(F).
@@ -241,7 +229,8 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     half = (q - 1) // 2
     lo, hi = _pair_tables(q + 1)
     f = base_factor(ctx)
-    if _flat_factor(next(_affine_image_ids(ctx, f, [half])), lo, hi) != f:
+    neg = _scaling(ctx, half)  # x -> -x
+    if canonicalize_factor([neg[x] for x in f], q + 1) != f:
         raise AssertionError(f"x -> -x does not fix the base factor of GF({q})")
     orbit = sorted(_affine_image_ids(ctx, f, range(half)))
     if any(map(eq, orbit, orbit[1:])):

@@ -36,7 +36,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 from operator import add
 
-from .core import MultiFactorization
+from .core import MultiFactorization, Record
 from . import cyclic
 
 PROVEN = "proven"
@@ -74,30 +74,16 @@ class OrderingFailed(ValueError):
     """The greedy private-orbit ordering could not mark every starter."""
 
 
-class StarterSet:
+class StarterSet(Record):
     """Starters for the assembly as permutations of Z_n, checked when made."""
+
+    _key = ("n", "lam", "perms")
 
     def __init__(self, n: int, lam: int, perms: tuple[tuple[int, ...], ...]):
         vars(self).update(n=n, lam=lam, perms=perms)
         violations = check_starter_conditions(self)
         if violations:
             raise PreconditionFailed("starter conditions violated", violations)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not StarterSet:
-            return NotImplemented
-        return (self.n, self.lam, self.perms) == (other.n, other.lam, other.perms)
-
-    def __hash__(self):
-        return hash((self.n, self.lam, self.perms))
-
-    def __repr__(self):
-        return f"StarterSet(n={self.n!r}, lam={self.lam!r}, perms={self.perms!r})"
 
     @classmethod
     def from_profiles(cls, n: int, lam: int, profiles) -> "StarterSet":

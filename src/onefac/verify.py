@@ -132,9 +132,12 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
     full exhaustion of every target, or EXHAUSTED on budget stop.
     `validity` is `validate_factorization(mf)` when the caller already
     has it; otherwise it is computed here.  Raises InvalidInput, before
-    validating, when the packed run vectors would pass MAX_COUNTER_BYTES.
+    validating, when the packed run vectors would pass MAX_COUNTER_BYTES
+    or `lambda0` is outside 0 < lambda0 < lam.
     """
     check_searchable(mf)
+    if lambda0 is not None and not 0 < lambda0 < mf.lam:
+        raise InvalidInput(f"lambda0 = {lambda0} out of range")
     start = time.monotonic()  # validating is charged to max_seconds too
     if validity is None:
         validity = validate_factorization(mf)
@@ -142,8 +145,6 @@ def find_subfactorization(mf: MultiFactorization, lambda0: int | None = None,
         raise InvalidInput("input is not a valid 1-factorization")
     budget = budget or SearchBudget()
     targets = [lambda0] if lambda0 is not None else list(range(1, mf.lam // 2 + 1))
-    if lambda0 is not None and not 0 < lambda0 < mf.lam:
-        raise InvalidInput(f"lambda0 = {lambda0} out of range")
     try:
         searcher = _MulticoverSearch(mf, budget, start)
     except _BudgetStop:  # out of time while building the vectors: nothing searched

@@ -299,6 +299,23 @@ def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
         gf.agl_orbit_factorization(gf.field_ctx(5, 1))
 
 
+def test_orbit_build_runs_the_image_kernel_once(monkeypatch):
+    # The x -> -x check maps the base factor's own vertices; only the
+    # orbit itself goes through the kernel.
+    calls = []
+    kernel = gf._affine_image_ids
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(gf, "_affine_image_ids", counting)
+    for p, m in [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3)]:
+        calls.clear()
+        mf = gf.agl_orbit_factorization(gf.field_ctx(p, m))
+        assert len(calls) == 1 and len(mf.runs) == p ** m * (p ** m - 1) // 2, (p, m)
+
+
 def test_orbit_build_refuses_a_base_factor_with_a_larger_stabilizer(monkeypatch):
     # x -> 2x fixes {0, inf}, {1, 4}, {2, 3} as x -> -x does: the halved
     # maps give each image twice, and a set of them would be no factorization.

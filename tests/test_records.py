@@ -133,3 +133,35 @@ def test_starter_set_checks_through_the_module_global(monkeypatch):
     with pytest.raises(starters.PreconditionFailed, match="refused"):
         starters.StarterSet(5, 2, P2_PERMS)
     assert len(seen) == 1 and seen[0].perms == P2_PERMS
+
+
+def test_starter_sets_and_field_contexts_are_not_sequences():
+    for record in (starters.StarterSet(5, 2, P2_PERMS), gf.field_ctx(3, 2)):
+        with pytest.raises(TypeError):
+            len(record)
+        with pytest.raises(TypeError):
+            iter(record)
+
+
+def test_a_record_never_equals_the_tuple_of_its_key_values():
+    ctx = gf.field_ctx(3, 2)
+    s = starters.StarterSet(5, 2, P2_PERMS)
+    mf = k4_double()
+    for record, values in [(ctx, (3, 2, (2, 1, 1))), (s, (5, 2, P2_PERMS)),
+                           (mf, (2, 2, mf.runs, {"tag": "plain"}))]:
+        assert record != values and values != record
+        assert not record == values and not values == record
+
+
+def test_cached_properties_are_computed_once_and_records_stay_frozen():
+    mf = k4_double()
+    assert mf.factors is mf.factors and len(mf.factors) == 6
+    s = starters.StarterSet(5, 2, P2_PERMS)
+    assert s.profiles is s.profiles and s.totals is s.totals and s.orbit_b == s.orbit_b
+    for record, name in [(mf, "factors"), (mf, "n"), (s, "profiles"), (s, "totals"),
+                         (s, "perms")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert mf == k4_double() and s == starters.StarterSet(5, 2, P2_PERMS)

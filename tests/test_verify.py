@@ -210,6 +210,18 @@ def test_lambda0_parameter_restricts_search():
         verify.find_subfactorization(mf, lambda0=2)  # not < lambda
 
 
+def test_an_out_of_range_lambda0_is_refused_before_validating(monkeypatch):
+    def validate(mf):
+        raise AssertionError("validated before lambda0 was checked")
+
+    monkeypatch.setattr(verify, "validate_factorization", validate)
+    invalid = MultiFactorization(2, 2, ())  # no factors at all
+    for mf in (gk4_doubled(), invalid):
+        for lambda0 in (0, 2, -1):
+            with pytest.raises(verify.InvalidInput, match=f"lambda0 = {lambda0} out of range"):
+                verify.find_subfactorization(mf, lambda0=lambda0)
+
+
 def test_budget_exhaustion_is_reported_distinctly():
     mf = families.construct(6, 4)
     res = verify.find_subfactorization(
