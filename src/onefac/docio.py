@@ -3,57 +3,79 @@
 Both are JSON with a `format` version field, serialized canonically
 (sorted keys, compact separators, trailing newline) so golden tests can
 compare bytes; a profile is written as sorted [orbit, count] pairs.  A
-factorization document (format 3) stores the model block, n, lambda, the
+factorization document (format 4) stores the model block, n, lambda, the
 distinct factors in canonical sorted order (`factors`) and, in a parallel
 array, how often each one occurs (`counts`): the runs of
-`MultiFactorization`, written as they are held.  Each factor is one flat
-array [u0, v0, u1, v1, ...] of its n canonical edges, as the package
-holds it.  Catalog
-factorizations repeat most factors, so a document costs time and bytes
-per distinct factor.  Format 2 wrote each factor as n [u, v] arrays, and
-format 1 listed every copy as format 2 does and had no `counts`; both
-are still read, format 1 as a document whose counts are all 1.
+`MultiFactorization`, written as they are held.  Each factor is one
+string, the lowercase hex of its 2n vertex ids u0, v0, u1, v1, ... in
+order, each id big-endian in the fewest of 1, 2 or 4 bytes that hold
+2n - 1 (so the width follows from n: 1 byte up to n = 128, 2 bytes up
+to n = 32768).  Catalog factorizations repeat most factors, so a
+document costs time and bytes per distinct factor.  Format 3 wrote each
+factor as one flat array of its vertex ids, format 2 as n [u, v] arrays,
+and format 1 listed every copy as format 2 does and had no `counts`;
+all three are still read, format 1 as a document whose counts are all 1.
 
-A format 3 document as the package writes it is read as its runs: each
-factor, a list of exactly 2n vertices, becomes the tuple of them once its
-consecutive pairs pass the canonical-matching stamp test, the factors
-are strictly increasing, and those tuples zipped with `counts` are the
-runs as they are, with no pass over the copies and no re-count or
-re-sort.  Any other document (format 1 or 2, factors out of order or
-repeated, edges not in canonical form, a vertex that is not an integer)
-takes the general path: a format 3 factor is cut into pairs (an odd
-trailing vertex becomes a one-element edge), every vertex's type is
-tested, then `MultiFactorization.make` expands, canonicalizes, counts
+A format 4 document whose factors are not all strings of exactly that
+many lowercase hex digits is a ParseError.  The factors are decoded at
+once, with one `bytes.fromhex` and one `struct` layout; past 256
+vertices the ids are taken from `core.vertex_ids`, so the runs share one
+int object per vertex as built runs do.  A document as the package
+writes it is read as its runs: each factor passes the canonical-matching
+stamp test, the factors are strictly increasing, and zipped with
+`counts` they are the runs, with no pass over the copies and no re-count
+or re-sort.  Any other document takes the general path: format 4
+factors that decode but are not canonical, sorted or distinct, and every
+format 1, 2 or 3 document (a format 3 factor is cut into pairs, an odd
+trailing vertex becoming a one-element edge, and every vertex's type is
+tested).  There `MultiFactorization.make` expands, canonicalizes, counts
 and sorts the copies, or raises.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from operator import lt
+import struct
+from itertools import chain, count, repeat
+from operator import itemgetter, lt
 
-from .core import FactorError, MultiFactorization, _is_canonical_matching
+from .core import FactorError, MultiFactorization, _is_canonical_matching, vertex_ids
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # The general read lists the copies of each factor, so without this bound
 # a short document with a count of 10**12 would ask for terabytes.  The
 # catalog's (n, lambda) = (1000, 998) has 1,995,002 factors.
 MAX_FACTORS = 10_000_000
 
+# The struct codes of big-endian unsigned ints of 1, 2 and 4 bytes.
+_ID_CODES = {1: "B", 2: "H", 4: "I"}
+
 
 class ParseError(ValueError):
     """Document text is not a well-formed factorization document."""
 
 
+def _width(nv: int) -> int:
+    """Bytes per vertex id in a format 4 factor on nv vertices: the fewest
+    of 1, 2 or 4 that hold nv - 1."""
+    return 1 if nv <= 1 << 8 else 2 if nv <= 1 << 16 else 4
+
+
+def _layout(nv: int) -> struct.Struct:
+    """The bytes of a format 4 factor: its nv vertex ids, big-endian,
+    `_width(nv)` bytes each."""
+    return struct.Struct(f">{nv}{_ID_CODES[_width(nv)]}")
+
+
 def document_from_mf(mf: MultiFactorization) -> dict:
+    pack = _layout(2 * mf.n).pack
     return {
         "format": FORMAT_VERSION,
         "model": dict(mf.model),
         "n": mf.n,
         "lambda": mf.lam,
-        "factors": [list(f) for f, _ in mf.runs],
+        "factors": [pack(*f).hex() for f, _ in mf.runs],
         "counts": [k for _, k in mf.runs],
     }
 
@@ -62,7 +84,7 @@ def mf_from_document(doc: dict) -> MultiFactorization:
     try:
         fmt = doc["format"]
         # JSON true and false load as bool, a subclass of int: test the type.
-        if type(fmt) is not int or fmt not in (1, 2, FORMAT_VERSION):
+        if type(fmt) is not int or fmt not in (1, 2, 3, FORMAT_VERSION):
             raise ParseError(f"unsupported format {fmt!r}")
         n = doc["n"]
         lam = doc["lambda"]
@@ -80,12 +102,15 @@ def mf_from_document(doc: dict) -> MultiFactorization:
         if sum(counts) > MAX_FACTORS:
             raise ParseError(f"counts total {sum(counts)} factors, more than {MAX_FACTORS}")
         if fmt == FORMAT_VERSION:
+            factors = _unpacked(n, factors)
             runs = _written_runs(n, factors, counts)
             if runs is not None:
                 return MultiFactorization(n, lam, runs, dict(model))
-            factors = [[f[i:i + 2] for i in range(0, len(f), 2)] for f in factors]
-        if {*map(type, chain.from_iterable(chain.from_iterable(factors)))} - {int}:
-            raise ParseError("every vertex id must be an integer")
+        else:
+            if fmt == 3:
+                factors = [[f[i:i + 2] for i in range(0, len(f), 2)] for f in factors]
+            if {*map(type, chain.from_iterable(chain.from_iterable(factors)))} - {int}:
+                raise ParseError("every vertex id must be an integer")
         return MultiFactorization.make(n, lam, chain.from_iterable(map(repeat, factors, counts)),
                                        model)
     except ParseError:
@@ -94,29 +119,56 @@ def mf_from_document(doc: dict) -> MultiFactorization:
         raise ParseError(f"malformed document: {exc}") from exc
 
 
-def _written_runs(n: int, factors: list, counts: list) -> tuple | None:
-    """The runs of a format 3 document in the form `document_from_mf`
-    writes, or None for any other format 3 document.
+def _unpacked(n: int, factors: list) -> list:
+    """The factors of a format 4 document as tuples of vertex ids.
 
-    Each factor must be a list of exactly 2n vertices whose n consecutive
-    pairs pass `_is_canonical_matching` (one stamp list shared by the
-    runs), and the factors must be strictly increasing.  A JSON float,
-    string, null or array fails the stamp test; a bool passes it only as
-    vertex 0 or 1, which in a canonical perfect matching sit at f[0], f[1]
-    or f[2], so those three are type-tested.
+    Every factor must be a string of exactly 2n ids of `_width(2n)` bytes
+    in lowercase hex; otherwise this raises ParseError.  The factors are
+    joined and decoded at once, and the text must be the hex of what it
+    decodes to, which rejects uppercase digits and the whitespace
+    `bytes.fromhex` would skip.
     """
-    nv, stamps, fs = 2 * n, None, []
-    for r, f in enumerate(factors):
-        if type(f) is not list or len(f) != nv:
-            return None
-        stamps = stamps or [-1] * nv  # O(n): the first factor of the right size pays
-        if (not _is_canonical_matching(f, nv, stamps, r)
-                or bool in (type(f[0]), type(f[1]), type(f[2]))):
-            return None
-        fs.append(tuple(f))
-    if not all(map(lt, fs, fs[1:])):
+    if type(factors) is not list:
+        raise ParseError("factors must be a list")
+    if not factors:  # n is then bounded by nothing the document holds
+        return []
+    nv = 2 * n
+    width = _width(nv)
+    text = None
+    if {*map(type, factors)} == {str} and {*map(len, factors)} == {2 * width * nv}:
+        text = "".join(factors)
+    try:
+        blob = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        blob = None
+    if blob is None or blob.hex() != text:
+        raise ParseError(f"every factor must be {nv} vertex ids as {width}-byte lowercase hex")
+    layout = _layout(nv)  # no larger than a factor, so than the document
+    if width > 1:
+        # Ids past 255 unpack to int objects of their own: take them from
+        # `vertex_ids`, as built runs do.
+        shared = vertex_ids(nv)
+        try:
+            return [itemgetter(*f)(shared) for f in layout.iter_unpack(blob)]
+        except IndexError:  # an id >= 2n, which `make` reports
+            pass
+    return list(layout.iter_unpack(blob))
+
+
+def _written_runs(n: int, factors: list, counts: list) -> tuple | None:
+    """The runs of unpacked format 4 factors in the form `document_from_mf`
+    writes, or None for any other.
+
+    The n consecutive pairs of each factor must pass
+    `_is_canonical_matching` (one stamp list shared by the factors), and
+    the factors must be strictly increasing.
+    """
+    nv = 2 * n
+    stamps = [-1] * nv if factors else None
+    if not (all(map(_is_canonical_matching, factors, repeat(nv), repeat(stamps), count()))
+            and all(map(lt, factors, factors[1:]))):
         return None
-    return tuple(zip(fs, counts))
+    return tuple(zip(factors, counts))
 
 
 def serialize(doc: dict) -> str:

@@ -1,4 +1,5 @@
 import json
+import operator
 from itertools import chain
 from pathlib import Path
 
@@ -94,6 +95,31 @@ def test_make_rejects_malformed_factor():
         MultiFactorization.make(2, 1, [((0, 1), (1, 2))])
 
 
+def _hex_width(n: int) -> int:
+    """Bytes per vertex id in a format 4 factor: the fewest of 1, 2 or 4
+    that hold 2n - 1."""
+    return next(w for w in (1, 2, 4) if 2 * n - 1 < 256 ** w)
+
+
+def _hex_ids(n: int, factors: list) -> list:
+    """Reference decoder: each format 4 factor as the list of its vertex
+    ids, read digit group by digit group, or the reader's ParseError."""
+    if type(factors) is not list:
+        raise docio.ParseError("factors must be a list")
+    nv, w = 2 * n, _hex_width(n)
+    out = []
+    for f in factors:
+        if not (type(f) is str and len(f) == 2 * w * nv and set(f) <= set("0123456789abcdef")):
+            raise docio.ParseError(f"every factor must be {nv} vertex ids as {w}-byte lowercase hex")
+        out.append([int(f[j:j + 2 * w], 16) for j in range(0, len(f), 2 * w)])
+    return out
+
+
+def _format3(doc: dict) -> dict:
+    """The format-3 form of a format-4 document: each factor as a flat array."""
+    return dict(doc, format=3, factors=_hex_ids(doc["n"], doc["factors"]))
+
+
 def _format2(doc: dict) -> dict:
     """The format-2 form of a format-3 document: each factor as [u, v] arrays."""
     return dict(doc, format=2, factors=[[f[i:i + 2] for i in range(0, len(f), 2)]
@@ -114,12 +140,14 @@ def _refuse_make(*args, **kwargs):
 def test_format1_golden_reads_like_format2(monkeypatch):
     # Goldens written by each format's version of document_from_mf.
     docs = [docio.parse((GOLDEN / name).read_text())
-            for name in ("t3_p3m1_format1.json", "t3_p3m1_format2.json", "t3_p3m1.json")]
-    assert [doc["format"] for doc in docs] == [1, 2, 3]
+            for name in ("t3_p3m1_format1.json", "t3_p3m1_format2.json",
+                         "t3_p3m1_format3.json", "t3_p3m1.json")]
+    assert [doc["format"] for doc in docs] == [1, 2, 3, 4]
     mf = docio.mf_from_document(docs[0])
     assert docio.mf_from_document(docs[1]) == mf
-    monkeypatch.setattr(MultiFactorization, "make", _refuse_make)
     assert docio.mf_from_document(docs[2]) == mf
+    monkeypatch.setattr(MultiFactorization, "make", _refuse_make)
+    assert docio.mf_from_document(docs[3]) == mf
 
 
 def _catalog_documents():
@@ -139,15 +167,17 @@ def _differential_documents():
 
 
 def test_format1_catalog_documents_read_like_format2(monkeypatch):
-    # Formats 1, 2 and 3 of every catalog document for n = 5..14 and of
-    # GF q = 9, 11, 27 read to one factorization; format 3 as written reads
+    # Formats 1, 2, 3 and 4 of every catalog document for n = 5..14 and of
+    # GF q = 9, 11, 27 read to one factorization; format 4 as written reads
     # as its runs, without MultiFactorization.make.
     for doc in _differential_documents():
         key = (doc["model"], doc["n"], doc["lambda"])
-        old = _format1(doc)
+        flat = _format3(doc)
+        old = _format1(flat)
         assert len(old["factors"]) == doc["lambda"] * (2 * doc["n"] - 1)
         mf = docio.mf_from_document(old)
-        assert docio.mf_from_document(_format2(doc)) == mf, key
+        assert docio.mf_from_document(_format2(flat)) == mf, key
+        assert docio.mf_from_document(flat) == mf, key
         with monkeypatch.context() as m:
             m.setattr(MultiFactorization, "make", _refuse_make)
             assert docio.mf_from_document(doc) == mf, key
@@ -161,7 +191,7 @@ def _check_document(doc: dict) -> None:
     """One entry per distinct factor, counts summing to lambda(2n - 1), plain
     sorted-key JSON bytes and a byte-identical round trip."""
     key = (doc["model"], doc["n"], doc["lambda"])
-    factors = [tuple(f) for f in doc["factors"]]
+    factors = [tuple(f) for f in _format3(doc)["factors"]]
     assert factors == sorted(set(factors)), key
     assert {len(f) for f in factors} == {2 * doc["n"]}, key
     assert sum(doc["counts"]) == doc["lambda"] * (2 * doc["n"] - 1), key
@@ -186,11 +216,12 @@ def test_serialize_matches_plain_json_on_field_documents(p, m):
 
 def _general_read(doc: dict) -> MultiFactorization:
     """Reference: the reader before written documents were read as their runs,
-    which cuts a format 3 factor into pairs, tests every vertex's type and
-    then hands every copy to `make`."""
+    which decodes a format 4 factor with `_hex_ids`, cuts a format 3 or 4
+    factor into pairs, tests every vertex's type and then hands every copy
+    to `make`."""
     try:
         fmt = doc["format"]
-        if type(fmt) is not int or fmt not in (1, 2, 3):
+        if type(fmt) is not int or fmt not in (1, 2, 3, 4):
             raise docio.ParseError(f"unsupported format {fmt!r}")
         n = doc["n"]
         lam = doc["lambda"]
@@ -208,7 +239,9 @@ def _general_read(doc: dict) -> MultiFactorization:
         if sum(counts) > docio.MAX_FACTORS:
             raise docio.ParseError(
                 f"counts total {sum(counts)} factors, more than {docio.MAX_FACTORS}")
-        if fmt == 3:
+        if fmt == 4:
+            factors = _hex_ids(n, factors)
+        if fmt >= 3:
             factors = [[f[i:i + 2] for i in range(0, len(f), 2)] for f in factors]
         if {type(x) for f in factors for e in f for x in e} - {int}:
             raise docio.ParseError("every vertex id must be an integer")
@@ -310,13 +343,84 @@ def _flat_variants(doc: dict):
     yield from _exchanged_and_repeated(doc)
 
 
+def _hex_variants(doc: dict):
+    """A format 4 doc with one change each: a factor that is not a string
+    of lowercase hex of the right length, or decodes to a factor that is
+    not canonical, and factors out of order or repeated."""
+    fs, n = doc["factors"], doc["n"]
+    step = 2 * _hex_width(n)
+
+    def with_factor(r, f):
+        return dict(doc, factors=fs[:r] + [f] + fs[r + 1:])
+
+    for r in (0, len(fs) - 1):
+        f = fs[r]
+        ids = [f[j:j + step] for j in range(0, len(f), step)]
+        for other in (_hex_ids(n, [f])[0], None):  # not a string
+            yield with_factor(r, other)
+        yield with_factor(r, f[:-1])  # odd length
+        yield with_factor(r, f[:-step])  # one id short
+        yield with_factor(r, f + f[-step:])  # one id long
+        yield with_factor(r, "g" + f[1:])  # a non-hex digit
+        yield with_factor(r, f[:-1] + "\u0660")  # a non-ASCII digit
+        if f.upper() != f:
+            yield with_factor(r, f.upper())  # uppercase hex
+        yield with_factor(r, f[:2] + " " + f[2:-1])  # whitespace, the right length
+        yield with_factor(r, f[:2] + "\n" + f[2:])  # whitespace, one character long
+        yield with_factor(r, "".join(ids[:-1]) + format(2 * n, f"0{step}x"))  # an id = 2n
+        yield with_factor(r, "".join(ids[:-1]) + "f" * step)  # the largest id
+        yield with_factor(r, "".join(ids[1::-1] + ids[2:]))  # an edge written (v, u)
+        yield with_factor(r, "".join(ids[2:4] + ids[:2] + ids[4:]))  # two edges exchanged
+        yield with_factor(r, "".join(ids[:2] + ids[:2] + ids[4:]))  # an edge repeated
+        yield with_factor(r, "".join(ids[:1] * 2 + ids[2:]))  # a vertex repeated in an edge
+    yield dict(doc, factors=dict.fromkeys(fs, 1))  # an object, whose keys are the factors
+    yield from _exchanged_and_repeated(doc)
+
+
+def _wide_document() -> dict:
+    """A document with 2-byte vertex ids: four factors of the round robin
+    on 2n = 258."""
+    return docio.document_from_mf(
+        MultiFactorization.make(129, 1, cyclic.lucas_factorization(258)[:4]))
+
+
 def test_written_documents_read_as_runs_like_the_general_read():
     for doc in _differential_documents():
         key = (doc["model"], doc["n"], doc["lambda"])
-        old = _format2(doc)
-        assert docio._written_runs(doc["n"], doc["factors"], doc["counts"]) is not None, key
-        for d in (doc, old):
+        flat = _format3(doc)
+        old = _format2(flat)
+        factors = docio._unpacked(doc["n"], doc["factors"])
+        assert docio._written_runs(doc["n"], factors, doc["counts"]) is not None, key
+        for d in (doc, flat, old):
             assert docio.mf_from_document(d) == _general_read(d), key
-        for new in chain(_flat_variants(doc), _variants(old)):
+        for new in chain(_hex_variants(doc), _flat_variants(flat), _variants(old)):
             assert _outcome(docio.mf_from_document, new) == _outcome(_general_read, new), \
                 (key, new["format"], new["factors"])
+    wide = _wide_document()
+    assert len(wide["factors"][0]) == 4 * 258
+    assert docio.mf_from_document(wide) == _general_read(wide)
+    for new in _hex_variants(wide):
+        assert _outcome(docio.mf_from_document, new) == _outcome(_general_read, new), \
+            (new["format"], new["factors"])
+
+
+@pytest.mark.parametrize("n, width", [(128, 1), (129, 2), (32768, 2), (32769, 4)])
+def test_format4_id_width_follows_n(n, width):
+    # One factor, the edges (0, 1), (2, 3), ...: its string holds 2n ids of
+    # `width` bytes, and past 256 vertices the ids read back are the
+    # shared int objects of vertex_ids.
+    mf = MultiFactorization.make(n, 1, [tuple(range(2 * n))])
+    doc = docio.parse(docio.serialize(docio.document_from_mf(mf)))
+    assert len(doc["factors"][0]) == 2 * width * 2 * n
+    back = docio.mf_from_document(doc)
+    assert back == mf
+    if n > 128:
+        assert all(map(operator.is_, back.runs[0][0], core.vertex_ids(2 * n)))
+
+
+def test_empty_format4_document_reads_without_vertex_ids():
+    # No factor bounds n, so a document with n = 2**31 and no factors
+    # must read without building the 2**32 shared vertex ids.
+    doc = {"format": 4, "model": {"tag": "plain"}, "n": 2 ** 31, "lambda": 1,
+           "factors": [], "counts": []}
+    assert docio.mf_from_document(doc).runs == ()

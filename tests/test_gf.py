@@ -350,12 +350,27 @@ def _format2_text(mf) -> str:
     })
 
 
-def _format3_digest(mfs) -> str:
-    """sha256 of the package's documents of mfs, concatenated in order."""
-    digest = hashlib.sha256()
+def _format3_text(mf) -> str:
+    """The document of mf as format 3 wrote it: each factor as one flat
+    array of its 2n vertex ids."""
+    return docio.serialize({
+        "format": 3,
+        "model": dict(mf.model),
+        "n": mf.n,
+        "lambda": mf.lam,
+        "factors": [list(f) for f, _ in mf.runs],
+        "counts": [k for _, k in mf.runs],
+    })
+
+
+def _digests(mfs) -> tuple[str, str]:
+    """sha256 of the format 3 renderings and of the package's (format 4)
+    documents of mfs, each concatenated in order."""
+    digest3, digest4 = hashlib.sha256(), hashlib.sha256()
     for mf in mfs:
-        digest.update(docio.serialize(docio.document_from_mf(mf)).encode())
-    return digest.hexdigest()
+        digest3.update(_format3_text(mf).encode())
+        digest4.update(docio.serialize(docio.document_from_mf(mf)).encode())
+    return digest3.hexdigest(), digest4.hexdigest()
 
 
 # sha256 of the format 2 field documents, with m = 1 and m > 1; the
@@ -381,15 +396,16 @@ def test_field_document_bytes_pinned(p, m):
     assert hashlib.sha256(text.encode()).hexdigest() == FIELD_DOCUMENT_SHA256[(p, m)]
 
 
-# sha256 of the package's (format 3) documents of FIELD_DOCUMENT_SHA256,
-# concatenated in key order.
+# sha256 of the format 3 and of the package's (format 4) documents of
+# FIELD_DOCUMENT_SHA256, concatenated in key order.
 FIELD_DOCUMENTS_FORMAT3_SHA256 = "4647f4678a9f887ecae73611f2747fec83eb14592cf16031252ca6c71602c37c"
+FIELD_DOCUMENTS_FORMAT4_SHA256 = "26669f78793857756d95070f88ad0fd571765ba2e96bea8150d80f2e64361b87"
 
 
 def test_field_documents_format3_bytes_pinned():
-    assert _format3_digest(gf.agl_orbit_factorization(gf.field_ctx(p, m))
-                           for p, m in sorted(FIELD_DOCUMENT_SHA256)) \
-        == FIELD_DOCUMENTS_FORMAT3_SHA256
+    assert _digests(gf.agl_orbit_factorization(gf.field_ctx(p, m))
+                    for p, m in sorted(FIELD_DOCUMENT_SHA256)) \
+        == (FIELD_DOCUMENTS_FORMAT3_SHA256, FIELD_DOCUMENTS_FORMAT4_SHA256)
 
 
 # sha256 of the format 2 catalog documents for every lambda served at
@@ -468,38 +484,43 @@ def test_catalog_document_bytes_pinned(n, lam):
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DOCUMENT_SHA256[(n, lam)]
 
 
-# sha256 of the package's (format 3) documents of CATALOG_DOCUMENT_SHA256,
-# concatenated in key order.
+# sha256 of the format 3 and of the package's (format 4) documents of
+# CATALOG_DOCUMENT_SHA256, concatenated in key order.
 CATALOG_DOCUMENTS_FORMAT3_SHA256 = "49e5e5fc2c7be0c05f9d248b872034ac2d35d3cfbceb765339ad8e7fb6e59679"
+CATALOG_DOCUMENTS_FORMAT4_SHA256 = "35dd9d263994f81382299093ec04db7f8a45208036a29b94970e7a3dbdcc8234"
 
 
 def test_catalog_documents_format3_bytes_pinned():
-    assert _format3_digest(families.construct(n, lam)
-                           for n, lam in sorted(CATALOG_DOCUMENT_SHA256)) \
-        == CATALOG_DOCUMENTS_FORMAT3_SHA256
+    assert _digests(families.construct(n, lam)
+                    for n, lam in sorted(CATALOG_DOCUMENT_SHA256)) \
+        == (CATALOG_DOCUMENTS_FORMAT3_SHA256, CATALOG_DOCUMENTS_FORMAT4_SHA256)
 
 
 # sha256 of the documents of every lambda served at n = 23, concatenated
 # in lambda order: the strip that the benchmark's strip workload builds.
-# The first pin hashes the format 2 rendering, the second the package's bytes.
+# The pins hash the format 2 and the format 3 renderings and the package's
+# (format 4) bytes.
 STRIP_N23_DOCUMENTS_SHA256 = "6847b93b34cc6745975fd49c03de831552752971438c2b967a53c472efd9383e"
 STRIP_N23_FORMAT3_SHA256 = "590093e496d4a43bcd0d662937b837d6d68476b499456fbaf340de0e2a6c0f4c"
+STRIP_N23_FORMAT4_SHA256 = "1672f0513eb64981e86c17bf70e2351f14d8cd09ff7422622a66f90373b3623b"
 
 
 def test_strip_n23_documents_pinned_and_read_back_equal():
     # The catalog is built canonical by construction; reading each
     # document back canonicalizes it as outside input and must change nothing.
-    digest, digest3 = hashlib.sha256(), hashlib.sha256()
+    digest, digest3, digest4 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     lams = range(families.lambda_floor(23), 47)
     assert lams[0] == 7
     for lam in lams:
         mf = families.construct(23, lam)
         digest.update(_format2_text(mf).encode())
+        digest3.update(_format3_text(mf).encode())
         text = docio.serialize(docio.document_from_mf(mf))
-        digest3.update(text.encode())
+        digest4.update(text.encode())
         assert docio.mf_from_document(docio.parse(text)) == mf, lam
     assert digest.hexdigest() == STRIP_N23_DOCUMENTS_SHA256
     assert digest3.hexdigest() == STRIP_N23_FORMAT3_SHA256
+    assert digest4.hexdigest() == STRIP_N23_FORMAT4_SHA256
 
 
 def test_catalog_document_at_300_300_reads_back_equal():
@@ -509,10 +530,14 @@ def test_catalog_document_at_300_300_reads_back_equal():
     assert len(old) == 3_468_296
     assert hashlib.sha256(old.encode()).hexdigest() == \
         "9b6de596408f71f930c8420c20ef714d2f2cf7cda2f704156df5d982344cb423"
-    text = docio.serialize(docio.document_from_mf(mf))
-    assert len(text) == 2_749_496
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    flat = _format3_text(mf)
+    assert len(flat) == 2_749_496
+    assert hashlib.sha256(flat.encode()).hexdigest() == \
         "a8d3e655ba317c539e8a8a2ccf2749e411e27df80ff8f86a36d4e151c19c086a"
+    text = docio.serialize(docio.document_from_mf(mf))
+    assert len(text) == 2_882_474
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a25dd0fd281763d4e067fd4901751fe4f0811818e4e9bbde31e2fc4cca35dd51"
     doc = docio.parse(text)
     assert len(doc["counts"]) == 1_198 and sum(doc["counts"]) == 179_700
     assert docio.mf_from_document(doc) == mf
