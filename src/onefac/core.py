@@ -32,16 +32,20 @@ outside that is not canonical already; `MultiFactorization.make` takes
 such input as flat factors or as edge lists.
 
 A vertex pair (u, v), u < v, has the dense id row[u] + v, with the row
-offsets of `pair_rows`.  Validation counts coverage in a flat list
-indexed by these ids, the multicover search numbers its packed fields
-by them, and the field orbit builds its images as sorted tuples of them.
+offsets of `pair_rows`: validation counts coverage in a flat list
+indexed by these ids, and the multicover search numbers its packed
+fields by them.  The field orbit builds each image as its format 4 bytes
+(`_layout`, the codec the document reader decodes with): the sorted keys
+u << 8w | v of its edges, for w = `_width` bytes per vertex id.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, groupby, repeat
+from operator import itemgetter
 
 Edge = tuple[int, int]
 OneFactor = tuple[int, ...]
@@ -138,6 +142,39 @@ def pair_rows(num_vertices: int) -> list[int]:
     return [u * (2 * nv - u - 3) // 2 - 1 for u in range(nv)]
 
 
+# The struct codes of big-endian unsigned ints of 1, 2, 4 and 8 bytes.
+_ID_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _width(nv: int) -> int:
+    """Bytes per vertex id in the format 4 bytes of a factor on nv
+    vertices: the fewest of 1, 2 or 4 that hold nv - 1."""
+    return 1 if nv <= 1 << 8 else 2 if nv <= 1 << 16 else 4
+
+
+def _layout(nv: int, ids: int = 1) -> struct.Struct:
+    """The format 4 bytes of a factor on nv vertices as nv // ids big-endian
+    numbers of `ids` consecutive ids each: with ids = 2 and w = `_width(nv)`
+    the edge (u, v) is the number u << 8w | v."""
+    return struct.Struct(f">{nv // ids}{_ID_CODES[ids * _width(nv)]}")
+
+
+def _decoded(blob: bytes, nv: int) -> list[OneFactor]:
+    """The flat factors whose format 4 bytes on nv vertices are joined in blob.
+
+    Ids of 2 or more bytes are taken from `vertex_ids`, as built factors'
+    are, unless one is nv or more (a bad document's, which `make` reports).
+    """
+    layout = _layout(nv)
+    if _width(nv) > 1:
+        shared = vertex_ids(nv)
+        try:
+            return [itemgetter(*f)(shared) for f in layout.iter_unpack(blob)]
+        except IndexError:
+            pass
+    return list(layout.iter_unpack(blob))
+
+
 def _is_canonical_matching(f, nv: int, stamps: list[int], r: int) -> bool:
     """True iff the consecutive pairs (u, v) of the flat factor f have
     strictly increasing first endpoints prev < u < v < nv and no vertex
@@ -217,21 +254,27 @@ class MultiFactorization(Record):
 
         A factor is a flat sequence of vertex ids or a list of edges.  Each
         group of adjacent equal factors is read once; copies of one object
-        are told equal by identity, without walking their vertices.  A
+        are told equal by identity, without walking their vertices.  An
+        edge list of tuples or lists of two items each whose first edge
+        is at vertex 0 is flattened.  A
         flat factor that `_is_canonical_matching` passes is kept as it is,
-        and any other goes through `canonicalize_factor`, which sorts it or
-        raises.  Only the distinct factors are sorted.
+        and any other factor, as given, goes through `canonicalize_factor`,
+        which sorts it or raises.  Only the distinct factors are sorted.
         """
         nv = 2 * n
         stamps = None  # O(n): the first factor with 2n vertices pays
         counts: Counter = Counter()
         for r, (f, copies) in enumerate(groupby(factors)):
-            f = tuple(f)
-            if len(f) == nv:
+            f = flat = tuple(f)
+            # Flatten an edge list that may be canonical: it starts at vertex 0.
+            if (f and type(f[0]) in (tuple, list) and 0 in f[0][:1]
+                    and {*map(type, f)} <= {tuple, list} and {*map(len, f)} == {2}):
+                flat = tuple(chain.from_iterable(f))
+            if len(flat) == nv:
                 stamps = stamps or [-1] * nv
-            if len(f) != nv or not _is_canonical_matching(f, nv, stamps, r):
-                f = canonicalize_factor(f, nv)
-            counts[f] += len(list(copies))
+            if len(flat) != nv or not _is_canonical_matching(flat, nv, stamps, r):
+                flat = canonicalize_factor(f, nv)
+            counts[flat] += len(list(copies))
         return cls(n, lam, tuple(sorted(counts.items())),
                    dict(model) if model else {"tag": "plain"})
 

@@ -18,9 +18,10 @@ all three are still read, format 1 as a document whose counts are all 1.
 
 A format 4 document whose factors are not all strings of exactly that
 many lowercase hex digits is a ParseError.  The factors are decoded at
-once, with one `bytes.fromhex` and one `struct` layout; past 256
-vertices the ids are taken from `core.vertex_ids`, so the runs share one
-int object per vertex as built runs do.  A document as the package
+once, with one `bytes.fromhex` and the format 4 codec of `core`
+(`_width`, `_layout`, `_decoded`), which the field orbit build shares;
+past 256 vertices the ids are taken from `core.vertex_ids`, so the runs
+share one int object per vertex as built runs do.  A document as the package
 writes it is read as its runs: each factor passes the canonical-matching
 stamp test, the factors are strictly increasing, and zipped with
 `counts` they are the runs, with no pass over the copies and no re-count
@@ -35,11 +36,11 @@ and sorts the copies, or raises.
 from __future__ import annotations
 
 import json
-import struct
 from itertools import chain, count, repeat
-from operator import itemgetter, lt
+from operator import lt
 
-from .core import FactorError, MultiFactorization, _is_canonical_matching, vertex_ids
+from .core import (FactorError, MultiFactorization, _decoded, _is_canonical_matching, _layout,
+                   _width)
 
 FORMAT_VERSION = 4
 
@@ -48,24 +49,9 @@ FORMAT_VERSION = 4
 # catalog's (n, lambda) = (1000, 998) has 1,995,002 factors.
 MAX_FACTORS = 10_000_000
 
-# The struct codes of big-endian unsigned ints of 1, 2 and 4 bytes.
-_ID_CODES = {1: "B", 2: "H", 4: "I"}
-
 
 class ParseError(ValueError):
     """Document text is not a well-formed factorization document."""
-
-
-def _width(nv: int) -> int:
-    """Bytes per vertex id in a format 4 factor on nv vertices: the fewest
-    of 1, 2 or 4 that hold nv - 1."""
-    return 1 if nv <= 1 << 8 else 2 if nv <= 1 << 16 else 4
-
-
-def _layout(nv: int) -> struct.Struct:
-    """The bytes of a format 4 factor: its nv vertex ids, big-endian,
-    `_width(nv)` bytes each."""
-    return struct.Struct(f">{nv}{_ID_CODES[_width(nv)]}")
 
 
 def document_from_mf(mf: MultiFactorization) -> dict:
@@ -143,16 +129,7 @@ def _unpacked(n: int, factors: list) -> list:
         blob = None
     if blob is None or blob.hex() != text:
         raise ParseError(f"every factor must be {nv} vertex ids as {width}-byte lowercase hex")
-    layout = _layout(nv)  # no larger than a factor, so than the document
-    if width > 1:
-        # Ids past 255 unpack to int objects of their own: take them from
-        # `vertex_ids`, as built runs do.
-        shared = vertex_ids(nv)
-        try:
-            return [itemgetter(*f)(shared) for f in layout.iter_unpack(blob)]
-        except IndexError:  # an id >= 2n, which `make` reports
-            pass
-    return list(layout.iter_unpack(blob))
+    return _decoded(blob, nv)
 
 
 def _written_runs(n: int, factors: list, counts: list) -> tuple | None:

@@ -12,24 +12,24 @@ q(q-1)/2 factors is built once; the build checks that x -> -x fixes the
 base factor, by mapping its own vertices, and that no image repeats,
 which together prove its stabilizer is {x, -x}.
 
-The orbit is built on the dense pair ids of `core.pair_rows`: an image is
-the sorted list of its edges' ids.  A translation keeps the difference of
-an edge's ends, so for each multiplier b one table per difference d, of
-the ids of {y, y + d}, gives an edge's ids under all q translations in
-one C call, and the q images of b*F are these columns zipped; no edge
-tuples are made.  Id order is pair order, so the sorted ids are the
-canonical factor.  The images are turned into flat factors by two slice
-assignments from the endpoint tables of the ids, and all of them share
-one int object per vertex.
+An image is built as its format 4 bytes (`core._layout`): the sorted keys
+u << 8w | v of its edges, w bytes per id, packed big-endian.  A
+translation keeps the difference of an edge's ends, so for each
+multiplier b one table per difference d, of the keys of {y, y + d}, gives
+an edge's keys under all q translations in one C call, and the q images
+of b*F are these columns zipped.  Key order is pair order, so the images'
+bytes sort as their factors do, and the sorted images are decoded at
+once by the document reader's codec (`core._decoded`), all of them
+sharing one int object per vertex.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import product, repeat, starmap
 from operator import eq, itemgetter
 
-from .core import (MultiFactorization, OneFactor, Record, canonicalize_factor, pair_rows,
-                   vertex_ids)
+from .core import (MultiFactorization, OneFactor, Record, _decoded, _layout, _width,
+                   canonicalize_factor)
 
 
 class NotPrime(ValueError):
@@ -159,55 +159,34 @@ def _translations(p: int, m: int) -> list[list[int]]:
     return table
 
 
-def _pair_tables(nv: int) -> tuple[list[int], list[int]]:
-    """The pair with dense id i is (lo[i], hi[i]), lo[i] < hi[i].
-
-    Ids follow `pair_rows`, so their order is the lexicographic pair order.
-    The endpoints are the objects of `vertex_ids`.
-    """
-    ids = vertex_ids(nv)
-    lo = list(chain.from_iterable(repeat(u, nv - 1 - i) for i, u in enumerate(ids)))
-    hi = list(chain.from_iterable(ids[i + 1:] for i in range(nv)))
-    return lo, hi
-
-
-def _flat_factor(ids, lo: list[int], hi: list[int]) -> OneFactor:
-    """The flat factor of a sorted list of at least two pair ids.
-
-    Two slice assignments from the endpoint tables, each read in C by one
-    itemgetter (which would return a bare int for a single id).
-    """
-    get = itemgetter(*ids)
-    f = [0] * (2 * len(ids))
-    f[0::2], f[1::2] = get(lo), get(hi)
-    return tuple(f)
-
-
-def _affine_image_ids(ctx: FieldCtx, f: OneFactor, log_bs):
+def _affine_image_bytes(ctx: FieldCtx, f: OneFactor, log_bs):
     """The image of the flat canonical factor f under x -> x*b + a for every
-    b = v^k with k in `log_bs` and, for each b, every a (a = 0 first), as a
-    sorted list of pair ids.
+    b = v^k with k in `log_bs` and, for each b, every a (a = 0 first), as
+    its format 4 bytes.
 
     The one image kernel.  A translation by a moves the edge {x, x + d}
-    to {x + a, x + a + d}, so with along[d][y] the id of {y, y + d}
-    (along[q][y] that of {y, infinity}) the ids of an edge {u, u + d} of
+    to {x + a, x + a + d}, so with along[d][y] the key of {y, y + d}
+    (along[q][y] that of {y, infinity}) the keys of an edge {u, u + d} of
     b*f under all q translations are along[d] read at u + a for every a:
     one itemgetter call in C per edge.  Zipping these columns gives the q
-    translates of b*f, and each one, sorted, is its canonical form.
+    translates of b*f, and each one's keys, sorted and packed, are its
+    canonical form.
     """
     q = ctx.q
-    row = pair_rows(q + 1)
+    shift = 8 * _width(q + 1)  # the key of {y, z}, y < z, is y << shift | z
+    pack = _layout(q + 1, 2).pack
     shifts = _translations(ctx.p, ctx.m)  # shifts[x][a] = x + a: rows are columns
-    along = [[row[y] + z if y < z else row[z] + y for y, z in enumerate(zs)]
+    along = [[y << shift | z if y < z else z << shift | y for y, z in enumerate(zs)]
              for zs in shifts]  # along[0] unused
-    along.append([row[y] + q for y in range(q)])
+    along.append([y << shift | q for y in range(q)])
     at = [itemgetter(*zs) for zs in shifts]
     neg = _scaling(ctx, (q - 1) // 2)  # x -> x * v^((q-1)/2) = -x
     us = f[0::2]
     ds = [shifts[neg[u]][v] if v < q else q for u, v in zip(us, f[1::2])]  # v - u
     for log_b in log_bs:
         scale = _scaling(ctx, log_b)  # fixes 0 and infinity, so d = q stays q
-        yield from map(sorted, zip(*[at[scale[u]](along[scale[d]]) for u, d in zip(us, ds)]))
+        columns = [at[scale[u]](along[scale[d]]) for u, d in zip(us, ds)]
+        yield from starmap(pack, map(sorted, zip(*columns)))
 
 
 def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
@@ -227,16 +206,15 @@ def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:
     """
     q = ctx.q
     half = (q - 1) // 2
-    lo, hi = _pair_tables(q + 1)
     f = base_factor(ctx)
     neg = _scaling(ctx, half)  # x -> -x
     if canonicalize_factor([neg[x] for x in f], q + 1) != f:
         raise AssertionError(f"x -> -x does not fix the base factor of GF({q})")
-    orbit = sorted(_affine_image_ids(ctx, f, range(half)))
+    orbit = sorted(_affine_image_bytes(ctx, f, range(half)))
     if any(map(eq, orbit, orbit[1:])):
         raise AssertionError(f"an image repeats in the orbit of GF({q})")
     model = {"tag": "field", "p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
-    # Id order is pair order, so the sorted id lists are the sorted factors,
-    # each already canonical.
+    # The images' bytes sort as their factors do, so the decoded images
+    # are the sorted factors, each already canonical.
     return MultiFactorization((q + 1) // 2, half, tuple(
-        (_flat_factor(ids, lo, hi), 1) for ids in orbit), model)
+        zip(_decoded(b"".join(orbit), q + 1), repeat(1))), model)

@@ -6,7 +6,7 @@ import pytest
 
 from onefac import cyclic, docio, families, gf
 from onefac.acceptance import A4_PRIME_POWERS
-from onefac.core import canonicalize_factor, is_simple, validate_factorization
+from onefac.core import _decoded, canonicalize_factor, is_simple, validate_factorization, vertex_ids
 
 from edgelists import edges, flat
 
@@ -226,9 +226,8 @@ def _affine_images(ctx, f):
     call per multiplier keeps them apart for the reordering.
     """
     q = ctx.q
-    lo, hi = gf._pair_tables(q + 1)
-    per_b = [list(gf._affine_image_ids(ctx, f, [k])) for k in range(q - 1)]
-    return [gf._flat_factor(per_b[k][a], lo, hi) for a in range(q) for k in range(q - 1)]
+    per_b = [list(gf._affine_image_bytes(ctx, f, [k])) for k in range(q - 1)]
+    return _decoded(b"".join(per_b[k][a] for a in range(q) for k in range(q - 1)), q + 1)
 
 
 @pytest.mark.parametrize("p, m", A4_PRIME_POWERS)  # m = 1 and m > 1, q <= 81
@@ -247,7 +246,7 @@ def test_halved_orbit_is_the_full_group_orbit(p, m):
 @pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
                                   (19, 1), (23, 1), (5, 2), (3, 3)])
 def test_affine_images_are_canonical_by_construction(p, m):
-    # _affine_image_ids sorts the pair ids itself: each of the q(q-1)
+    # _affine_image_bytes sorts the pair keys itself: each of the q(q-1)
     # images must already be the fixed point of the canonical form.
     ctx = gf.field_ctx(p, m)
     images = _affine_images(ctx, gf.base_factor(ctx))
@@ -255,13 +254,14 @@ def test_affine_images_are_canonical_by_construction(p, m):
     assert all(canonicalize_factor(f, ctx.q + 1) == f for f in images)
 
 
-def _reference_images(ctx, f):
+def _reference_images(ctx, f, ks=None):
     """Every image of the flat factor f under x -> x*v^k + a, a = 0..q-1
-    and, for each a, k = 0..q-2, built edge by edge with this file's field
-    arithmetic: map both endpoints, order the pair, sort the edges."""
+    and, for each a, k in ks (by default 0..q-2), built edge by edge with
+    this file's field arithmetic: map both endpoints, order the pair, sort
+    the edges."""
     q = ctx.q
     for a in range(q):
-        for k in range(q - 1):
+        for k in range(q - 1) if ks is None else ks:
             vmap = [_add(ctx, _mul(ctx, x, ctx.exp[k]), a) for x in range(q)] + [q]
             image = []
             for u, v in edges(f):
@@ -292,6 +292,25 @@ def test_affine_images_of_random_matchings_match_the_edgewise_reference(p, m):
         assert _affine_images(ctx, f) == list(_reference_images(ctx, f))
 
 
+def test_affine_images_with_two_byte_ids_match_the_edgewise_reference():
+    # q = 257 is the first q with 2-byte ids (258 vertices): one multiplier,
+    # all 257 translations, decoded onto the shared vertex id objects.
+    ctx = gf.field_ctx(257, 1)
+    f = gf.base_factor(ctx)
+    images = _decoded(b"".join(gf._affine_image_bytes(ctx, f, [0])), 258)
+    assert images == list(_reference_images(ctx, f, [0]))
+    shared = vertex_ids(258)
+    assert all(x is shared[x] for image in images for x in image)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)])
+def test_sorted_image_bytes_are_the_format4_factors(p, m):
+    ctx = gf.field_ctx(p, m)
+    orbit = sorted(gf._affine_image_bytes(ctx, gf.base_factor(ctx), range((ctx.q - 1) // 2)))
+    doc = docio.document_from_mf(gf.agl_orbit_factorization(ctx))
+    assert orbit == list(map(bytes.fromhex, doc["factors"]))
+
+
 def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
     # x -> -x maps (0,1) to (0,4): halving the maps would lose images.
     monkeypatch.setattr(gf, "base_factor", lambda ctx: flat([(0, 1), (2, 3), (4, 5)]))
@@ -303,13 +322,13 @@ def test_orbit_build_runs_the_image_kernel_once(monkeypatch):
     # The x -> -x check maps the base factor's own vertices; only the
     # orbit itself goes through the kernel.
     calls = []
-    kernel = gf._affine_image_ids
+    kernel = gf._affine_image_bytes
 
     def counting(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(gf, "_affine_image_ids", counting)
+    monkeypatch.setattr(gf, "_affine_image_bytes", counting)
     for p, m in [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3)]:
         calls.clear()
         mf = gf.agl_orbit_factorization(gf.field_ctx(p, m))
