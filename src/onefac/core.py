@@ -35,8 +35,8 @@ A vertex pair (u, v), u < v, has the dense id row[u] + v, with the row
 offsets of `pair_rows`: validation counts coverage in a flat list
 indexed by these ids, and the multicover search numbers its packed
 fields by them.  The field orbit builds each image as its format 4 bytes
-(`_layout`, the codec the document reader decodes with): the sorted keys
-u << 8w | v of its edges, for w = `_width` bytes per vertex id.
+(`_pair_keys`, beside `_layout`, the codec the document reader decodes
+with): the sorted keys u << 8w | v of its edges, w = `_width` bytes per id.
 """
 
 from __future__ import annotations
@@ -152,11 +152,18 @@ def _width(nv: int) -> int:
     return 1 if nv <= 1 << 8 else 2 if nv <= 1 << 16 else 4
 
 
-def _layout(nv: int, ids: int = 1) -> struct.Struct:
-    """The format 4 bytes of a factor on nv vertices as nv // ids big-endian
-    numbers of `ids` consecutive ids each: with ids = 2 and w = `_width(nv)`
-    the edge (u, v) is the number u << 8w | v."""
-    return struct.Struct(f">{nv // ids}{_ID_CODES[ids * _width(nv)]}")
+def _layout(nv: int) -> struct.Struct:
+    """The format 4 bytes of a factor on nv vertices: its nv ids, each
+    big-endian in `_width(nv)` bytes."""
+    return struct.Struct(f">{nv}{_ID_CODES[_width(nv)]}")
+
+
+def _pair_keys(nv: int) -> tuple[int, struct.Struct]:
+    """(shift, layout) of the same bytes read as the factor's nv // 2 edges:
+    the edge (u, v) is the key u << shift | v, and layout packs the sorted
+    keys, big-endian in 2 * `_width(nv)` bytes each, as the factor's bytes."""
+    w = _width(nv)
+    return 8 * w, struct.Struct(f">{nv // 2}{_ID_CODES[2 * w]}")
 
 
 def _decoded(blob: bytes, nv: int) -> list[OneFactor]:
@@ -254,27 +261,21 @@ class MultiFactorization(Record):
 
         A factor is a flat sequence of vertex ids or a list of edges.  Each
         group of adjacent equal factors is read once; copies of one object
-        are told equal by identity, without walking their vertices.  An
-        edge list of tuples or lists of two items each whose first edge
-        is at vertex 0 is flattened.  A
+        are told equal by identity, without walking their vertices.  A
         flat factor that `_is_canonical_matching` passes is kept as it is,
-        and any other factor, as given, goes through `canonicalize_factor`,
-        which sorts it or raises.  Only the distinct factors are sorted.
+        and any other goes through `canonicalize_factor`, which sorts it or
+        raises.  Only the distinct factors are sorted.
         """
         nv = 2 * n
         stamps = None  # O(n): the first factor with 2n vertices pays
         counts: Counter = Counter()
         for r, (f, copies) in enumerate(groupby(factors)):
-            f = flat = tuple(f)
-            # Flatten an edge list that may be canonical: it starts at vertex 0.
-            if (f and type(f[0]) in (tuple, list) and 0 in f[0][:1]
-                    and {*map(type, f)} <= {tuple, list} and {*map(len, f)} == {2}):
-                flat = tuple(chain.from_iterable(f))
-            if len(flat) == nv:
+            f = tuple(f)
+            if len(f) == nv:
                 stamps = stamps or [-1] * nv
-            if len(flat) != nv or not _is_canonical_matching(flat, nv, stamps, r):
-                flat = canonicalize_factor(f, nv)
-            counts[flat] += len(list(copies))
+            if len(f) != nv or not _is_canonical_matching(f, nv, stamps, r):
+                f = canonicalize_factor(f, nv)
+            counts[f] += len(list(copies))
         return cls(n, lam, tuple(sorted(counts.items())),
                    dict(model) if model else {"tag": "plain"})
 

@@ -19,10 +19,10 @@ all three are still read, format 1 as a document whose counts are all 1.
 A format 4 document whose factors are not all strings of exactly that
 many lowercase hex digits is a ParseError.  The factors are decoded at
 once, with one `bytes.fromhex` and the format 4 codec of `core`
-(`_width`, `_layout`, `_decoded`), which the field orbit build shares;
-past 256 vertices the ids are taken from `core.vertex_ids`, so the runs
-share one int object per vertex as built runs do.  A document as the package
-writes it is read as its runs: each factor passes the canonical-matching
+(`_width`, `_layout`, `_decoded`), whose decode the field orbit build
+shares; past 256 vertices the ids are taken from `core.vertex_ids`, so
+the runs share one int object per vertex as built runs do.  A document
+as the package writes it is read as its runs: each factor passes the canonical-matching
 stamp test, the factors are strictly increasing, and zipped with
 `counts` they are the runs, with no pass over the copies and no re-count
 or re-sort.  Any other document takes the general path: format 4

@@ -12,7 +12,7 @@ q(q-1)/2 factors is built once; the build checks that x -> -x fixes the
 base factor, by mapping its own vertices, and that no image repeats,
 which together prove its stabilizer is {x, -x}.
 
-An image is built as its format 4 bytes (`core._layout`): the sorted keys
+An image is built as its format 4 bytes (`core._pair_keys`): the sorted keys
 u << 8w | v of its edges, w bytes per id, packed big-endian.  A
 translation keeps the difference of an edge's ends, so for each
 multiplier b one table per difference d, of the keys of {y, y + d}, gives
@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import product, repeat, starmap
 from operator import eq, itemgetter
 
-from .core import (MultiFactorization, OneFactor, Record, _decoded, _layout, _width,
+from .core import (MultiFactorization, OneFactor, Record, _decoded, _pair_keys,
                    canonicalize_factor)
 
 
@@ -173,8 +173,7 @@ def _affine_image_bytes(ctx: FieldCtx, f: OneFactor, log_bs):
     canonical form.
     """
     q = ctx.q
-    shift = 8 * _width(q + 1)  # the key of {y, z}, y < z, is y << shift | z
-    pack = _layout(q + 1, 2).pack
+    shift, layout = _pair_keys(q + 1)  # the key of {y, z}, y < z, is y << shift | z
     shifts = _translations(ctx.p, ctx.m)  # shifts[x][a] = x + a: rows are columns
     along = [[y << shift | z if y < z else z << shift | y for y, z in enumerate(zs)]
              for zs in shifts]  # along[0] unused
@@ -186,7 +185,7 @@ def _affine_image_bytes(ctx: FieldCtx, f: OneFactor, log_bs):
     for log_b in log_bs:
         scale = _scaling(ctx, log_b)  # fixes 0 and infinity, so d = q stays q
         columns = [at[scale[u]](along[scale[d]]) for u, d in zip(us, ds)]
-        yield from starmap(pack, map(sorted, zip(*columns)))
+        yield from starmap(layout.pack, map(sorted, zip(*columns)))
 
 
 def agl_orbit_factorization(ctx: FieldCtx) -> MultiFactorization:

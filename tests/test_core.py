@@ -160,30 +160,6 @@ def test_make_counts_and_sorts_the_canonical_forms(groups, shuffle, rng):
     assert mf.factors == tuple(map(edges, sorted(canon)))
 
 
-def test_make_keeps_a_canonical_edge_list_without_canonicalizing_it(monkeypatch):
-    # The edge-pairs view of a catalog factorization, handed back to make,
-    # is flattened and kept: no factor goes through canonicalize_factor.
-    calls = []
-    canonicalize = core.canonicalize_factor
-
-    def counting(*args):
-        calls.append(args)
-        return canonicalize(*args)
-
-    monkeypatch.setattr(core, "canonicalize_factor", counting)
-    mf = families.construct(9, 10)
-    assert core.MultiFactorization.make(mf.n, mf.lam, mf.factors, mf.model) == mf
-    assert calls == []
-    # An edge list that is not canonical goes through it as given.
-    f = [(3, 2), (0, 1)]
-    assert core.MultiFactorization.make(2, 1, [f]).runs == ((flat([(0, 1), (2, 3)]), 1),)
-    assert calls == [(tuple(f), 4)]
-    # Edges of other than two items flatten to a canonical-looking tuple,
-    # but are refused with canonicalize_factor's own error.
-    with pytest.raises(core.NotAMatching, match="does not have two endpoints"):
-        core.MultiFactorization.make(2, 1, [[(0,), (1, 2, 3)]])
-
-
 def test_validate_one_matching_at_large_n_costs_no_more_than_its_factors():
     # The count makes the factor count right, but one matching holds n of
     # the n(2n-1) pairs: no pair counter of 2 * 10^10 entries is made.

@@ -297,18 +297,23 @@ def test_affine_images_with_two_byte_ids_match_the_edgewise_reference():
     # all 257 translations, decoded onto the shared vertex id objects.
     ctx = gf.field_ctx(257, 1)
     f = gf.base_factor(ctx)
-    images = _decoded(b"".join(gf._affine_image_bytes(ctx, f, [0])), 258)
-    assert images == list(_reference_images(ctx, f, [0]))
+    blobs = list(gf._affine_image_bytes(ctx, f, [0]))
+    reference = list(_reference_images(ctx, f, [0]))
+    assert blobs == [b"".join(x.to_bytes(2, "big") for x in image) for image in reference]
+    images = _decoded(b"".join(blobs), 258)
+    assert images == reference
     shared = vertex_ids(258)
     assert all(x is shared[x] for image in images for x in image)
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)])
-def test_sorted_image_bytes_are_the_format4_factors(p, m):
+def test_sorted_image_bytes_are_the_sorted_edgewise_images_in_format4(p, m):
+    # One byte per id below 256 vertices: an image's format 4 bytes are
+    # bytes() of its flat canonical factor, so the two sorts must agree.
     ctx = gf.field_ctx(p, m)
-    orbit = sorted(gf._affine_image_bytes(ctx, gf.base_factor(ctx), range((ctx.q - 1) // 2)))
-    doc = docio.document_from_mf(gf.agl_orbit_factorization(ctx))
-    assert orbit == list(map(bytes.fromhex, doc["factors"]))
+    f, ks = gf.base_factor(ctx), range((ctx.q - 1) // 2)
+    orbit = sorted(gf._affine_image_bytes(ctx, f, ks))
+    assert orbit == sorted(map(bytes, _reference_images(ctx, f, ks)))
 
 
 def test_orbit_build_refuses_a_base_factor_that_negation_moves(monkeypatch):
